@@ -13,7 +13,7 @@ test:
 test-output:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 
-# The replacement-policy zoo: conformance + properties + tier identity
+# The replacement-policy zoo: conformance + properties + loop identity
 # + stress-generator suites (docs/replacement.md)
 test-replacement:
 	$(PYTHON) -m pytest tests/memsys/test_replacement_conformance.py \
@@ -29,14 +29,14 @@ bench:
 bench-report:
 	$(PYTHON) benchmarks/bench_engine_speed.py --workers 4
 
-# vectorized-tier focus: prove the three tiers agree, then run the
-# pytest-sized matrix and print the tier-engagement counters
+# fast-loop focus: prove both engine loops agree, then run the
+# pytest-sized matrix and print the fast-loop counters
 bench-vector:
 	$(PYTHON) -m pytest benchmarks/bench_engine_speed.py::test_compiled_path_matches_generator -q
 	$(PYTHON) -m pytest benchmarks/bench_engine_speed.py::test_engine_speed --benchmark-only -s
 
-# batched-miss-path gate: two miss-dense points, three tiers each;
-# fails if the vector tier demotes or any tier's SimResult diverges
+# shared-miss-path gate: two miss-dense points on both loops; fails if
+# the fast loop does not run or any SimResult diverges
 bench-misspath:
 	$(PYTHON) benchmarks/bench_engine_speed.py --misspath
 

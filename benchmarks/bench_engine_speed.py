@@ -4,16 +4,14 @@ Not a paper figure: tracks the simulator's own performance as a number
 rather than a claim.  Measurements over a Fig. 8-style
 (workload × prefetcher) matrix:
 
-* **serial** — every point through the in-process generator path;
-* **compiled** — the same serial matrix replayed from packed compiled
-  traces (cold trace cache: the first point of each workload pays the
-  compile, the rest ``mmap`` the arena), scalar loop only;
-* **vectorized** — the compiled matrix again with the NumPy
-  batch-replay tier enabled (warm trace cache), plus the tier's
-  engagement/demotion counts broken down by demotion reason — with the
-  batched miss path the tier is expected to *stay* resident on
-  miss-dense points (``vector_tier_stayed_rate``), so a demotion here
-  is a policy regression, not a design choice;
+* **serial** — every point through the in-process generator path (the
+  general loop);
+* **vectorized** — the same serial matrix replayed from packed compiled
+  traces by the engine's fast loop (cold trace cache: the first point
+  of each workload pays the compile, the rest ``mmap`` the arena), plus
+  the fast-loop run count and how many of those runs served their
+  misses in fallback mode (``ineligible_policy``; none on this LRU
+  matrix);
 * **parallel** — the vectorized matrix through ``Executor(workers=N)``
   (``effective_workers`` records what the host can actually run;
   ``oversubscribed`` flags worker counts beyond ``cpu_count``, where
@@ -22,7 +20,7 @@ rather than a claim.  Measurements over a Fig. 8-style
   cache;
 
 plus the serial inner-loop rate (simulated instructions/sec and ns per
-memory access, generator vs compiled fast path vs vectorized tier).  Every full run also
+memory access, generator vs fast loop).  Every full run also
 writes the report — with git SHA and timestamp — to
 ``BENCH_engine.json`` at the repo root, so the perf trajectory is
 recorded run over run.  Run as a script for the full report::
@@ -99,15 +97,14 @@ def _timed(executor: Executor, jobs: List[SimJob]) -> float:
 def measure_matrix(
     jobs: List[SimJob], workers: int, cache_dir: str
 ) -> Dict[str, float]:
-    """Generator vs compiled vs vectorized vs parallel vs cache-hit.
+    """Generator vs fast loop vs parallel vs cache-hit.
 
-    ``jobs`` are vectorized compiled-path jobs (the default execution
-    configuration); the scalar passes are derived from them with
-    ``vectorized=False`` / ``compile=False``.  The trace cache under
-    ``$REPRO_CACHE_DIR`` starts cold for the compiled pass, so the
-    reported compiled time includes one trace compile per workload —
-    the real cost profile of a fresh sweep; the vectorized pass then
-    replays the warmed arenas, isolating the tier's own cost.
+    ``jobs`` are compiled-path jobs on the fast loop (the default
+    execution configuration); the generator pass is derived from them
+    with ``compile=False, vectorized=False``.  The trace cache under
+    ``$REPRO_CACHE_DIR`` starts cold for the vectorized pass, so its
+    time includes one trace compile per workload — the real cost
+    profile of a fresh sweep.
 
     ``parallel_speedup`` is wall-clock over the *serial generator*
     matrix, whatever the host — on an oversubscribed box (more workers
@@ -122,15 +119,11 @@ def measure_matrix(
     generator_jobs = [
         replace(job, compile=False, vectorized=False) for job in jobs
     ]
-    scalar_jobs = [replace(job, vectorized=False) for job in jobs]
     serial_s = _timed(Executor(workers=1), generator_jobs)
-    compiled_executor = Executor(workers=1)
-    compiled_s = _timed(compiled_executor, scalar_jobs)
+    vector_executor = Executor(workers=1)
     tiers_before = engine_tier_counters()
-    vectorized_s = _timed(Executor(workers=1), jobs)
+    vectorized_s = _timed(vector_executor, jobs)
     tiers_after = engine_tier_counters()
-    vector_runs = tiers_after["vectorized"] - tiers_before["vectorized"]
-    vector_demotions = tiers_after["demoted"] - tiers_before["demoted"]
     cache = ResultCache(cache_dir)
     parallel_s = _timed(Executor(workers=workers, cache=cache), jobs)
     cached_executor = Executor(workers=workers, cache=cache)
@@ -142,39 +135,28 @@ def measure_matrix(
         "effective_workers": min(workers, cpu_count),
         "oversubscribed": workers > cpu_count,
         "serial_s": round(serial_s, 3),
-        "compiled_s": round(compiled_s, 3),
         "vectorized_s": round(vectorized_s, 3),
         "parallel_s": round(parallel_s, 3),
         "cached_s": round(cached_s, 3),
         "serial_points_per_s": round(len(jobs) / serial_s, 3),
-        "compiled_points_per_s": round(len(jobs) / compiled_s, 3),
         "vectorized_points_per_s": round(len(jobs) / vectorized_s, 3),
         "parallel_points_per_s": round(len(jobs) / parallel_s, 3),
         "cached_points_per_s": round(len(jobs) / cached_s, 3),
-        "compiled_speedup": round(serial_s / compiled_s, 2),
         "vectorized_speedup": round(serial_s / vectorized_s, 2),
         "parallel_speedup": round(serial_s / parallel_s, 2),
         "cached_speedup": round(serial_s / cached_s, 2),
-        # engine-tier engagement over the vectorized pass: every point
-        # selects the vector tier; any demotion is attributed a reason
-        "vector_tier_runs": vector_runs,
-        "vector_tier_demotions": vector_demotions,
-        "vector_tier_stayed_rate": round(
-            (vector_runs - vector_demotions) / max(1, vector_runs), 3
-        ),
-        "vector_tier_demoted_stretch_probe": tiers_after[
-            "demoted_stretch_probe"
-        ] - tiers_before["demoted_stretch_probe"],
-        "vector_tier_demoted_hazard": tiers_after["demoted_hazard"]
-        - tiers_before["demoted_hazard"],
+        # fast-loop engagement over the vectorized pass: every point
+        # selects the fast loop; none should need the fallback miss path
+        "vector_tier_runs": tiers_after["vectorized"]
+        - tiers_before["vectorized"],
         "vector_tier_demoted_ineligible_policy": tiers_after[
             "demoted_ineligible_policy"
         ] - tiers_before["demoted_ineligible_policy"],
         "trace_compile_hits": int(
-            compiled_executor.stats.get("trace_compile_hits")
+            vector_executor.stats.get("trace_compile_hits")
         ),
         "trace_compile_misses": int(
-            compiled_executor.stats.get("trace_compile_misses")
+            vector_executor.stats.get("trace_compile_misses")
         ),
     }
 
@@ -182,17 +164,15 @@ def measure_matrix(
 def measure_inner_loop(
     instructions: int = 60_000, warmup: int = 20_000
 ) -> Dict[str, float]:
-    """Serial inner-loop rate: generator vs compiled vs vectorized.
+    """Serial inner-loop rate: generator vs fast loop.
 
     The compiled job runs twice: the cold pass pays the one-time trace
     compile (reported as ``trace_compile_s``), the warm pass — the
     steady state of every sweep after its first point — is what the
-    ``compiled_*`` rates and ``fastpath_speedup`` describe.  The
-    vectorized pass replays the same warm arena through the batch
-    tier (streaming/bingo is hit-dominated, so it never demotes).
+    ``vectorized_*`` rates describe.
     """
 
-    def job(compile_: bool, vectorized: bool = False) -> SimJob:
+    def job(compile_: bool) -> SimJob:
         return SimJob.build(
             "streaming",
             prefetcher="bingo",
@@ -201,7 +181,7 @@ def measure_inner_loop(
             warmup_instructions=warmup,
             scale=EXPERIMENT_SCALE,
             compile=compile_,
-            vectorized=vectorized,
+            vectorized=compile_,
         )
 
     start = time.perf_counter()
@@ -209,18 +189,12 @@ def measure_inner_loop(
     generator_s = time.perf_counter() - start
     start = time.perf_counter()
     execute_job(job(True))
-    compiled_cold_s = time.perf_counter() - start
+    vectorized_cold_s = time.perf_counter() - start
     start = time.perf_counter()
-    compiled_result = execute_job(job(True))
-    compiled_s = time.perf_counter() - start
-    assert compiled_result.to_dict() == result.to_dict(), (
-        "compiled path diverged from the generator path"
-    )
-    start = time.perf_counter()
-    vector_result = execute_job(job(True, vectorized=True))
+    vector_result = execute_job(job(True))
     vectorized_s = time.perf_counter() - start
     assert vector_result.to_dict() == result.to_dict(), (
-        "vectorized path diverged from the generator path"
+        "fast loop diverged from the generator path"
     )
 
     raw = result.raw_stats["memsys"]
@@ -235,12 +209,6 @@ def measure_inner_loop(
         "instructions_per_s": round(total_instructions / generator_s),
         "ns_per_instruction": round(generator_s / total_instructions * 1e9, 1),
         "ns_per_access": round(generator_s / accesses * 1e9, 1),
-        "compiled_elapsed_s": round(compiled_s, 3),
-        "compiled_instructions_per_s": round(total_instructions / compiled_s),
-        "compiled_ns_per_instruction": round(
-            compiled_s / total_instructions * 1e9, 1
-        ),
-        "compiled_ns_per_access": round(compiled_s / accesses * 1e9, 1),
         "vectorized_elapsed_s": round(vectorized_s, 3),
         "vectorized_instructions_per_s": round(
             total_instructions / vectorized_s
@@ -249,8 +217,7 @@ def measure_inner_loop(
             vectorized_s / total_instructions * 1e9, 1
         ),
         "vectorized_ns_per_access": round(vectorized_s / accesses * 1e9, 1),
-        "trace_compile_s": round(compiled_cold_s - compiled_s, 3),
-        "fastpath_speedup": round(generator_s / compiled_s, 2),
+        "trace_compile_s": round(vectorized_cold_s - vectorized_s, 3),
         "vectorized_inner_speedup": round(generator_s / vectorized_s, 2),
     }
 
@@ -308,21 +275,20 @@ def run_bench(
     return report
 
 
-#: the miss-path smoke matrix: two miss-dense stress points where the
-#: pre-batched tier used to demote on every run
+#: the miss-path smoke matrix: two miss-dense stress points
 MISSPATH_SMOKE_POINTS = (("zipf", "bingo"), ("oscillate", "bingo"))
 
 
 def run_misspath_smoke(
     instructions: int = 20_000, warmup: int = 5_000
 ) -> Dict[str, object]:
-    """CI gate for the batched miss path: stay resident *and* agree.
+    """CI gate for the shared miss path: fast loop *and* agreement.
 
-    Two miss-dense points (``MISSPATH_SMOKE_POINTS``), each run on all
-    three tiers.  Fails (``ok: False``) if the vector tier demotes on
-    any point (``stayed_rate`` < 0.9 — with two points one demotion
-    already breaches it) or if any tier's ``SimResult`` diverges
-    field-for-field from the others.
+    Two miss-dense points (``MISSPATH_SMOKE_POINTS``), each run by the
+    fast loop, by the general loop over the same compiled trace, and by
+    the general loop over the generators.  Fails (``ok: False``) if a
+    point does not run the fast loop in native miss-path mode or if any
+    leg's ``SimResult`` diverges field-for-field from the others.
     """
     from dataclasses import replace
 
@@ -336,7 +302,7 @@ def run_misspath_smoke(
     with tempfile.TemporaryDirectory(prefix="repro-misspath-") as tmp:
         os.environ["REPRO_CACHE_DIR"] = tmp
         try:
-            before = engine_tier_counters()
+            runs = fallback = 0
             start = time.perf_counter()
             for workload, prefetcher in MISSPATH_SMOKE_POINTS:
                 job = SimJob.build(
@@ -349,41 +315,37 @@ def run_misspath_smoke(
                     compile=True,
                     vectorized=True,
                 )
+                before = engine_tier_counters()
                 vectorized = execute_job(job)
-                compiled = execute_job(replace(job, vectorized=False))
+                after = engine_tier_counters()
+                runs += after["vectorized"] - before["vectorized"]
+                fallback += after["demoted"] - before["demoted"]
+                general = execute_job(replace(job, vectorized=False))
                 generator = execute_job(
                     replace(job, compile=False, vectorized=False)
                 )
-                if compiled.to_dict() != generator.to_dict():
+                if general.to_dict() != generator.to_dict():
                     divergences.append(
-                        f"{workload}/{prefetcher}: compiled != generator"
+                        f"{workload}/{prefetcher}: compiled trace != generator"
                     )
-                if vectorized.to_dict() != compiled.to_dict():
+                if vectorized.to_dict() != general.to_dict():
                     divergences.append(
-                        f"{workload}/{prefetcher}: vectorized != compiled"
+                        f"{workload}/{prefetcher}: fast loop != general loop"
                     )
             elapsed = time.perf_counter() - start
-            after = engine_tier_counters()
         finally:
             if previous_cache is None:
                 os.environ.pop("REPRO_CACHE_DIR", None)
             else:
                 os.environ["REPRO_CACHE_DIR"] = previous_cache
-    runs = after["vectorized"] - before["vectorized"]
-    demotions = after["demoted"] - before["demoted"]
-    stayed_rate = (runs - demotions) / max(1, runs)
     report.update(
         elapsed_s=round(elapsed, 3),
         vector_tier_runs=runs,
-        vector_tier_demotions=demotions,
-        vector_tier_stayed_rate=round(stayed_rate, 3),
-        demoted_stretch_probe=after["demoted_stretch_probe"]
-        - before["demoted_stretch_probe"],
-        demoted_hazard=after["demoted_hazard"] - before["demoted_hazard"],
-        demoted_ineligible_policy=after["demoted_ineligible_policy"]
-        - before["demoted_ineligible_policy"],
+        demoted_ineligible_policy=fallback,
         divergences=divergences,
-        ok=stayed_rate >= 0.9 and not divergences,
+        ok=runs == len(MISSPATH_SMOKE_POINTS)
+        and fallback == 0
+        and not divergences,
     )
     return report
 
@@ -417,8 +379,10 @@ def test_engine_speed(benchmark, tmp_path, monkeypatch):
 def test_compiled_path_matches_generator(tmp_path, monkeypatch):
     """The CI correctness gate: compiled and generator paths agree.
 
-    Field-for-field ``SimResult`` equality over a small matrix; any
-    divergence fails the smoke-perf job even though speed never does.
+    Field-for-field ``SimResult`` equality over a small matrix between
+    the fast loop, the general loop over the same compiled trace, and
+    the general loop over the generators; any divergence fails the
+    smoke-perf job even though speed never does.
     """
     from dataclasses import replace
 
@@ -431,15 +395,15 @@ def test_compiled_path_matches_generator(tmp_path, monkeypatch):
     )
     for job in jobs:
         vectorized = execute_job(job)
-        compiled = execute_job(replace(job, vectorized=False))
+        general = execute_job(replace(job, vectorized=False))
         generator = execute_job(
             replace(job, compile=False, vectorized=False)
         )
-        assert compiled.to_dict() == generator.to_dict(), (
-            f"compiled path diverged on {job.workload}/{job.prefetcher}"
+        assert general.to_dict() == generator.to_dict(), (
+            f"compiled trace diverged on {job.workload}/{job.prefetcher}"
         )
-        assert vectorized.to_dict() == compiled.to_dict(), (
-            f"vectorized path diverged on {job.workload}/{job.prefetcher}"
+        assert vectorized.to_dict() == general.to_dict(), (
+            f"fast loop diverged on {job.workload}/{job.prefetcher}"
         )
 
 
@@ -454,8 +418,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="skip writing BENCH_engine.json")
     parser.add_argument("--misspath", action="store_true",
                         help="run only the miss-path smoke gate: two "
-                        "miss-dense points, fail if the vector tier "
-                        "demotes or any tier diverges")
+                        "miss-dense points, fail if the fast loop does "
+                        "not run or diverges from the general loop")
     args = parser.parse_args(argv)
     if args.misspath:
         report = run_misspath_smoke(

@@ -522,13 +522,14 @@ def run_check(
     end (``bingo-sim check --compiled``).
 
     ``vectorized=True`` (implies ``compile``) additionally runs the same
-    configuration through the NumPy batch-replay tier and diffs its
-    ``SimResult`` field for field against the scalar compiled run the
-    harness just vouched for; any mismatch is reported as a
-    ``vector-replay`` divergence.  The tier cannot host the event-level
-    harness directly (it replays L1 hits without emitting events), so
-    the result-level diff against the harnessed reference is exactly
-    the guarantee the tier claims: byte-identical ``SimResult`` objects.
+    configuration through the engine's fast loop and diffs its
+    ``SimResult`` field for field against a general-loop run of the
+    compiled trace the harness just vouched for; any mismatch is
+    reported as a ``vector-replay`` divergence.  The fast loop cannot
+    host the event-level harness directly (it replays L1 hits without
+    emitting events), so the result-level diff against the harnessed
+    reference is exactly the guarantee it claims: byte-identical
+    ``SimResult`` objects.
 
     ``replacement`` selects the LLC policy for every engine built here.
     The reference LLC is replacement-agnostic — it mirrors residency
@@ -634,8 +635,8 @@ def run_check(
                 Divergence(
                     kind="vector-replay",
                     detail=(
-                        "vectorized SimResult differs from the scalar "
-                        f"compiled run in fields: {', '.join(keys)}"
+                        "fast-loop SimResult differs from the general "
+                        f"loop's in fields: {', '.join(keys)}"
                     ),
                     event_index=-1,
                 )

@@ -104,8 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "of a packed compiled trace (results are "
                             "identical; see docs/performance.md)")
     run_p.add_argument("--no-vectorized", action="store_true",
-                       help="disable the NumPy batch-replay engine tier "
-                            "(results are identical; see "
+                       help="run the engine's general loop instead of "
+                            "its fast loop (results are identical; see "
                             "docs/performance.md)")
     run_p.add_argument("--replacement", default="lru",
                        choices=available_replacements(),
@@ -159,8 +159,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               "compiled-trace cache lives next to the "
                               "result cache under $REPRO_CACHE_DIR)")
     sweep_p.add_argument("--no-vectorized", action="store_true",
-                         help="disable the NumPy batch-replay engine tier "
-                              "for every sweep point")
+                         help="run the engine's general loop instead of "
+                              "its fast loop for every sweep point")
     sweep_p.add_argument("--replacement", default="lru",
                          choices=available_replacements(),
                          help="LLC replacement policy for every sweep "
@@ -189,10 +189,10 @@ def _build_parser() -> argparse.ArgumentParser:
                               "the differential harness consumes packed "
                               "traces instead of live generators")
     check_p.add_argument("--vectorized", action="store_true",
-                         help="check the NumPy batch-replay tier: the "
-                              "simulated run replays vectorized (implies "
-                              "--compiled) and must still match the "
-                              "reference models event for event")
+                         help="check the engine's fast loop: the same "
+                              "run replayed by the fast loop (implies "
+                              "--compiled) must match the harnessed "
+                              "general-loop run field for field")
     check_p.add_argument("--replacement", default="lru",
                          choices=available_replacements(),
                          help="LLC replacement policy for the checked "

@@ -113,15 +113,13 @@ class DramModel:
             self._open_row[channel][bank] = row
         self._writebacks.value += 1
 
-    # -- state export (vectorized miss path) ---------------------------------
+    # -- state export (the fast loop's miss path) ----------------------------
     def timing_view(self) -> dict:
-        """The scalars and live structures batched timing kernels need.
+        """The scalars and live structures an inlined ``access`` needs.
 
-        Routes are a pure function of the block address (``mix64`` over
-        the row), so a batch can precompute channel/bank/row for every
-        member; the live ``channel_busy``/``open_row`` structures are
-        shared mutable state and any precomputed row verdict must be
-        generation-guarded by the caller (repro.sim.vector.misspath).
+        The live ``channel_busy``/``open_row`` structures are shared
+        mutable state: the caller (repro.sim.vector.misspath) must read
+        and advance them in the same order ``access`` would.
         """
         return {
             "channels": self.config.channels,

@@ -103,8 +103,8 @@ class MemoryHierarchy:
         :mod:`repro.memsys.replacement` ("lru", the default, keeps the
         cache model's native OrderedDict fast path and is byte-identical
         to the pre-zoo engine).  L1 replacement stays native LRU: the
-        vectorized tier mirrors the L1s as stamp arrays, so L1
-        pluggability would fork the tiers (docs/replacement.md).
+        engine's fast loop mirrors the L1s as stamp lists, so L1
+        pluggability would fork the loops (docs/replacement.md).
         ``replacement_oracle`` supplies next-use knowledge for "opt";
         the engine builds it from the compiled workload and it is bound
         to the live translator here.

@@ -98,6 +98,10 @@ class ServiceClient:
         self.connect_wait = max(0.0, connect_wait)
         self.backpressure_retries = max(0, backpressure_retries)
         self._connected = False
+        # per-instance clock and sleep: tests substitute them on one
+        # client without touching the process-wide ``time`` module
+        self._monotonic = time.monotonic
+        self._sleep = time.sleep
 
     @classmethod
     def connect(
@@ -127,7 +131,7 @@ class ServiceClient:
         budget (after the first successful response the daemon has
         provably been up — later connection errors surface at once)."""
         deadline = (
-            time.monotonic() + self.connect_wait
+            self._monotonic() + self.connect_wait
             if self.connect_wait > 0 and not self._connected
             else None
         )
@@ -137,14 +141,14 @@ class ServiceClient:
             try:
                 return self._request_once(method, path, payload, timeout)
             except ServiceUnavailable as exc:
-                now = time.monotonic()
+                now = self._monotonic()
                 if deadline is None or now >= deadline:
                     raise ServiceUnavailable(
                         exc.url, exc.cause, attempts=attempt
                     ) from None
                 delay = min(0.05 * (2 ** (attempt - 1)), 1.0)
                 delay *= 1.0 + 0.25 * random.random()
-                time.sleep(min(delay, max(0.0, deadline - now)))
+                self._sleep(min(delay, max(0.0, deadline - now)))
 
     def _request_once(
         self,
@@ -219,7 +223,7 @@ class ServiceClient:
                     raise
                 attempt += 1
                 delay = float(exc.body.get("retry_after", 1.0) or 1.0)
-                time.sleep(
+                self._sleep(
                     min(delay, 30.0) * (1.0 + 0.25 * random.random())
                 )
 
@@ -269,19 +273,19 @@ class ServiceClient:
         geometrically (capped at ``max_interval``) and every sleep is
         stretched by up to 25% of random jitter so pollers decorrelate.
         """
-        deadline = time.monotonic() + timeout
+        deadline = self._monotonic() + timeout
         interval = max(0.01, poll_interval)
         while True:
             record = fetch()
             if record["state"] in _TERMINAL:
                 return record
-            now = time.monotonic()
+            now = self._monotonic()
             if now >= deadline:
                 raise TimeoutError(
                     f"{what} still {record['state']} after {timeout:g}s"
                 )
             delay = interval * (1.0 + 0.25 * random.random())
-            time.sleep(min(delay, deadline - now))
+            self._sleep(min(delay, deadline - now))
             interval = min(interval * 1.5, max_interval)
 
     def wait(

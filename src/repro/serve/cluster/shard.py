@@ -159,8 +159,25 @@ class ShardedResultCache:
             return self._stores.get(owner) if owner is not None else None
 
     def get(self, digest: str) -> Optional[Dict[str, Any]]:
-        store = self._store_for(digest)
-        return store.get(digest) if store is not None else None
+        """The entry for ``digest``, probing its owning shard first.
+
+        A node that joins after an entry was stored takes over the
+        digests that now hash to it, but the entry stays on the shard
+        that owned it then; on a miss the other shards are probed, so a
+        join never hides a stored result.
+        """
+        with self._lock:
+            owner = self.ring.owner(digest)
+            if owner is None:
+                return None
+            stores = [self._stores[owner]] + [
+                store for node, store in self._stores.items() if node != owner
+            ]
+        for store in stores:
+            result = store.get(digest)
+            if result is not None:
+                return result
+        return None
 
     def put(self, digest: str, result: Dict[str, Any]) -> bool:
         """Route ``result`` to its owning shard; False on an empty ring."""

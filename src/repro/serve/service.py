@@ -461,8 +461,9 @@ class SimulationService:
             "experiments_by_state": self.orchestrator.state_counts(),
             "breaker_open_digests": self.supervisor.breaker.open_digests,
             "executor_totals": totals,
-            # which engine tier answered in-process runs, with demotions
-            # broken down by reason (see repro.sim.engine._TIER_RUNS)
+            # which engine loop answered in-process runs, and how many
+            # fast-loop runs served misses in fallback mode (see
+            # repro.sim.engine._TIER_RUNS)
             "engine_tiers": engine_tier_counters(),
             # the multi-node tier: per-node gauges, shard ring, steals
             "cluster": self.cluster.snapshot(),

@@ -8,10 +8,10 @@ words plus one flag byte per record), caches the arenas on disk keyed by
 the full trace identity, and hands the engine a
 :class:`~repro.sim.compile.workload.CompiledWorkload` it can replay
 either through the general loop (exact ``Workload`` contract) or through
-the allocation-free fast path (``SimulationEngine._run_until_compiled``).
+the engine's fast loop (:mod:`repro.sim.vector`).
 
 See ``docs/performance.md`` for the cache layout, invalidation keys, and
-when the fast path engages.
+when the fast loop engages.
 """
 
 from repro.sim.compile.cache import TraceCache, compile_counters, trace_key

@@ -31,44 +31,34 @@ from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.registry import make_prefetcher
 from repro.sim.compile.workload import CompiledWorkload
 from repro.sim.results import CoreResult, SimResult
+from repro.sim.vector import VectorReplay
 
-#: Version of the specialised compiled-trace inner loop.  Bump on any
-#: change to ``_run_until_compiled`` (or the state it mirrors from
-#: ``CoreTimingModel``): the executor folds it into result-cache digests
-#: so entries produced by an older fast path are never served.
-FASTPATH_VERSION = 1
+#: Version of the fast loop (``repro.sim.vector``).  Bump on any change
+#: to its walk, barrier handling, or miss path: the executor folds it
+#: into result-cache digests so entries an older loop produced are
+#: never served.
+#: v2: batched miss path + drain mode + per-reason demotion.
+#: v3: the drain walk is the only fast loop; the NumPy batch mode and
+#: the compiled scalar loop are gone.
+VECTOR_VERSION = 3
 
-#: Version of the vectorized batch-replay tier (``repro.sim.vector``).
-#: Bump on any change to its kernels or barrier handling; the executor
-#: folds it into result-cache digests alongside ``FASTPATH_VERSION``.
-#: Defined here (not in the vector package) so digests can be computed
-#: on numpy-free installs, where the tier merely never engages.
-#: v2: batched miss path (misspath.py) + drain mode + per-reason demotion.
-VECTOR_VERSION = 2
-
-#: Process-local counts of which engine tier each ``run()`` selected.
-#: ``demoted`` counts vectorized runs that handed off to the compiled
-#: loop mid-run, and the ``demoted_*`` keys break that total down by
-#: reason (see ``VectorReplay._should_demote``): ``stretch_probe`` — the
-#: density probe tripped (only when ``DEMOTE_STRETCH`` is raised above
-#: its 0 default); ``ineligible_policy`` — an LLC replacement-policy
-#: interface or Belady oracle keeps the miss path in fallback mode on a
-#: miss-dense trace; ``hazard`` — the batched-verdict hazard-rate valve.
+#: Process-local counts of which engine loop each ``run()`` selected:
+#: ``vectorized`` (the fast loop) or ``general``.  ``demoted`` and
+#: ``demoted_ineligible_policy`` count fast-loop runs whose miss path
+#: runs in fallback mode because an LLC replacement-policy interface or
+#: Belady oracle is attached (see ``repro.sim.vector.misspath``).
 #: Diagnostics only — deliberately *not* routed into ``SimResult`` or
-#: ``raw_stats``, which must stay byte-identical across tiers.
+#: ``raw_stats``, which must stay byte-identical across loops.
 _TIER_RUNS = {
     "vectorized": 0,
-    "compiled": 0,
     "general": 0,
     "demoted": 0,
-    "demoted_stretch_probe": 0,
-    "demoted_hazard": 0,
     "demoted_ineligible_policy": 0,
 }
 
 
 def engine_tier_counters() -> Dict[str, int]:
-    """Snapshot of per-tier run counts (this process only)."""
+    """Snapshot of per-loop run counts (this process only)."""
     return dict(_TIER_RUNS)
 
 
@@ -110,11 +100,12 @@ class SimulationEngine:
         :class:`~repro.obs.sinks.TraceSink` (ring buffers, recorders).
         A sink built *here* from ``obs.trace_path`` is owned by the
         engine and closed when :meth:`run` returns.  ``vectorized``
-        permits the NumPy batch-replay tier when the run qualifies
-        (see :meth:`_vector_path_eligible`); results are identical
-        either way.  ``replacement`` selects the LLC policy from
-        :mod:`repro.memsys.replacement`; ``"opt"`` needs next-use
-        knowledge and therefore a compiled workload to pre-scan."""
+        permits the fast loop when the run qualifies (see
+        :meth:`_fast_path_eligible`); ``False`` runs the general loop.
+        Results are identical either way.  ``replacement`` selects the
+        LLC policy from :mod:`repro.memsys.replacement`; ``"opt"`` needs
+        next-use knowledge and therefore a compiled workload to
+        pre-scan."""
         self.workload = workload
         self.vectorized = vectorized
         if replacement not in available_replacements():
@@ -123,8 +114,6 @@ class SimulationEngine:
                 f"available: {available_replacements()}"
             )
         self.replacement = replacement
-        #: fixed chunk size for the vectorized tier (tests); None = adaptive
-        self._vector_chunk: Optional[int] = None
         self.system = system if system is not None else SystemConfig()
         self.params = params if params is not None else SimulationParams()
         self.prefetcher_name = prefetcher
@@ -236,143 +225,28 @@ class SimulationEngine:
                 heapq.heappush(heap, (core.next_issue_time(), core_id))
 
     def _fast_path_eligible(self) -> bool:
-        """True when the specialised compiled-trace loop may replace
+        """True when the fast loop (:mod:`repro.sim.vector`) may replace
         :meth:`_run_until`.
 
-        The fast path skips per-record sink guards and timeline
-        bookkeeping, so it only engages when both are provably inert:
-        the sink is the module-level ``NULL_SINK`` and the timeline
-        recorder is off.  Anything else — or a trace compiled shorter
-        than the run — falls back to the general loop, byte-for-byte.
+        The fast loop replays packed compiled traces and skips per-record
+        sink guards and timeline bookkeeping, so it only engages when
+        both are provably inert: the sink is the module-level
+        ``NULL_SINK`` and the timeline recorder is off.  It walks L1
+        hits without calling the hierarchy, so prefetchers (if any) must
+        observe the **LLC**; ``train_at="l1"`` stays eligible only for
+        the no-prefetcher baseline, where the L1 eviction hook is inert.
+        Anything else — ``vectorized=False``, or a trace compiled shorter
+        than the run — runs the general loop, byte-for-byte.
         """
         return (
-            isinstance(self.workload, CompiledWorkload)
+            self.vectorized
+            and isinstance(self.workload, CompiledWorkload)
             and self.sink is NULL_SINK
             and self.timeline is None
             and self.workload.records_per_core
             >= self.params.instructions_per_core
+            and (not self.prefetchers or self.hierarchy.train_at == "llc")
         )
-
-    def _vector_path_eligible(self) -> bool:
-        """True when the NumPy batch-replay tier may run this simulation.
-
-        Requires everything :meth:`_fast_path_eligible` does, plus:
-
-        * prefetchers (if any) observe the **LLC** — the vector tier
-          batches L1 hits, so an L1-training prefetcher would miss its
-          input stream.  ``train_at="l1"`` stays eligible only for the
-          no-prefetcher baseline, where the L1 eviction hook is inert;
-        * numpy imports (``repro.sim.vector`` is the capability probe).
-        """
-        if not (self.vectorized and self._fast_path_eligible()):
-            return False
-        if self.prefetchers and self.hierarchy.train_at != "llc":
-            return False
-        try:
-            import repro.sim.vector  # noqa: F401
-        except ImportError:
-            return False
-        return True
-
-    def _run_until_compiled(self, arenas, cursors, budget_per_core: int) -> None:
-        """:meth:`_run_until`, specialised for packed compiled traces.
-
-        Replays the packed pc/address/flag words directly — no
-        ``TraceRecord`` allocation, no generator frames — and inlines
-        :class:`~repro.cpu.core.CoreTimingModel`'s dispatch/retire
-        arithmetic over local mirrors of its state (written back on
-        exit, before any snapshot can observe them).  Every float is
-        produced by the same operations in the same order as the
-        general loop, so results are bit-identical; the equivalence
-        suite (``tests/sim/test_compile.py``) holds this to
-        field-for-field ``SimResult`` equality.
-        """
-        cores = self.cores
-        access = self.hierarchy.access
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        # local mirrors of per-core CoreTimingModel state
-        counts = [core._count for core in cores]
-        last_dispatch = [core._last_dispatch for core in cores]
-        last_retire = [core._last_retire for core in cores]
-        last_load_complete = [core._last_load_complete for core in cores]
-        rings = [core._retire_ring for core in cores]
-        robs = [core._rob for core in cores]
-        intervals = [core._dispatch_interval for core in cores]
-        pcs = [arena.pcs for arena in arenas]
-        addresses = [arena.addresses for arena in arenas]
-        flags = [arena.flags for arena in arenas]
-
-        heap = []
-        for core_id in range(len(cores)):
-            count = counts[core_id]
-            if count < budget_per_core:
-                dispatch = last_dispatch[core_id] + intervals[core_id]
-                if count >= robs[core_id]:
-                    ready = rings[core_id][count % robs[core_id]]
-                    if ready > dispatch:
-                        dispatch = ready
-                heap.append((dispatch, core_id))
-        heapq.heapify(heap)
-
-        try:
-            while heap:
-                _, core_id = heappop(heap)
-                index = cursors[core_id]
-                cursors[core_id] = index + 1
-                count = counts[core_id]
-                ring = rings[core_id]
-                rob = robs[core_id]
-                # next_issue_time()
-                dispatch = last_dispatch[core_id] + intervals[core_id]
-                if count >= rob:
-                    ready = ring[count % rob]
-                    if ready > dispatch:
-                        dispatch = ready
-                bits = flags[core_id][index]
-                if bits:  # memory instruction
-                    issue = dispatch
-                    if bits & 4:  # depends_on_prev_load
-                        arrived = last_load_complete[core_id]
-                        if arrived > issue:
-                            issue = arrived
-                    result = access(
-                        core_id,
-                        pcs[core_id][index],
-                        addresses[core_id][index],
-                        issue,
-                        bool(bits & 2),  # is_write
-                    )
-                    complete = issue + result.latency
-                    if not bits & 2:
-                        last_load_complete[core_id] = complete
-                else:
-                    complete = dispatch + 1.0  # CoreTimingModel.ALU_LATENCY
-                retire = last_retire[core_id]
-                if complete > retire:
-                    retire = complete
-                ring[count % rob] = retire
-                count += 1
-                counts[core_id] = count
-                last_dispatch[core_id] = dispatch
-                last_retire[core_id] = retire
-                if count < budget_per_core:
-                    dispatch = dispatch + intervals[core_id]
-                    if count >= rob:
-                        ready = ring[count % rob]
-                        if ready > dispatch:
-                            dispatch = ready
-                    heappush(heap, (dispatch, core_id))
-        finally:
-            # write the mirrors back so snapshots/results see the same
-            # state the general loop would have left (even on error)
-            for core_id, core in enumerate(cores):
-                core._count = counts[core_id]
-                core._last_dispatch = last_dispatch[core_id]
-                core._last_retire = last_retire[core_id]
-                core._last_load_complete = last_load_complete[core_id]
-                core._stat_instructions.value = counts[core_id]
-                core._stat_cycles.value = last_retire[core_id]
 
     # -- the full run -----------------------------------------------------------
     def run(self) -> SimResult:
@@ -387,23 +261,13 @@ class SimulationEngine:
 
     def _run(self) -> SimResult:
         params = self.params
-        if self._vector_path_eligible():
-            from repro.sim.vector import VectorReplay
-
-            replay = VectorReplay(self, chunk_records=self._vector_chunk)
+        if self._fast_path_eligible():
+            replay = VectorReplay(self)
             advance = replay.advance
             _TIER_RUNS["vectorized"] += 1
-        elif self._fast_path_eligible():
-            _TIER_RUNS["compiled"] += 1
-            arenas = [
-                self.workload.packed(core_id)
-                for core_id in range(self.system.num_cores)
-            ]
-            cursors = [0] * self.system.num_cores
-
-            def advance(budget: int) -> None:
-                self._run_until_compiled(arenas, cursors, budget)
-
+            if replay.misspath.fallback:
+                _TIER_RUNS["demoted"] += 1
+                _TIER_RUNS["demoted_ineligible_policy"] += 1
         else:
             _TIER_RUNS["general"] += 1
             streams = {

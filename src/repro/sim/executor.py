@@ -42,12 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.common.config import SystemConfig
 from repro.common.stats import StatGroup
 from repro.obs.config import ObservabilityConfig
-from repro.sim.engine import (
-    FASTPATH_VERSION,
-    VECTOR_VERSION,
-    SimulationEngine,
-    SimulationParams,
-)
+from repro.sim.engine import VECTOR_VERSION, SimulationEngine, SimulationParams
 from repro.sim.results import SimResult
 
 #: bump when the cache entry layout (not the simulated semantics) changes
@@ -67,7 +62,9 @@ from repro.sim.results import SimResult
 #: rebuilt the barrier execution sequence; entries produced by the
 #: per-barrier ``hierarchy.access`` replay are invalidated wholesale
 #: rather than trusting the version fold alone
-CACHE_SCHEMA = 6
+#: schema 7: the fast loop (VECTOR_VERSION 3) is the only specialised
+#: loop, so digests no longer fold in the compiled loop's version
+CACHE_SCHEMA = 7
 
 KwargItems = Tuple[Tuple[str, object], ...]
 
@@ -190,9 +187,10 @@ class SimJob:
     #: two paths produce identical results, but the flag is still part
     #: of the job identity because it selects the execution machinery
     compile: bool = True
-    #: permit the NumPy batch-replay tier when the run qualifies; like
-    #: ``compile``, results are identical either way but the flag is
-    #: part of the job identity because it selects execution machinery
+    #: permit the engine's fast loop when the run qualifies (False runs
+    #: the general loop); like ``compile``, results are identical either
+    #: way but the flag is part of the job identity because it selects
+    #: execution machinery
     vectorized: bool = True
     #: LLC replacement policy (a ``repro.memsys.replacement`` registry
     #: name); "lru" is the paper's configuration and the native fast path
@@ -299,9 +297,8 @@ class SimJob:
     def digest(self) -> str:
         """Stable cache key: job spec + code version + cache schema.
 
-        The engine fast-path and vector-tier versions ride along so a
-        change to either specialised loop invalidates every entry it
-        could have produced.
+        The fast loop's version rides along so a change to it
+        invalidates every entry it could have produced.
         """
         from repro import __version__
 
@@ -309,7 +306,6 @@ class SimJob:
             {
                 "schema": CACHE_SCHEMA,
                 "version": __version__,
-                "fastpath": FASTPATH_VERSION,
                 "vector": VECTOR_VERSION,
                 "job": self.spec(),
             },

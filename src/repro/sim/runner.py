@@ -52,10 +52,9 @@ def run_simulation(
 
     ``compile=True`` packs the workload's streams into a compiled trace
     first (cached on disk for named workloads, where the trace identity
-    is fully known), enabling the engine's allocation-free replay loop;
-    results are identical either way.  ``vectorized`` (default on)
-    additionally permits the NumPy batch-replay tier when the run
-    qualifies — again with identical results.
+    is fully known), enabling the engine's fast loop; ``vectorized``
+    (default on) permits that loop when the run qualifies, and
+    ``False`` keeps the general loop.  Results are identical either way.
 
     ``replacement`` selects the LLC replacement policy by registry name
     (:mod:`repro.memsys.replacement`); ``"opt"`` — the Belady oracle —

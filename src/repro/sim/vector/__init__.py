@@ -1,44 +1,14 @@
-"""Vectorized batch-replay engine tier (requires NumPy).
+"""The engine's fast loop over packed compiled traces.
 
-Importing this package is the engine's capability probe: it raises a
-clear ``ImportError`` when NumPy is missing, and
-``SimulationEngine._vector_path_eligible`` treats that as "tier
-unavailable" and falls back to the scalar compiled loop.  Keeping the
-probe here (rather than scattering ``try: import numpy`` through the
-kernels) means a numpy-free install degrades in exactly one place —
-and the import-surface test can assert the failure is loud.
+:class:`VectorReplay` (``replay``) walks each core's L1 hits and compute
+records in plain Python and executes the L1 misses one at a time in
+global order through the inlined shared miss path (``misspath``).  The
+package name predates the loop's current form; it stays because tools
+attribute host time to its modules by name.
 """
 
 from __future__ import annotations
 
-try:
-    import numpy  # noqa: F401
-except ImportError as exc:  # pragma: no cover - exercised via tests
-    raise ImportError(
-        "repro.sim.vector requires numpy (declared in pyproject.toml as "
-        "numpy>=1.24); install it or run with vectorized=False"
-    ) from exc
+from repro.sim.vector.replay import VectorReplay
 
-from repro.sim.vector.classify import (  # noqa: E402
-    CLS_COMPUTE,
-    CLS_HIT,
-    CLS_MISS,
-    CLS_UNKNOWN,
-    Chunk,
-    classify_chunk,
-    reclassify_set,
-    reclassify_vpage,
-)
-from repro.sim.vector.replay import VectorReplay  # noqa: E402
-
-__all__ = [
-    "CLS_COMPUTE",
-    "CLS_HIT",
-    "CLS_MISS",
-    "CLS_UNKNOWN",
-    "Chunk",
-    "classify_chunk",
-    "reclassify_set",
-    "reclassify_vpage",
-    "VectorReplay",
-]
+__all__ = ["VectorReplay"]

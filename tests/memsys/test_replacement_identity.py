@@ -1,11 +1,11 @@
-"""Replacement wiring: tier identity, digests, wire format, OPT plumbing.
+"""Replacement wiring: loop identity, digests, wire format, OPT plumbing.
 
 The refactor's non-negotiable: routing LRU through the policy interface
 (``lru-interface``) must change *nothing* — field-for-field ``SimResult``
-equality against the native fast path, on every engine tier.  And since
-the LLC is the only policy-bearing level and all three tiers funnel LLC
-traffic through the same ``_llc_access``, every registry policy must be
-tier-transparent too.
+equality against the native fast path, on both engine loops.  And since
+the LLC is the only policy-bearing level and both loops funnel policy
+LLC traffic through the same ``_llc_access``, every registry policy
+must be loop-transparent too.
 """
 
 from __future__ import annotations
@@ -25,7 +25,12 @@ NON_ORACLE = sorted(set(available_replacements()) - {"opt"})
 
 
 def run_tiers(replacement, instructions=2500, warmup=400, seed=7):
-    """One configuration on all three tiers; SimResult dicts by tier."""
+    """One configuration on both loops; SimResult dicts by leg.
+
+    ``generator`` and ``compiled`` are the general loop over the source
+    generators and over the compiled trace; ``vectorized`` is the fast
+    loop over the compiled trace.
+    """
     system = small_system(num_cores=4)
     params = SimulationParams(
         instructions_per_core=instructions, warmup_instructions=warmup
@@ -37,14 +42,15 @@ def run_tiers(replacement, instructions=2500, warmup=400, seed=7):
             source, "bingo", system, params, replacement=replacement
         ).run().to_dict(),
         "compiled": SimulationEngine(
-            compiled, "bingo", system, params, replacement=replacement
+            compiled, "bingo", system, params, vectorized=False,
+            replacement=replacement,
         ).run().to_dict(),
     }
     engine = SimulationEngine(
         compiled, "bingo", system, params, vectorized=True,
         replacement=replacement,
     )
-    assert engine._vector_path_eligible()
+    assert engine._fast_path_eligible()
     out["vectorized"] = engine.run().to_dict()
     return out
 
@@ -67,7 +73,7 @@ class TestLruInterfaceByteIdentity:
 @pytest.mark.parametrize("replacement", NON_ORACLE)
 class TestTierTransparency:
     def test_policy_identical_across_tiers(self, replacement):
-        """LLC policy choice must be invisible to the tier choice."""
+        """LLC policy choice must be invisible to the loop choice."""
         tiers = run_tiers(replacement, instructions=1500, warmup=300)
         assert tiers["vectorized"] == tiers["compiled"] == tiers["generator"]
 
@@ -83,7 +89,7 @@ class TestOptPlumbing:
             )
 
     def test_opt_runs_and_diverges_sanely(self):
-        """OPT end-to-end on the compiled tier: it runs, and its LLC
+        """OPT end-to-end on the fast loop: it runs, and its LLC
         demand-miss count does not exceed native LRU's by more than the
         approximation slack (program-stream oracle vs filtered stream)."""
         system = small_system(num_cores=4)

@@ -82,22 +82,29 @@ class FakeTime:
 
 
 @pytest.fixture
-def fake_time(monkeypatch):
-    fake = FakeTime()
-    monkeypatch.setattr(client_mod.time, "monotonic", fake.monotonic)
-    monkeypatch.setattr(client_mod.time, "sleep", fake.sleep)
-    return fake
+def fake_time():
+    return FakeTime()
+
+
+@pytest.fixture
+def client(fake_time):
+    """A client on the fake clock.  Only this instance is patched: the
+    process-wide ``time`` module stays real, so a background thread's
+    sleep can never land in the recorder."""
+    client = ServiceClient("http://127.0.0.1:1")
+    client._monotonic = fake_time.monotonic
+    client._sleep = fake_time.sleep
+    return client
 
 
 class TestPollBackoff:
     def test_wait_backs_off_geometrically_with_jitter(
-        self, fake_time, monkeypatch
+        self, client, fake_time, monkeypatch
     ):
         """The old fixed 0.25 s poll synchronised waiting clients into
         bursts; the interval must now grow geometrically (capped) with
         per-sleep jitter on top."""
         monkeypatch.setattr(client_mod.random, "random", lambda: 1.0)
-        client = ServiceClient("http://127.0.0.1:1")
         states = iter(["pending"] * 6 + ["done"])
         monkeypatch.setattr(
             client, "status", lambda job_id: {"id": job_id, "state": next(states)}
@@ -116,12 +123,11 @@ class TestPollBackoff:
         assert fake_time.sleeps == sorted(fake_time.sleeps), "must not shrink"
         assert max(fake_time.sleeps) <= 2.0 * 1.25, "cap + jitter bound"
 
-    def test_sleeps_vary_with_jitter(self, fake_time, monkeypatch):
+    def test_sleeps_vary_with_jitter(self, client, fake_time, monkeypatch):
         jitters = iter([0.0, 1.0, 0.5, 0.25, 0.75, 0.1])
         monkeypatch.setattr(
             client_mod.random, "random", lambda: next(jitters)
         )
-        client = ServiceClient("http://127.0.0.1:1")
         states = iter(["pending"] * 6 + ["done"])
         monkeypatch.setattr(
             client, "status", lambda job_id: {"id": job_id, "state": next(states)}
@@ -129,9 +135,10 @@ class TestPollBackoff:
         client.wait("j1", timeout=100.0, poll_interval=0.25, max_interval=2.0)
         assert len(set(fake_time.sleeps)) > 1, "jitter must decorrelate"
 
-    def test_wait_timeout_names_last_state(self, fake_time, monkeypatch):
+    def test_wait_timeout_names_last_state(
+        self, client, fake_time, monkeypatch
+    ):
         monkeypatch.setattr(client_mod.random, "random", lambda: 0.0)
-        client = ServiceClient("http://127.0.0.1:1")
         monkeypatch.setattr(
             client, "status", lambda job_id: {"id": job_id, "state": "running"}
         )
@@ -139,9 +146,10 @@ class TestPollBackoff:
             client.wait("j1", timeout=3.0, poll_interval=0.5)
         assert fake_time.now <= 3.0 + 0.5, "sleeps are clamped to deadline"
 
-    def test_wait_experiment_polls_same_loop(self, fake_time, monkeypatch):
+    def test_wait_experiment_polls_same_loop(
+        self, client, fake_time, monkeypatch
+    ):
         monkeypatch.setattr(client_mod.random, "random", lambda: 0.0)
-        client = ServiceClient("http://127.0.0.1:1")
         states = iter(["running", "running", "done"])
         monkeypatch.setattr(
             client,
@@ -264,9 +272,7 @@ class TestBackpressureRetry:
             return outcome
 
         monkeypatch.setattr(client, "_request", fake_request)
-        monkeypatch.setattr(
-            client_mod.time, "sleep", lambda s: sleeps.append(s)
-        )
+        client._sleep = sleeps.append
         return client
 
     def _backpressure(self, retry_after=0.25):

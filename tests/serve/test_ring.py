@@ -141,6 +141,18 @@ class TestShardedResultCache:
             assert (tmp_path / owner / d[:2] / f"{d}.json").exists()
             assert cache.get(d) == {"d": d}
 
+    def test_join_does_not_hide_stored_entries(self, tmp_path):
+        """Digests a new node takes over stay readable from the shard
+        that stored them."""
+        cache = ShardedResultCache(tmp_path)
+        cache.add_node("n1")
+        for d in DIGESTS[:20]:
+            cache.put(d, {"d": d})
+        cache.add_node("n2")
+        assert any(cache.ring.owner(d) == "n2" for d in DIGESTS[:20])
+        for d in DIGESTS[:20]:
+            assert cache.get(d) == {"d": d}
+
     def test_empty_ring_degrades(self, tmp_path):
         cache = ShardedResultCache(tmp_path)
         assert cache.get(DIGESTS[0]) is None

@@ -196,17 +196,20 @@ class TestTraceCache:
 
 
 # ---------------------------------------------------------------------------
-# Engine fast path vs general loop
+# Engine fast loop vs general loop
 # ---------------------------------------------------------------------------
 
 
 class TestFastPathEquivalence:
     @pytest.mark.parametrize("prefetcher", ["none", "bingo", "sms", "bop", "spp"])
     def test_simresults_equal_field_for_field(self, prefetcher):
-        """Regression gate: compiled fast path == generator general loop."""
+        """Regression gate: the fast loop over the compiled trace ==
+        the general loop over the same trace == the general loop over
+        the generators."""
         compiled = execute_job(quick_job(True, prefetcher))
+        general = execute_job(quick_job(True, prefetcher, vectorized=False))
         generator = execute_job(quick_job(False, prefetcher))
-        assert compiled.to_dict() == generator.to_dict()
+        assert compiled.to_dict() == general.to_dict() == generator.to_dict()
 
     def test_fast_path_actually_engages(self):
         """Guard against silently falling back to the general loop."""
@@ -223,7 +226,7 @@ class TestFastPathEquivalence:
             ),
         )
         assert engine._fast_path_eligible()
-        engine._run_until = None  # fast path must never touch it
+        engine._run_until = None  # the fast loop must never touch it
         engine.run()
 
     def test_sink_disables_fast_path_but_replays_compiled_stream(self):

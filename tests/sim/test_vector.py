@@ -1,12 +1,11 @@
-"""The vectorized batch-replay tier: equivalence, eligibility, demotion.
+"""The engine's fast loop: equality with the general loop, eligibility.
 
-The tier's one non-negotiable property mirrors the compiled path's: it
-changes *nothing* about a run except its speed.  Every test here holds
-the vectorized engine to field-for-field ``SimResult`` equality against
-the scalar compiled loop and the generator loop — across the full
-prefetcher zoo, across chunk-boundary edge cases (chunk size 1, a
-boundary exactly on a trigger access, compute-only chunks), and across
-the in-flight demotion handoff.
+The fast loop's one non-negotiable property: it changes *nothing* about
+a run except its speed.  Every test here holds it to field-for-field
+``SimResult`` equality against the general loop, which replays the same
+compiled trace and (by default) the source generators too — across the
+full prefetcher zoo, miss-dense stress workloads, and both miss-path
+modes.
 """
 
 from __future__ import annotations
@@ -33,17 +32,22 @@ from repro.workloads.registry import (
 SCALE = 0.02
 
 
-def run_tiers(
+def run_loops(
     workload="streaming",
     prefetcher="bingo",
     instructions=3000,
     warmup=500,
     seed=7,
     scale=SCALE,
-    chunk=None,
+    replacement="lru",
     with_generator=True,
 ):
-    """Run one configuration on every tier; return the SimResult dicts."""
+    """Run one configuration on both loops; return the SimResult dicts.
+
+    ``fast`` is the fast loop over the compiled trace, ``general`` the
+    general loop over the same trace, ``generator`` the general loop
+    over the source generators.
+    """
     system = small_system(num_cores=4)
     params = SimulationParams(
         instructions_per_core=instructions, warmup_instructions=warmup
@@ -53,66 +57,40 @@ def run_tiers(
     out = {}
     if with_generator:
         out["generator"] = SimulationEngine(
-            source, prefetcher, system, params, vectorized=False
+            source, prefetcher, system, params, replacement=replacement
         ).run().to_dict()
-    out["compiled"] = SimulationEngine(
-        compiled, prefetcher, system, params, vectorized=False
+    out["general"] = SimulationEngine(
+        compiled, prefetcher, system, params, vectorized=False,
+        replacement=replacement,
     ).run().to_dict()
     engine = SimulationEngine(
-        compiled, prefetcher, system, params, vectorized=True
+        compiled, prefetcher, system, params, replacement=replacement
     )
-    if chunk is not None:
-        engine._vector_chunk = chunk
-    assert engine._vector_path_eligible()
-    out["vectorized"] = engine.run().to_dict()
+    assert engine._fast_path_eligible()
+    out["fast"] = engine.run().to_dict()
     return out
 
 
 class TestThreeTierEquivalence:
+    """Fast loop == general loop over the compiled trace == general loop
+    over the generators."""
+
     @pytest.mark.parametrize(
         "prefetcher", ["none", *PAPER_PREFETCHERS]
     )
     def test_zoo_equal_field_for_field(self, prefetcher):
-        """Vectorized == compiled == generator for every prefetcher."""
-        tiers = run_tiers(prefetcher=prefetcher)
-        assert tiers["vectorized"] == tiers["compiled"] == tiers["generator"]
+        """Fast == general == generator for every prefetcher."""
+        runs = run_loops(prefetcher=prefetcher)
+        assert runs["fast"] == runs["general"] == runs["generator"]
 
     @pytest.mark.parametrize("workload", sorted(WORKLOAD_NAMES)[:4])
     def test_across_workloads(self, workload):
-        tiers = run_tiers(workload=workload, instructions=2000, warmup=400)
-        assert tiers["vectorized"] == tiers["compiled"] == tiers["generator"]
+        runs = run_loops(workload=workload, instructions=2000, warmup=400)
+        assert runs["fast"] == runs["general"] == runs["generator"]
 
     def test_zero_warmup(self):
-        tiers = run_tiers(instructions=1500, warmup=0)
-        assert tiers["vectorized"] == tiers["compiled"] == tiers["generator"]
-
-
-class TestChunkBoundaries:
-    """Decision-boundary chunking must not depend on where chunks fall."""
-
-    @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
-    def test_pathological_chunk_sizes(self, chunk):
-        """Chunk size 1 puts *every* boundary on a record — including
-        every trigger access; tiny sizes exercise empty and
-        compute-only chunks between memory records."""
-        tiers = run_tiers(
-            instructions=1200, warmup=200, chunk=chunk, with_generator=False
-        )
-        reference = run_tiers(
-            instructions=1200, warmup=200, with_generator=False
-        )
-        assert tiers["vectorized"] == tiers["compiled"]
-        assert tiers["vectorized"] == reference["vectorized"]
-
-    def test_boundary_exactly_on_trigger_access(self):
-        """Place a chunk boundary on the first L1 miss: with the
-        adaptive default the miss lands mid-chunk, with chunk=1 every
-        miss *is* a boundary — both must agree with the scalar loop."""
-        small = run_tiers(
-            prefetcher="bingo", instructions=900, warmup=100, chunk=1,
-            with_generator=False,
-        )
-        assert small["vectorized"] == small["compiled"]
+        runs = run_loops(instructions=1500, warmup=0)
+        assert runs["fast"] == runs["general"] == runs["generator"]
 
 
 @settings(
@@ -130,16 +108,16 @@ class TestChunkBoundaries:
 def test_property_three_tier_equality(
     workload, prefetcher, instructions, warmup_fraction, seed
 ):
-    """Any (workload, prefetcher, budget, seed) point: all tiers agree."""
+    """Any (workload, prefetcher, budget, seed) point: both loops agree."""
     warmup = int(instructions * warmup_fraction)
-    tiers = run_tiers(
+    runs = run_loops(
         workload=workload,
         prefetcher=prefetcher,
         instructions=instructions,
         warmup=warmup,
         seed=seed,
     )
-    assert tiers["vectorized"] == tiers["compiled"] == tiers["generator"]
+    assert runs["fast"] == runs["general"] == runs["generator"]
 
 
 @settings(
@@ -151,38 +129,36 @@ def test_property_three_tier_equality(
     workload=st.sampled_from(sorted(STRESS_WORKLOAD_NAMES)),
     prefetcher=st.sampled_from(["none", "bingo"]),
     instructions=st.integers(min_value=1200, max_value=3200),
-    chunk=st.sampled_from([None, 64, 512]),
+    replacement=st.sampled_from(["lru", "arc"]),
     seed=st.integers(min_value=1, max_value=2**16),
 )
 def test_property_hazard_heavy_equality(
-    workload, prefetcher, instructions, chunk, seed
+    workload, prefetcher, instructions, replacement, seed
 ):
-    """Batch-hazard-heavy draws: miss-dense stress workloads, where
-    nearly every record is a barrier, cross-core LLC set contention
-    invalidates mirror verdicts, and small chunks put plan boundaries
-    everywhere.  ``prefetcher="none"`` pins the mirror-mode miss path
-    (gen-guard hazards), ``"bingo"`` pins the lean mode (MSHR gate +
-    prefetch training at the barrier)."""
-    tiers = run_tiers(
+    """Ordering-hazard-heavy draws: miss-dense stress workloads, where
+    nearly every record is a barrier and cores contend for the same LLC
+    sets and DRAM banks, so any slip in the global barrier order shows.
+    ``replacement`` pins the miss path's mode (``lru``: native, ``arc``:
+    fallback); ``prefetcher`` toggles training at the barrier."""
+    runs = run_loops(
         workload=workload,
         prefetcher=prefetcher,
         instructions=instructions,
         warmup=instructions // 5,
         seed=seed,
-        chunk=chunk,
+        replacement=replacement,
     )
-    assert tiers["vectorized"] == tiers["compiled"] == tiers["generator"]
+    assert runs["fast"] == runs["general"] == runs["generator"]
 
 
 class TestMissDenseStaysVectorized:
-    """Satellite of the batched-miss-path PR: the tier must no longer
-    demote on miss-dense workloads *and* must stay field-identical."""
+    """Miss-dense stress workloads run the fast loop and stay equal."""
 
     @pytest.mark.parametrize("workload", ["zipf", "oscillate"])
     @pytest.mark.parametrize("prefetcher", ["none", "bingo"])
     def test_stress_matrix_stays_and_matches(self, workload, prefetcher):
         before = engine_tier_counters()
-        tiers = run_tiers(
+        runs = run_loops(
             workload=workload,
             prefetcher=prefetcher,
             instructions=4000,
@@ -190,56 +166,46 @@ class TestMissDenseStaysVectorized:
             with_generator=False,
         )
         after = engine_tier_counters()
-        assert tiers["vectorized"] == tiers["compiled"]
+        assert runs["fast"] == runs["general"]
         assert after["vectorized"] == before["vectorized"] + 1
-        assert after["demoted"] == before["demoted"], (
-            "vector tier demoted on a miss-dense stress workload — the "
-            "batched miss path should keep it resident"
-        )
+        assert after["demoted"] == before["demoted"]
 
     def test_demotion_reasons_are_counted(self):
-        """Per-reason demotion counters: a forced stretch demotion must
-        land in ``demoted_stretch_probe`` and nowhere else."""
-        import repro.sim.vector.replay as replay_mod
-
-        system = small_system(num_cores=4)
-        params = SimulationParams(2000, 300)
-        compiled = compile_workload(
-            make_workload("zipf", seed=7, scale=SCALE), records_per_core=2000
-        )
-        probe, stretch = replay_mod.PROBE_BARRIERS, replay_mod.DEMOTE_STRETCH
-        replay_mod.PROBE_BARRIERS = 16
-        replay_mod.DEMOTE_STRETCH = 10**9
-        try:
+        """A miss-dense trace under an LLC policy interface (``arc``,
+        ``lru-interface``) runs the fallback miss path: equal to the
+        general loop, and counted once under ``ineligible_policy``.
+        Native ``lru`` counts nothing."""
+        for replacement, expected in (
+            ("lru-interface", 1), ("arc", 1), ("lru", 0)
+        ):
             before = engine_tier_counters()
-            SimulationEngine(
-                compiled, "bingo", system, params, vectorized=True
-            ).run()
+            runs = run_loops(
+                workload="zipf",
+                prefetcher="none",
+                instructions=2000,
+                warmup=300,
+                replacement=replacement,
+                with_generator=False,
+            )
             after = engine_tier_counters()
-        finally:
-            replay_mod.PROBE_BARRIERS = probe
-            replay_mod.DEMOTE_STRETCH = stretch
-        assert after["demoted"] == before["demoted"] + 1
-        assert (
-            after["demoted_stretch_probe"]
-            == before["demoted_stretch_probe"] + 1
-        )
-        assert after["demoted_hazard"] == before["demoted_hazard"]
-        assert (
-            after["demoted_ineligible_policy"]
-            == before["demoted_ineligible_policy"]
-        )
+            assert runs["fast"] == runs["general"], replacement
+            assert after["vectorized"] == before["vectorized"] + 1
+            assert after["demoted"] == before["demoted"] + expected
+            assert (
+                after["demoted_ineligible_policy"]
+                == before["demoted_ineligible_policy"] + expected
+            ), replacement
 
 
 class TestEligibilityAndFallback:
     def test_vector_path_actually_engages(self):
-        """Guard against the tier silently never running."""
+        """Guard against the fast loop silently never running."""
         before = engine_tier_counters()["vectorized"]
-        tiers = run_tiers(instructions=800, warmup=100, with_generator=False)
+        runs = run_loops(instructions=800, warmup=100, with_generator=False)
         assert engine_tier_counters()["vectorized"] == before + 1
-        assert tiers["vectorized"] == tiers["compiled"]
+        assert runs["fast"] == runs["general"]
 
-    def test_disabled_flag_falls_back_to_compiled(self):
+    def test_disabled_flag_runs_general_loop(self):
         system = small_system(num_cores=4)
         params = SimulationParams(800, 100)
         compiled = compile_workload(
@@ -249,8 +215,12 @@ class TestEligibilityAndFallback:
         engine = SimulationEngine(
             compiled, "bingo", system, params, vectorized=False
         )
-        assert not engine._vector_path_eligible()
-        assert engine._fast_path_eligible()
+        assert not engine._fast_path_eligible()
+        before = engine_tier_counters()
+        engine.run()
+        after = engine_tier_counters()
+        assert after["general"] == before["general"] + 1
+        assert after["vectorized"] == before["vectorized"]
 
     def test_l1_training_prefetcher_is_ineligible(self):
         system = small_system(num_cores=4)
@@ -262,7 +232,7 @@ class TestEligibilityAndFallback:
         engine = SimulationEngine(
             compiled, "bingo", system, params, train_at="l1", vectorized=True
         )
-        assert not engine._vector_path_eligible()
+        assert not engine._fast_path_eligible()
 
     def test_generator_workload_is_ineligible(self):
         system = small_system(num_cores=4)
@@ -271,35 +241,7 @@ class TestEligibilityAndFallback:
         engine = SimulationEngine(
             source, "bingo", system, params, vectorized=True
         )
-        assert not engine._vector_path_eligible()
-
-
-class TestDemotion:
-    def test_demotion_handoff_is_byte_identical(self):
-        """Force a mid-run demotion and hold the result to equality."""
-        import repro.sim.vector.replay as replay_mod
-
-        system = small_system(num_cores=4)
-        params = SimulationParams(3000, 500)
-        compiled = compile_workload(
-            make_workload("em3d", seed=7, scale=SCALE), records_per_core=3000
-        )
-        scalar = SimulationEngine(
-            compiled, "bingo", system, params, vectorized=False
-        ).run()
-        probe, stretch = replay_mod.PROBE_BARRIERS, replay_mod.DEMOTE_STRETCH
-        replay_mod.PROBE_BARRIERS = 16
-        replay_mod.DEMOTE_STRETCH = 10**9  # always demote at the probe
-        try:
-            before = engine_tier_counters()["demoted"]
-            vector = SimulationEngine(
-                compiled, "bingo", system, params, vectorized=True
-            ).run()
-            assert engine_tier_counters()["demoted"] == before + 1
-        finally:
-            replay_mod.PROBE_BARRIERS = probe
-            replay_mod.DEMOTE_STRETCH = stretch
-        assert vector.to_dict() == scalar.to_dict()
+        assert not engine._fast_path_eligible()
 
 
 class TestJobIntegration:
@@ -317,6 +259,7 @@ class TestJobIntegration:
         return SimJob.build("streaming", prefetcher="bingo", **spec)
 
     def test_execute_job_matches_across_flag(self):
+        """``vectorized=False`` runs the general loop: same result."""
         assert (
             execute_job(self.job(True)).to_dict()
             == execute_job(self.job(False)).to_dict()
