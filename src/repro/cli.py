@@ -222,8 +222,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="disable the shared on-disk result cache")
     serve_p.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="result cache root (default: "
-                              "$REPRO_CACHE_DIR or ~/.cache/repro); the "
-                              "cluster shard ring lives under it too")
+                              "$REPRO_CACHE_DIR or ~/.cache/repro); local "
+                              "slots and cluster agents share it")
     serve_p.add_argument("--max-queue-depth", type=int, default=0,
                          help="admission bound on pending jobs: beyond "
                               "it POST /jobs answers 429 + Retry-After "
@@ -232,9 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="cluster lease lifetime in seconds; a "
                               "worker silent this long loses its jobs "
                               "to the reclaim path")
-    serve_p.add_argument("--no-steal", action="store_true",
-                         help="forbid idle workers from leasing out of "
-                              "the backoff-gated retry backlog")
     serve_p.add_argument("--quiet", action="store_true",
                          help="suppress startup/drain log lines")
 
@@ -567,7 +564,6 @@ def _cmd_serve(args) -> int:
         cache_dir=None if args.no_cache else (args.cache_dir or ""),
         max_queue_depth=max(0, args.max_queue_depth),
         lease_ttl=args.lease_ttl,
-        steal=not args.no_steal,
     )
     run_server(
         config,

@@ -1,9 +1,8 @@
 """Shared low-level building blocks for the Bingo reproduction.
 
 This subpackage deliberately has no dependency on the rest of ``repro``:
-address arithmetic, footprint bit-vectors, generic set-associative tables,
-replacement policies, hash mixing, configuration dataclasses, and statistics
-counters.  Everything above (caches, prefetchers, the simulator) is built
+address arithmetic, footprint bit-vectors, generic LRU set-associative
+tables, hash mixing, configuration dataclasses, and statistics counters.  Everything above (caches, prefetchers, the simulator) is built
 from these primitives.
 """
 
@@ -15,12 +14,6 @@ from repro.common.config import (
     DramConfig,
     SystemConfig,
 )
-from repro.common.replacement import (
-    FifoPolicy,
-    LruPolicy,
-    RandomPolicy,
-    make_policy,
-)
 from repro.common.stats import StatGroup
 from repro.common.table import SetAssociativeTable
 
@@ -31,10 +24,6 @@ __all__ = [
     "CoreConfig",
     "DramConfig",
     "SystemConfig",
-    "FifoPolicy",
-    "LruPolicy",
-    "RandomPolicy",
-    "make_policy",
     "StatGroup",
     "SetAssociativeTable",
 ]

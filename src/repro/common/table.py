@@ -3,9 +3,11 @@
 Nearly every structure in the paper — the LLC, Bingo's filter, accumulation
 and history tables, SMS's history table, SPP's signature table, AMPM's
 access-map table — is a set-associative array of ``(tag, payload)`` entries
-with some replacement policy.  :class:`SetAssociativeTable` implements that
-once, with eviction callbacks so owners can commit state (e.g. Bingo moves
-an accumulation-table entry into the history table when it is evicted).
+with LRU replacement.  :class:`SetAssociativeTable` implements that once,
+with eviction callbacks so owners can commit state (e.g. Bingo moves an
+accumulation-table entry into the history table when it is evicted).  The
+LLC's block-keyed replacement policies live in
+:mod:`repro.memsys.replacement`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Generic, List, Optional, Tuple, TypeVar
 
 from repro.common.hashing import fold
-from repro.common.replacement import LruPolicy, ReplacementPolicy, make_policy
 
 P = TypeVar("P")
 
@@ -28,7 +29,7 @@ class Entry(Generic[P]):
 
 
 class SetAssociativeTable(Generic[P]):
-    """Set-associative ``tag -> payload`` storage with pluggable replacement.
+    """Set-associative ``tag -> payload`` storage with LRU replacement.
 
     Keys are arbitrary ints; the set index is a fold of the key unless the
     caller supplies an explicit index (Bingo indexes by a *different* event
@@ -38,9 +39,7 @@ class SetAssociativeTable(Generic[P]):
     Parameters
     ----------
     sets, ways:
-        Geometry; ``sets`` must be a power of two.
-    policy:
-        Replacement policy name (``lru``/``fifo``/``random``).
+        Geometry; ``sets`` must be a power of two, ``ways`` positive.
     on_evict:
         Optional callback ``(tag, payload) -> None`` invoked whenever a
         valid entry is displaced or explicitly invalidated.
@@ -50,11 +49,12 @@ class SetAssociativeTable(Generic[P]):
         self,
         sets: int,
         ways: int,
-        policy: str = "lru",
         on_evict: Optional[Callable[[int, P], None]] = None,
     ) -> None:
         if sets <= 0 or sets & (sets - 1):
             raise ValueError(f"sets must be a positive power of two, got {sets}")
+        if ways <= 0:
+            raise ValueError(f"ways must be positive, got {ways}")
         self.sets = sets
         self.ways = ways
         self.index_bits = sets.bit_length() - 1
@@ -62,8 +62,11 @@ class SetAssociativeTable(Generic[P]):
         self._entries: List[List[Optional[Entry[P]]]] = [
             [None] * ways for _ in range(sets)
         ]
-        self._policies: List[ReplacementPolicy] = [
-            make_policy(policy, ways) for _ in range(sets)
+        # Per-set LRU order over way indices, most recent first.  A fill
+        # or a touching hit moves the way to the front; an invalidation
+        # leaves it in place (the victim scan prefers invalid ways).
+        self._recency: List[List[int]] = [
+            list(range(ways)) for _ in range(sets)
         ]
         # Location index over the valid entries: (set, tag) -> way.  The
         # tables sit on the simulator's miss path (every LLC eviction
@@ -112,7 +115,9 @@ class SetAssociativeTable(Generic[P]):
         if way is None:
             return None
         if touch:
-            self._policies[set_idx].touch(way)
+            order = self._recency[set_idx]
+            order.remove(way)
+            order.insert(0, way)
         return self._entries[set_idx][way].payload
 
     def scan_set(self, index: int) -> List[Tuple[int, int, P]]:
@@ -128,39 +133,39 @@ class SetAssociativeTable(Generic[P]):
         ]
 
     def recency_rank(self, index: int, way: int) -> int:
-        """Recency of a way within its set (0 = MRU). LRU policy only."""
-        policy = self._policies[index]
-        if not isinstance(policy, LruPolicy):
-            raise TypeError("recency_rank requires the LRU policy")
-        return policy.recency_rank(way)
+        """Recency of a way within its set (0 = MRU, ``ways - 1`` = LRU)."""
+        return self._recency[index].index(way)
 
     # -- updates ----------------------------------------------------------------
     def insert(self, key: int, payload: P, index: Optional[int] = None) -> None:
         """Insert or overwrite the entry tagged ``key``.
 
         If the key is already present its payload is replaced in place and
-        recency updated; otherwise a victim is chosen by the policy (an
-        invalid way if any) and the displaced entry, if valid, is reported
-        through ``on_evict``.
+        recency updated; otherwise the victim is the lowest-index invalid
+        way, else the LRU way, and the displaced entry, if valid, is
+        reported through ``on_evict``.
         """
         set_idx = self.set_index(key) if index is None else index
         ways = self._entries[set_idx]
-        policy = self._policies[set_idx]
+        order = self._recency[set_idx]
         where = self._where
-        hit = where.get((set_idx, key))
-        if hit is not None:
-            ways[hit].payload = payload
-            policy.touch(hit)
-            return
-        way = policy.victim()
-        old = ways[way]
-        if old is not None:
-            del where[(set_idx, old.tag)]
-            if self.on_evict is not None:
-                self.on_evict(old.tag, old.payload)
-        ways[way] = Entry(key, payload)
-        where[(set_idx, key)] = way
-        policy.insert(way)
+        way = where.get((set_idx, key))
+        if way is not None:
+            ways[way].payload = payload
+        else:
+            for way, old in enumerate(ways):
+                if old is None:
+                    break
+            else:
+                way = order[-1]
+                old = ways[way]
+                del where[(set_idx, old.tag)]
+                if self.on_evict is not None:
+                    self.on_evict(old.tag, old.payload)
+            ways[way] = Entry(key, payload)
+            where[(set_idx, key)] = way
+        order.remove(way)
+        order.insert(0, way)
 
     def invalidate(self, key: int, index: Optional[int] = None) -> Optional[P]:
         """Remove the entry tagged ``key``; returns its payload if present.
@@ -175,7 +180,6 @@ class SetAssociativeTable(Generic[P]):
         ways = self._entries[set_idx]
         entry = ways[way]
         ways[way] = None
-        self._policies[set_idx].invalidate(way)
         if self.on_evict is not None:
             self.on_evict(entry.tag, entry.payload)
         return entry.payload
@@ -189,7 +193,6 @@ class SetAssociativeTable(Generic[P]):
         ways = self._entries[set_idx]
         entry = ways[way]
         ways[way] = None
-        self._policies[set_idx].invalidate(way)
         return entry.payload
 
     def items(self) -> List[Tuple[int, P]]:
@@ -203,9 +206,6 @@ class SetAssociativeTable(Generic[P]):
 
     def clear(self) -> None:
         """Drop all entries without firing eviction callbacks."""
-        for set_idx in range(self.sets):
-            for way in range(self.ways):
-                if self._entries[set_idx][way] is not None:
-                    self._entries[set_idx][way] = None
-                    self._policies[set_idx].invalidate(way)
+        for ways in self._entries:
+            ways[:] = [None] * self.ways
         self._where.clear()

@@ -91,7 +91,6 @@ class BingoHistoryTable:
         self._table: SetAssociativeTable[_HistoryPayload] = SetAssociativeTable(
             sets=sets,
             ways=ways,
-            policy="lru",
             on_evict=self._handle_evict if on_evict is not None else None,
         )
 

@@ -70,7 +70,7 @@ class CascadedHistoryTables:
         if sets <= 0 or sets & (sets - 1):
             raise ValueError(f"entries/ways must give a power-of-two sets, got {sets}")
         self._tables: Dict[EventKind, SetAssociativeTable[_CascadePayload]] = {
-            kind: SetAssociativeTable(sets=sets, ways=ways, policy="lru")
+            kind: SetAssociativeTable(sets=sets, ways=ways)
             for kind in self.kinds
         }
 

@@ -60,7 +60,7 @@ class FilterTable:
         on_drop: Optional[CommitCallback] = None,
     ) -> None:
         self._table: SetAssociativeTable[RegionRecord] = SetAssociativeTable(
-            sets=sets, ways=ways, policy="lru", on_evict=on_drop
+            sets=sets, ways=ways, on_evict=on_drop
         )
 
     def lookup(self, region: int) -> Optional[RegionRecord]:
@@ -107,7 +107,6 @@ class AccumulationTable:
         self._table: SetAssociativeTable[RegionRecord] = SetAssociativeTable(
             sets=sets,
             ways=ways,
-            policy="lru",
             on_evict=self._handle_evict,
         )
 

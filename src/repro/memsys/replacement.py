@@ -11,8 +11,9 @@ interface and provides a zoo of implementations plus an OPT (Belady)
 oracle as the upper-bound baseline.
 
 The interface is *block-keyed*, not way-keyed (contrast
-:mod:`repro.common.replacement`, which manages opaque way indices for
-the generic tables): the cache model stores residency in per-set dicts,
+:class:`repro.common.table.SetAssociativeTable`, the prefetchers'
+metadata tables, which keep a fixed LRU order over way indices and need
+no policy interface): the cache model stores residency in per-set dicts,
 so policies track recency/frequency state against block numbers and
 return a victim *block*.  The contract, enforced by the conformance
 suite (``tests/memsys/test_replacement_conformance.py``):

@@ -117,10 +117,10 @@ class SppPrefetcher(Prefetcher):
         self.signature_entries = signature_entries
         self.pattern_entries = pattern_entries
         self._signatures: SetAssociativeTable[_SignatureEntry] = SetAssociativeTable(
-            sets=max(1, signature_entries // 4), ways=4, policy="lru"
+            sets=max(1, signature_entries // 4), ways=4
         )
         self._patterns: SetAssociativeTable[_PatternEntry] = SetAssociativeTable(
-            sets=max(1, pattern_entries // 4), ways=4, policy="lru"
+            sets=max(1, pattern_entries // 4), ways=4
         )
         self._filter = _PrefetchFilter(filter_entries)
         self._blocks_per_page = self.address_map.blocks_per_page

@@ -44,7 +44,7 @@ class StridePrefetcher(Prefetcher):
         self.degree = degree
         self.entries = entries
         self._table: SetAssociativeTable[_StrideEntry] = SetAssociativeTable(
-            sets=max(1, entries // ways), ways=ways, policy="lru"
+            sets=max(1, entries // ways), ways=ways
         )
 
     def on_access(self, info: AccessInfo) -> List[PrefetchRequest]:

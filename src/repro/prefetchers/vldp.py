@@ -61,15 +61,15 @@ class VldpPrefetcher(Prefetcher):
         self.opt_entries = opt_entries
         self.dpt_entries = dpt_entries
         self._dhb: SetAssociativeTable[_DhbEntry] = SetAssociativeTable(
-            sets=max(1, dhb_entries // 4), ways=4, policy="lru"
+            sets=max(1, dhb_entries // 4), ways=4
         )
         # offset -> first delta
         self._opt: SetAssociativeTable[int] = SetAssociativeTable(
-            sets=max(1, opt_entries // 4), ways=4, policy="lru"
+            sets=max(1, opt_entries // 4), ways=4
         )
         # one DPT per history length (1, 2, 3): key = hashed delta tuple
         self._dpts: List[SetAssociativeTable[int]] = [
-            SetAssociativeTable(sets=max(1, dpt_entries // 4), ways=4, policy="lru")
+            SetAssociativeTable(sets=max(1, dpt_entries // 4), ways=4)
             for _ in range(3)
         ]
         self._blocks_per_page = self.address_map.blocks_per_page

@@ -14,9 +14,9 @@ within a batch.  On top of the job path,
 parameter space and a successive-halving schedule screens it with
 cheap short traces, promoting only the top fraction to full-length
 runs.  :mod:`repro.serve.cluster` scales the whole thing past one box:
-remote worker agents lease jobs over the same HTTP protocol, the
-result cache shards across nodes on a consistent-hash ring, and the
-frontend applies queue-depth admission control.  See
+remote worker agents lease jobs over the same HTTP protocol, read and
+write the frontend's one result cache over ``/cluster/cache/<digest>``,
+and the frontend applies queue-depth admission control.  See
 ``docs/service.md``.
 """
 
@@ -32,9 +32,7 @@ from repro.serve.cluster import (
     AdmissionError,
     ClusterCacheClient,
     ClusterCoordinator,
-    HashRing,
     NodeQuarantined,
-    ShardedResultCache,
     TieredCache,
     UnknownNodeError,
     WorkerAgent,
@@ -81,7 +79,6 @@ __all__ = [
     "ExperimentSpace",
     "ExperimentState",
     "HalvingSchedule",
-    "HashRing",
     "JobQueue",
     "JobRecord",
     "JobState",
@@ -94,7 +91,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceError",
     "ServiceUnavailable",
-    "ShardedResultCache",
     "SimulationService",
     "Supervisor",
     "TieredCache",

@@ -32,7 +32,7 @@ any job spec or cluster call answers 409 (``code: "wire-version"``).
 Cluster routes (worker agents only; see :mod:`repro.serve.cluster`):
 
 * ``POST /cluster/register`` — ``{"node", "capacity", "wire_version"}``;
-  returns lease/heartbeat parameters and whether the shard ring is on.
+  returns lease/heartbeat parameters and whether the result cache is on.
 * ``POST /cluster/lease`` — long-poll for a job lease (``{"node",
   "wait"}``).  200 with ``{"lease": {...}}`` or ``{"lease": null}``;
   404 ``code: "unknown-node"`` for unregistered peers (re-register);
@@ -41,8 +41,9 @@ Cluster routes (worker agents only; see :mod:`repro.serve.cluster`):
   "lease", "job_id", "result" | "failure"}``); ``{"accepted": false}``
   for stale leases (the job was reclaimed — not the worker's problem).
 * ``POST /cluster/heartbeat`` — renew liveness + held leases.
-* ``GET/PUT /cluster/cache/<digest>`` — the shard ring's remote
-  get/put (404 on miss; best-effort by design).
+* ``GET/PUT /cluster/cache/<digest>`` — get/put on the service's
+  result cache, the one the local slots use (404 on miss; best-effort
+  by design).
 
 The server is a ``ThreadingHTTPServer``: handler threads only touch the
 thread-safe service object, while simulations run in the service's own

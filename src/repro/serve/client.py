@@ -98,10 +98,12 @@ class ServiceClient:
         self.connect_wait = max(0.0, connect_wait)
         self.backpressure_retries = max(0, backpressure_retries)
         self._connected = False
-        # per-instance clock and sleep: tests substitute them on one
-        # client without touching the process-wide ``time`` module
+        # per-instance clock, sleep and jitter source: tests substitute
+        # them on one client without touching the process-wide ``time``
+        # and ``random`` modules
         self._monotonic = time.monotonic
         self._sleep = time.sleep
+        self._random = random.random
 
     @classmethod
     def connect(
@@ -147,7 +149,7 @@ class ServiceClient:
                         exc.url, exc.cause, attempts=attempt
                     ) from None
                 delay = min(0.05 * (2 ** (attempt - 1)), 1.0)
-                delay *= 1.0 + 0.25 * random.random()
+                delay *= 1.0 + 0.25 * self._random()
                 self._sleep(min(delay, max(0.0, deadline - now)))
 
     def _request_once(
@@ -224,7 +226,7 @@ class ServiceClient:
                 attempt += 1
                 delay = float(exc.body.get("retry_after", 1.0) or 1.0)
                 self._sleep(
-                    min(delay, 30.0) * (1.0 + 0.25 * random.random())
+                    min(delay, 30.0) * (1.0 + 0.25 * self._random())
                 )
 
     # -- submission ---------------------------------------------------------
@@ -284,7 +286,7 @@ class ServiceClient:
                 raise TimeoutError(
                     f"{what} still {record['state']} after {timeout:g}s"
                 )
-            delay = interval * (1.0 + 0.25 * random.random())
+            delay = interval * (1.0 + 0.25 * self._random())
             self._sleep(min(delay, deadline - now))
             interval = min(interval * 1.5, max_interval)
 
@@ -412,7 +414,7 @@ class ServiceClient:
         return int(body.get("renewed", 0))
 
     def cache_get(self, digest: str) -> Optional[Dict[str, Any]]:
-        """The shard ring's entry for ``digest``, or ``None`` on miss."""
+        """The frontend's cached result for ``digest``, or ``None`` on miss."""
         try:
             body = self._request("GET", f"/cluster/cache/{digest}")
         except ServiceError as exc:

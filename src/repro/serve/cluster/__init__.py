@@ -1,7 +1,7 @@
 """``repro.serve.cluster`` — the multi-node tier of the service.
 
 One frontend daemon (``bingo-sim serve``) owns the queue, the
-supervisor, and the shard ring; any number of **worker agents**
+supervisor, and the result cache; any number of **worker agents**
 (``bingo-sim worker --connect URL``) register with it, long-poll for
 job *leases* over the existing HTTP JSON protocol, execute them
 through their local :class:`~repro.sim.executor.Executor`, and report
@@ -13,11 +13,12 @@ generalises per node:
   path (:mod:`repro.serve.cluster.coordinator`);
 * the per-digest circuit breaker gains a per-*node* sibling, so a box
   that keeps crashing or timing out stops being offered work;
-* the result cache becomes a **consistent-hash shard ring** over
-  node-local stores (:mod:`repro.serve.cluster.shard`): capacity
-  scales with nodes and a re-run anywhere dedupes over
-  ``/cluster/cache/<digest>``;
-* idle workers may **steal** from the backoff-gated backlog — a retry
+* the frontend's :class:`~repro.sim.executor.ResultCache` is the one
+  result store: agents read and write it over
+  ``/cluster/cache/<digest>`` behind a local-disk tier
+  (:mod:`repro.serve.cluster.shard`), so a re-run anywhere, on an
+  agent or on a frontend slot, dedupes;
+* idle workers **steal** from the backoff-gated backlog — a retry
   delay exists to protect the node that just failed the job, not to
   idle a healthy peer;
 * the frontend applies **queue-depth-aware admission control**:
@@ -41,25 +42,15 @@ from repro.serve.cluster.coordinator import (
     UnknownNodeError,
     WorkerNode,
 )
-from repro.serve.cluster.ring import HashRing, REPLICAS
-from repro.serve.cluster.shard import (
-    ClusterCacheClient,
-    ShardedResultCache,
-    ShardStore,
-    TieredCache,
-)
+from repro.serve.cluster.shard import ClusterCacheClient, TieredCache
 
 __all__ = [
     "AdmissionController",
     "AdmissionError",
     "ClusterCacheClient",
     "ClusterCoordinator",
-    "HashRing",
     "Lease",
     "NodeQuarantined",
-    "REPLICAS",
-    "ShardStore",
-    "ShardedResultCache",
     "TieredCache",
     "UnknownNodeError",
     "WorkerAgent",

@@ -13,7 +13,7 @@ jobs — the agent itself needs no shutdown handshake to be safe to
 SIGKILL, which is exactly what ``tools/cluster_smoke.py`` does to it.
 
 Cache traffic goes through a :class:`~repro.serve.cluster.shard.TieredCache`
-lease-scoped handle: local disk first, then the frontend's shard ring
+lease-scoped handle: local disk first, then the frontend's result cache
 (``GET/PUT /cluster/cache/<digest>``), so a job re-run anywhere in the
 cluster dedupes.  Transport failures never fail a lease — every client
 call here degrades to "back off and try again", with deterministic
@@ -97,7 +97,7 @@ class WorkerAgent:
             self._local_cache = ResultCache()
         else:
             self._local_cache = ResultCache(cache_dir)
-        #: set after register() says whether the frontend shard ring is on
+        #: set after register() says whether the frontend result cache is on
         self._remote_cache: Optional[ClusterCacheClient] = None
 
         executor_stats = self.stats.child("executor")
@@ -181,7 +181,7 @@ class WorkerAgent:
 
     def _cache_handle(self):
         """The lease-scoped cache for ``run_job_guarded``: local disk in
-        front of the cluster ring (either tier may be absent)."""
+        front of the frontend's result cache (either tier may be absent)."""
         if self._local_cache is None and self._remote_cache is None:
             return None
         return TieredCache(self._local_cache, self._remote_cache)

@@ -17,15 +17,19 @@ multi-node:
 * the **per-node circuit breaker** — the per-digest breaker's sibling:
   a node whose jobs keep crashing, timing out, or losing their leases
   stops being offered work for a cooldown;
-* **work stealing** — when the ready heap is empty, an idle worker may
-  take a record out of the backoff-gated backlog early.  The backoff
+* **work stealing** — when the ready heap is empty, an idle worker
+  takes a record out of the backoff-gated backlog early.  The backoff
   delay protects the node that just failed the job (and the spec's
   own retry budget), not a healthy idle peer — stealing skips records
   whose previous lease was on the requesting node;
 * **admission control** (:class:`AdmissionController`) — beyond a
   configured queue depth, new work is refused with a ``Retry-After``
   derived from the observed drain rate, so a saturated frontend
-  degrades to explicit backpressure instead of an unbounded queue.
+  degrades to explicit backpressure instead of an unbounded queue;
+* the **cache routes** — ``cache_get``/``cache_put`` serve the
+  service's own :class:`~repro.sim.executor.ResultCache` to worker
+  agents, and every accepted result is stored there, so a result
+  computed by an agent or by a local slot is computed once.
 
 Terminal bookkeeping is shared with the local worker slots through
 :meth:`SimulationService.resolve_outcome`, which is what keeps
@@ -41,10 +45,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
-from repro.sim.executor import JobFailure
+from repro.sim.executor import JobFailure, ResultCache
 from repro.sim.results import SimResult
-from repro.serve.cluster.ring import REPLICAS
-from repro.serve.cluster.shard import ShardedResultCache, valid_digest
+from repro.serve.cluster.shard import valid_digest
 from repro.serve.jobs import JobRecord, JobState, job_to_wire, new_job_id
 from repro.serve.supervisor import CircuitBreaker
 
@@ -188,11 +191,9 @@ class ClusterCoordinator:
         service,
         lease_ttl: float = 30.0,
         heartbeat_interval: float = 5.0,
-        steal: bool = True,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 60.0,
-        cache_root=None,
-        replicas: int = REPLICAS,
+        cache: Optional[ResultCache] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if lease_ttl <= 0:
@@ -200,7 +201,6 @@ class ClusterCoordinator:
         self.service = service
         self.lease_ttl = lease_ttl
         self.heartbeat_interval = heartbeat_interval
-        self.steal_enabled = steal
         self._clock = clock
         self._lock = threading.Lock()
         self._nodes: Dict[str, WorkerNode] = {}
@@ -212,18 +212,16 @@ class ClusterCoordinator:
             cooldown=breaker_cooldown,
             clock=clock,
         )
-        self.cache: Optional[ShardedResultCache] = (
-            ShardedResultCache(cache_root, replicas=replicas)
-            if cache_root is not None
-            else None
-        )
+        #: the service's result store; ``None`` answers every cache
+        #: call with a miss / not-stored
+        self.cache = cache
         #: counters under the service tree (serve.cluster.*); written
         #: under ``self._lock``
         self.stats = service.stats.child("cluster")
 
     # -- registry -----------------------------------------------------------
     def register(self, node_id: str, capacity: int = 1) -> Dict[str, Any]:
-        """Admit (or refresh) a worker; attaches its cache shard."""
+        """Admit (or refresh) a worker."""
         now = self._clock()
         with self._lock:
             node = self._nodes.get(node_id)
@@ -239,14 +237,11 @@ class ClusterCoordinator:
                 node.capacity = max(1, capacity)
                 self.stats.add("re_registrations")
             node.last_heartbeat = now
-        if self.cache is not None:
-            self.cache.add_node(node_id)
         return {
             "node": node_id,
             "lease_ttl": self.lease_ttl,
             "heartbeat_interval": self.heartbeat_interval,
             "cache_enabled": self.cache is not None,
-            "ring_nodes": self.cache.nodes() if self.cache else [],
         }
 
     def _node_locked(self, node_id: str) -> WorkerNode:
@@ -300,7 +295,7 @@ class ClusterCoordinator:
         wait = min(max(0.0, wait), MAX_LEASE_WAIT)
         record = self.service.queue.pop(timeout=wait)
         stolen = False
-        if record is None and self.steal_enabled:
+        if record is None:
             record = self.service.queue.steal(
                 skip=lambda r: self._last_node.get(r.id) == node_id
             )
@@ -382,8 +377,8 @@ class ClusterCoordinator:
                 outcome: Any = SimResult.from_dict(result)
             except (ValueError, TypeError, KeyError) as exc:
                 raise ValueError(f"malformed result payload: {exc}") from None
-            # populate the shard ring so a re-run anywhere dedupes even
-            # if the worker's own PUT was lost with the worker
+            # store the result so a re-run anywhere dedupes even if the
+            # worker's own PUT was lost with the worker
             if record.job.cacheable:
                 self.cache_put(record.digest, result)
             with self._lock:
@@ -498,11 +493,10 @@ class ClusterCoordinator:
             raise ValueError("'result' must be an object")
         if self.cache is None:
             return False
-        stored = self.cache.put(digest, result)
-        if stored:
-            with self._lock:
-                self.stats.add("cache_puts")
-        return stored
+        self.cache.put(digest, result)
+        with self._lock:
+            self.stats.add("cache_puts")
+        return True
 
     # -- introspection ------------------------------------------------------
     def alive_count(self, dead_after: Optional[float] = None) -> int:
@@ -531,14 +525,8 @@ class ClusterCoordinator:
                 for node in self._nodes.values()
             }
             counters = dict(self.stats.counters())
-        ring = (
-            self.cache.snapshot()
-            if self.cache is not None
-            else {"nodes": [], "size": 0, "replicas": 0, "points": 0}
-        )
         return {
             "workers": workers,
-            "ring": ring,
             "leases_inflight": len(self._leases),
             "steals": counters.get("steals", 0),
             "leases_granted": counters.get("leases_granted", 0),

@@ -10,7 +10,9 @@ test) owns.  It wires together the subsystem:
   via :meth:`~repro.sim.executor.Executor.run_job_guarded` (disposable
   single-process pool, hard wall-clock timeout, typed failures).  All
   slots share one :class:`~repro.sim.executor.ResultCache` and one
-  on-disk compiled-trace cache — the whole point of a warm daemon;
+  on-disk compiled-trace cache — the whole point of a warm daemon.  The
+  cluster coordinator serves that same result cache to worker agents,
+  so it is the service's only result store;
 * outcomes feed the :class:`~repro.serve.supervisor.Supervisor`:
   transient failures are re-queued with exponential backoff + jitter,
   terminal ones feed the circuit breaker;
@@ -33,13 +35,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.stats import StatGroup
 from repro.sim.engine import engine_tier_counters
-from repro.sim.executor import (
-    Executor,
-    JobFailure,
-    ResultCache,
-    SimJob,
-    default_cache_dir,
-)
+from repro.sim.executor import Executor, JobFailure, ResultCache, SimJob
 from repro.sim.results import SimResult
 from repro.serve.cluster.coordinator import (
     AdmissionController,
@@ -99,8 +95,6 @@ class ServiceConfig:
     lease_ttl: float = 30.0
     #: heartbeat cadence advertised to registering workers
     heartbeat_interval: float = 5.0
-    #: may idle workers lease from the backoff-gated backlog?
-    steal: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -136,17 +130,18 @@ class SimulationService:
         self._run_latency = LatencyHistogram(self.stats, "run")
         self._started_at = time.time()
 
+        #: the one result store: local slots and the cluster cache routes
         if self.config.cache_dir is None:
-            cache = None
+            self.cache: Optional[ResultCache] = None
         elif self.config.cache_dir == "":
-            cache = ResultCache()
+            self.cache = ResultCache()
         else:
-            cache = ResultCache(self.config.cache_dir)
+            self.cache = ResultCache(self.config.cache_dir)
         executor_stats = self.stats.child("executor")
         self._executors: List[Executor] = [
             Executor(
                 workers=1,
-                cache=cache,
+                cache=self.cache,
                 stats=executor_stats.child(f"slot{i}"),
             )
             for i in range(self.config.workers)
@@ -162,23 +157,15 @@ class SimulationService:
         self.admission = AdmissionController(
             max_depth=self.config.max_queue_depth, clock=clock
         )
-        #: the multi-node tier: node registry, leases, shard ring.  The
-        #: shard stores materialise under the result-cache root; a
-        #: cache-less service runs the cluster without the shard ring.
-        if self.config.cache_dir is None:
-            cluster_root = None
-        elif self.config.cache_dir == "":
-            cluster_root = default_cache_dir() / "cluster"
-        else:
-            cluster_root = Path(self.config.cache_dir) / "cluster"
+        #: the multi-node tier: node registry, leases, and the cache
+        #: routes over the slots' result cache
         self.cluster = ClusterCoordinator(
             self,
             lease_ttl=self.config.lease_ttl,
             heartbeat_interval=self.config.heartbeat_interval,
-            steal=self.config.steal,
             breaker_threshold=self.config.breaker_threshold,
             breaker_cooldown=self.config.breaker_cooldown,
-            cache_root=cluster_root,
+            cache=self.cache,
             clock=clock,
         )
 
@@ -465,7 +452,7 @@ class SimulationService:
             # fast-loop runs served misses in fallback mode (see
             # repro.sim.engine._TIER_RUNS)
             "engine_tiers": engine_tier_counters(),
-            # the multi-node tier: per-node gauges, shard ring, steals
+            # the multi-node tier: per-node gauges, leases, steals
             "cluster": self.cluster.snapshot(),
             "admission": {
                 "max_depth": self.admission.max_depth,

@@ -64,7 +64,9 @@ from repro.sim.results import SimResult
 #: rather than trusting the version fold alone
 #: schema 7: the fast loop (VECTOR_VERSION 3) is the only specialised
 #: loop, so digests no longer fold in the compiled loop's version
-CACHE_SCHEMA = 7
+#: schema 8: one entry layout, ``{"schema", "digest", "result"}``, for
+#: executor stores and the cluster's digest-keyed puts alike
+CACHE_SCHEMA = 8
 
 KwargItems = Tuple[Tuple[str, object], ...]
 
@@ -413,21 +415,25 @@ def default_cache_dir() -> Path:
 class ResultCache:
     """Digest-addressed JSON store of completed :class:`SimJob` results.
 
-    One file per job under ``<root>/results/<digest[:2]>/<digest>.json``.
-    Writes are atomic (temp file + ``os.replace``), so concurrent
-    executors never observe a torn entry.  Corrupt or schema-mismatched
-    entries read as misses and are overwritten on the next store.
+    One file per digest under ``<root>/results/<digest[:2]>/<digest>.json``
+    holding ``{"schema", "digest", "result"}``.  :meth:`get`/:meth:`put`
+    speak raw result dicts by digest (the cluster's
+    ``/cluster/cache/<digest>`` routes); :meth:`load`/:meth:`store` are
+    the executor's job-keyed view of the same entries.  Writes are atomic
+    (temp file + ``os.replace``), so concurrent writers never expose a
+    torn entry.  An entry that is unreadable, carries another schema or
+    digest, or holds no result dict is deleted and reads as a miss.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
 
-    def path_for(self, job: SimJob) -> Path:
-        digest = job.digest()
+    def path_for(self, digest: str) -> Path:
         return self.root / "results" / digest[:2] / f"{digest}.json"
 
-    def load(self, job: SimJob) -> Optional[SimResult]:
-        path = self.path_for(job)
+    def get(self, digest: str) -> Optional[Dict[str, object]]:
+        """The stored result dict for ``digest``, or ``None``."""
+        path = self.path_for(digest)
         try:
             handle = open(path, "r", encoding="utf-8")
         except OSError:
@@ -435,31 +441,27 @@ class ResultCache:
         # From here on the entry *exists*; anything unreadable about it is
         # corruption (torn write, truncation, foreign bytes) and mirrors
         # the trace cache's torn-file=miss policy: delete it so the next
-        # store starts clean, and report a miss instead of raising.
+        # put starts clean, and report a miss instead of raising.
         try:
             with handle:
                 entry = json.load(handle)
-            if entry.get("schema") != CACHE_SCHEMA or "result" not in entry:
-                raise ValueError("schema mismatch or missing result")
-            return SimResult.from_dict(entry["result"])
-        except (OSError, ValueError, TypeError, KeyError, EOFError):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            if (
+                not isinstance(entry, dict)
+                or entry.get("schema") != CACHE_SCHEMA
+                or entry.get("digest") != digest
+                or not isinstance(entry.get("result"), dict)
+            ):
+                raise ValueError("schema or digest mismatch, or no result")
+            return entry["result"]
+        except (OSError, ValueError):
+            _unlink_quietly(path)
             return None
 
-    def store(self, job: SimJob, result: SimResult) -> Path:
-        path = self.path_for(job)
+    def put(self, digest: str, result: Dict[str, object]) -> Path:
+        """Store ``result`` under ``digest``; returns the entry's path."""
+        path = self.path_for(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        from repro import __version__
-
-        entry = {
-            "schema": CACHE_SCHEMA,
-            "version": __version__,
-            "job": job.spec(),
-            "result": result.to_dict(),
-        }
+        entry = {"schema": CACHE_SCHEMA, "digest": digest, "result": result}
         fd, tmp_name = tempfile.mkstemp(
             dir=str(path.parent), prefix=".tmp-", suffix=".json"
         )
@@ -468,12 +470,30 @@ class ResultCache:
                 json.dump(entry, handle)
             os.replace(tmp_name, path)
         except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
+            _unlink_quietly(tmp_name)
             raise
         return path
+
+    def load(self, job: SimJob) -> Optional[SimResult]:
+        digest = job.digest()
+        result = self.get(digest)
+        if result is None:
+            return None
+        try:
+            return SimResult.from_dict(result)
+        except (ValueError, TypeError, KeyError):
+            _unlink_quietly(self.path_for(digest))
+            return None
+
+    def store(self, job: SimJob, result: SimResult) -> Path:
+        return self.put(job.digest(), result.to_dict())
+
+
+def _unlink_quietly(path: Union[str, os.PathLike]) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 # ---------------------------------------------------------------------------

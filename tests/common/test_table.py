@@ -28,6 +28,10 @@ class TestBasics:
         with pytest.raises(ValueError):
             SetAssociativeTable(sets=3, ways=2)
 
+    def test_rejects_zero_ways(self):
+        with pytest.raises(ValueError):
+            SetAssociativeTable(sets=4, ways=0)
+
     def test_single_set_table(self):
         table = SetAssociativeTable(sets=1, ways=4)
         for key in range(4):
@@ -72,6 +76,21 @@ class TestEviction:
         table.insert(1, "a")
         assert table.pop(1) == "a"
         assert evicted == []
+
+    def test_invalidated_way_refilled_before_any_eviction(self):
+        evicted = []
+        table = SetAssociativeTable(
+            sets=1, ways=2, on_evict=lambda t, p: evicted.append(t)
+        )
+        table.insert(1, "a")
+        table.insert(2, "b")
+        table.lookup(1)  # 2 is now the LRU entry
+        table.pop(1)  # frees the MRU way
+        table.insert(3, "c")
+        # the freed way takes the fill; the LRU entry is not evicted
+        assert evicted == []
+        assert table.lookup(2, touch=False) == "b"
+        assert table.lookup(3, touch=False) == "c"
 
     def test_invalidate_missing_returns_none(self):
         table = SetAssociativeTable(sets=1, ways=1)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import random
+import threading
+import time
 
 import pytest
 
@@ -29,6 +31,43 @@ def _isolated_cache_dir(tmp_path_factory):
         os.environ.pop("REPRO_CACHE_DIR", None)
     else:
         os.environ["REPRO_CACHE_DIR"] = previous
+
+
+#: thread-name prefixes of the service (slots, reaper, HTTP), cluster
+#: agents, and experiment runners
+SERVICE_THREAD_PREFIXES = ("serve-", "worker-", "experiment-")
+
+
+def _service_threads():
+    return {
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith(SERVICE_THREAD_PREFIXES)
+    }
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_service_threads():
+    """Fail a test that leaves a service, agent, or experiment thread
+    alive after its teardown.
+
+    A leaked thread keeps polling for the rest of the session and can
+    perturb later tests.  Threads that are already on their way out
+    get a few seconds' grace; threads alive before the test are not
+    its fault.
+    """
+    before = _service_threads()
+    yield
+    deadline = time.monotonic() + 5.0
+    leaked = _service_threads() - before
+    while leaked and time.monotonic() < deadline:
+        time.sleep(0.05)
+        leaked = {thread for thread in leaked if thread.is_alive()}
+    if leaked:
+        pytest.fail(
+            "test leaked threads: "
+            + ", ".join(sorted(thread.name for thread in leaked))
+        )
 
 
 @pytest.fixture

@@ -55,6 +55,7 @@ def api():
         server.shutdown()
         server.server_close()
         thread.join(5.0)
+        service.drain(timeout=5.0)
 
 
 def raw_post(host, port, path, body: bytes, content_length=None):
@@ -326,6 +327,7 @@ def cluster_api(tmp_path):
         server.shutdown()
         server.server_close()
         thread.join(5.0)
+        service.drain(timeout=5.0)
 
 
 class TestWireVersion:
@@ -375,7 +377,6 @@ class TestClusterRoutes:
         info = client.cluster_register("w1", capacity=2)
         assert info["lease_ttl"] == 30.0
         assert info["cache_enabled"] is True
-        assert "w1" in info["ring_nodes"]
 
     def test_lease_unregistered_node_404(self, cluster_api):
         _, client, _, _ = cluster_api
@@ -423,7 +424,6 @@ class TestClusterRoutes:
         assert worker["leases"] == 1
         assert worker["heartbeat_age"] >= 0
         assert worker["capacity"] == 2
-        assert cluster["ring"]["size"] == 1
         assert cluster["leases_inflight"] == 1
         assert cluster["steals"] == 0
         assert cluster["admission_rejected"] == 0
@@ -488,8 +488,9 @@ class TestClusterCacheRoutes:
     DIGEST = "ab" * 32
 
     def test_put_get_roundtrip(self, cluster_api):
-        _, client, host, port = cluster_api
-        client.cluster_register("w1")  # the ring needs a member to store
+        service, _, host, port = cluster_api
+        # the frontend's own result cache stores with no node registered
+        assert service.cluster.snapshot()["workers"] == {}
         status, _, body = raw_request(
             host,
             port,
@@ -503,10 +504,10 @@ class TestClusterCacheRoutes:
         )
         assert status == 200
         assert body["result"] == {"ipc": 1.25}
+        assert service.cache.get(self.DIGEST) == {"ipc": 1.25}
 
     def test_miss_404(self, cluster_api):
-        _, client, host, port = cluster_api
-        client.cluster_register("w1")
+        _, _, host, port = cluster_api
         status, _, body = raw_request(
             host, port, "GET", f"/cluster/cache/{'cd' * 32}"
         )
@@ -522,7 +523,6 @@ class TestClusterCacheRoutes:
 
     def test_client_cache_helpers(self, cluster_api):
         _, client, _, _ = cluster_api
-        client.cluster_register("w1")
         assert client.cache_get(self.DIGEST) is None
         assert client.cache_put(self.DIGEST, {"ipc": 2.0}) is True
         assert client.cache_get(self.DIGEST) == {"ipc": 2.0}

@@ -12,7 +12,6 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from repro.serve import ServiceClient, ServiceError
-from repro.serve import client as client_mod
 
 
 class NonJsonHandler(BaseHTTPRequestHandler):
@@ -89,8 +88,9 @@ def fake_time():
 @pytest.fixture
 def client(fake_time):
     """A client on the fake clock.  Only this instance is patched: the
-    process-wide ``time`` module stays real, so a background thread's
-    sleep can never land in the recorder."""
+    process-wide ``time`` and ``random`` modules stay real, so a
+    background thread's sleep can never land in the recorder.  Tests
+    that pin the jitter set ``client._random`` the same way."""
     client = ServiceClient("http://127.0.0.1:1")
     client._monotonic = fake_time.monotonic
     client._sleep = fake_time.sleep
@@ -104,7 +104,7 @@ class TestPollBackoff:
         """The old fixed 0.25 s poll synchronised waiting clients into
         bursts; the interval must now grow geometrically (capped) with
         per-sleep jitter on top."""
-        monkeypatch.setattr(client_mod.random, "random", lambda: 1.0)
+        client._random = lambda: 1.0
         states = iter(["pending"] * 6 + ["done"])
         monkeypatch.setattr(
             client, "status", lambda job_id: {"id": job_id, "state": next(states)}
@@ -125,9 +125,7 @@ class TestPollBackoff:
 
     def test_sleeps_vary_with_jitter(self, client, fake_time, monkeypatch):
         jitters = iter([0.0, 1.0, 0.5, 0.25, 0.75, 0.1])
-        monkeypatch.setattr(
-            client_mod.random, "random", lambda: next(jitters)
-        )
+        client._random = lambda: next(jitters)
         states = iter(["pending"] * 6 + ["done"])
         monkeypatch.setattr(
             client, "status", lambda job_id: {"id": job_id, "state": next(states)}
@@ -138,7 +136,7 @@ class TestPollBackoff:
     def test_wait_timeout_names_last_state(
         self, client, fake_time, monkeypatch
     ):
-        monkeypatch.setattr(client_mod.random, "random", lambda: 0.0)
+        client._random = lambda: 0.0
         monkeypatch.setattr(
             client, "status", lambda job_id: {"id": job_id, "state": "running"}
         )
@@ -149,7 +147,7 @@ class TestPollBackoff:
     def test_wait_experiment_polls_same_loop(
         self, client, fake_time, monkeypatch
     ):
-        monkeypatch.setattr(client_mod.random, "random", lambda: 0.0)
+        client._random = lambda: 0.0
         states = iter(["running", "running", "done"])
         monkeypatch.setattr(
             client,

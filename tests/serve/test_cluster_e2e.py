@@ -9,12 +9,14 @@ Subprocess-level behaviour (SIGKILL, env isolation) lives in
 ``tools/cluster_smoke.py``.
 """
 
+import contextlib
 import threading
 
 import pytest
 
 from repro.common.config import small_system
 from repro.serve import (
+    ServiceClient,
     ServiceConfig,
     SimulationService,
     WorkerAgent,
@@ -35,13 +37,14 @@ def make_job(seed: int = 1) -> SimJob:
     )
 
 
-@pytest.fixture
-def frontend(tmp_path):
-    """(service, url): a started frontend-only node on an ephemeral port."""
+@contextlib.contextmanager
+def serving(cache_dir, workers: int = 0):
+    """(service, url): a started service with ``workers`` local slots
+    (0 = frontend-only) behind the HTTP server on an ephemeral port."""
     service = SimulationService(
         ServiceConfig(
-            workers=0,
-            cache_dir=str(tmp_path / "frontend"),
+            workers=workers,
+            cache_dir=str(cache_dir),
             job_timeout=60.0,
             lease_ttl=30.0,
         )
@@ -59,6 +62,13 @@ def frontend(tmp_path):
         service.drain(timeout=10.0)
 
 
+@pytest.fixture
+def frontend(tmp_path):
+    """(service, url): a started frontend-only node on an ephemeral port."""
+    with serving(tmp_path / "frontend") as running:
+        yield running
+
+
 def start_agent(url, tmp_path, name, **kwargs) -> WorkerAgent:
     kwargs.setdefault("cache_dir", str(tmp_path / name))
     kwargs.setdefault("lease_wait", 0.5)
@@ -73,8 +83,6 @@ class TestRemoteExecution:
         try:
             jobs = [make_job(seed=s) for s in (1, 2, 3)]
             records = [service.submit(job)[0] for job in jobs]
-            from repro.serve import ServiceClient
-
             client = ServiceClient(url, timeout=10.0)
             finals = [client.wait(r.id, timeout=60.0) for r in records]
         finally:
@@ -103,8 +111,6 @@ class TestRemoteExecution:
         agent = start_agent(url, tmp_path, "agent-err")
         try:
             record, _ = service.submit(job)
-            from repro.serve import ServiceClient
-
             final = ServiceClient(url, timeout=10.0).wait(
                 record.id, timeout=60.0
             )
@@ -114,26 +120,24 @@ class TestRemoteExecution:
         assert final["error"]["node"] == "agent-err"
 
 
-class TestShardCacheSharing:
-    def test_second_node_dedupes_via_shard_ring(self, frontend, tmp_path):
+class TestSharedResultCache:
+    def test_second_node_dedupes_via_frontend_cache(self, frontend, tmp_path):
         service, url = frontend
         job = make_job(seed=9)
 
         agent1 = start_agent(url, tmp_path, "agent-a")
         try:
             record, _ = service.submit(job)
-            from repro.serve import ServiceClient
-
             client = ServiceClient(url, timeout=10.0)
             first = client.wait(record.id, timeout=60.0)
         finally:
             agent1.stop(timeout=10.0)
         assert first["state"] == "done"
-        # the coordinator populated the shard ring at report time
+        # the coordinator stored the reported result
         assert service.cluster.cache_get(job.digest()) is not None
 
         # a *fresh* node with an empty local cache re-runs the same spec:
-        # its executor must hit the cluster ring, not re-simulate
+        # its executor must hit the frontend's cache, not re-simulate
         agent2 = start_agent(url, tmp_path, "agent-b")
         try:
             record2, deduped = service.submit(make_job(seed=9))
@@ -149,3 +153,61 @@ class TestShardCacheSharing:
         slot = executor.get("slot0", {})
         assert slot.get("cache_hits", 0) == 1
         assert slot.get("executed", 0) == 0
+
+    @staticmethod
+    def _run_local(cache_dir, job):
+        """Run ``job`` on a service with one local slot; returns the
+        final record and the slot's executor counters."""
+        with serving(cache_dir, workers=1) as (service, url):
+            record, _ = service.submit(job)
+            final = ServiceClient(url, timeout=10.0).wait(
+                record.id, timeout=60.0
+            )
+            totals = service.metrics()["executor_totals"]
+        assert final["state"] == "done", final.get("error")
+        return final, totals
+
+    @staticmethod
+    def _run_on_agent(cache_dir, tmp_path, name, job):
+        """Run ``job`` on a fresh agent behind a frontend-only service;
+        returns the final record and the agent slot's counters."""
+        with serving(cache_dir) as (service, url):
+            agent = start_agent(url, tmp_path, name)
+            try:
+                record, _ = service.submit(job)
+                final = ServiceClient(url, timeout=10.0).wait(
+                    record.id, timeout=60.0
+                )
+            finally:
+                agent.stop(timeout=10.0)
+        assert final["state"] == "done", final.get("error")
+        counters = agent.snapshot()["counters"]
+        return final, counters.get("executor", {}).get("slot0", {})
+
+    def test_local_slot_result_is_an_agent_cache_hit(self, tmp_path):
+        """One ``cache_dir``, two daemons in turn: what a local slot
+        stored, a cluster agent with an empty local cache reads."""
+        shared = tmp_path / "shared"
+        first, totals = self._run_local(shared, make_job(seed=11))
+        assert totals.get("executed", 0) == 1
+
+        second, slot = self._run_on_agent(
+            shared, tmp_path, "agent-x", make_job(seed=11)
+        )
+        assert slot.get("cache_hits", 0) == 1
+        assert slot.get("executed", 0) == 0
+        assert second["result"] == first["result"]
+
+    def test_agent_result_is_a_local_slot_cache_hit(self, tmp_path):
+        """The other direction: what an agent reported, a local slot
+        reads instead of simulating it again."""
+        shared = tmp_path / "shared"
+        first, slot = self._run_on_agent(
+            shared, tmp_path, "agent-y", make_job(seed=12)
+        )
+        assert slot.get("executed", 0) == 1
+
+        second, totals = self._run_local(shared, make_job(seed=12))
+        assert totals.get("cache_hits", 0) == 1
+        assert totals.get("executed", 0) == 0
+        assert second["result"] == first["result"]

@@ -87,14 +87,14 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         job = quick_job()
         cache.store(job, execute_job(job))
-        cache.path_for(job).write_text("not json", encoding="utf-8")
+        cache.path_for(job.digest()).write_text("not json", encoding="utf-8")
         assert cache.load(job) is None
 
     def test_schema_mismatch_reads_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         job = quick_job()
         cache.store(job, execute_job(job))
-        path = cache.path_for(job)
+        path = cache.path_for(job.digest())
         entry = json.loads(path.read_text(encoding="utf-8"))
         entry["schema"] = CACHE_SCHEMA + 1
         path.write_text(json.dumps(entry), encoding="utf-8")
@@ -235,7 +235,7 @@ class TestCheckedExecution:
         assert executor.stats.get("executed") == 1
         # neither read from nor written to: a checked run proves nothing
         # about uncached replays
-        assert not cache.path_for(job).exists()
+        assert not cache.path_for(job.digest()).exists()
         # checking rides the event stream; the result itself is untouched
         assert result.to_dict() == execute_job(job).to_dict()
 

@@ -238,7 +238,7 @@ class TestCorruptCacheEviction:
         cache = ResultCache(tmp_path)
         job = ok_job(seed=81)
         cache.store(job, execute_job(job))
-        path = cache.path_for(job)
+        path = cache.path_for(job.digest())
         raw = path.read_text(encoding="utf-8")
         path.write_text(raw[: len(raw) // 2], encoding="utf-8")  # torn write
         assert cache.load(job) is None
@@ -250,7 +250,7 @@ class TestCorruptCacheEviction:
     def test_garbage_entry_is_deleted(self, tmp_path):
         cache = ResultCache(tmp_path)
         job = ok_job(seed=82)
-        path = cache.path_for(job)
+        path = cache.path_for(job.digest())
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("\x00\x01 not json", encoding="utf-8")
         assert cache.load(job) is None

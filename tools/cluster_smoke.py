@@ -15,7 +15,11 @@ processes, real HTTP, a real SIGKILL:
 5. assert every job completes with results **bit-identical** to
    running the same specs in-process, and that the frontend itself
    executed nothing (``workers=0``);
-6. SIGTERM the survivor and the frontend and require clean exits.
+6. assert the frontend kept one result store: every job's result reads
+   back by digest from ``ResultCache(<frontend --cache-dir>)``, the
+   store its local slots would use, and no per-node ``cluster/`` store
+   exists under that directory;
+7. SIGTERM the survivor and the frontend and require clean exits.
 
 Exit code 0 means the whole sequence held.  Run via
 ``make cluster-smoke`` or directly:
@@ -39,7 +43,7 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 from repro.common.config import small_system  # noqa: E402
 from repro.serve.client import ServiceClient, ServiceError  # noqa: E402
 from repro.serve.jobs import job_from_wire  # noqa: E402
-from repro.sim.executor import execute_job  # noqa: E402
+from repro.sim.executor import ResultCache, execute_job  # noqa: E402
 
 HEALTH_DEADLINE = 60.0
 REGISTER_DEADLINE = 30.0
@@ -108,6 +112,7 @@ def main() -> int:
     url = f"http://127.0.0.1:{port}"
 
     with tempfile.TemporaryDirectory(prefix="cluster-smoke-") as tmp:
+        frontend_cache = os.path.join(tmp, "frontend-cache")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [os.path.join(REPO_ROOT, "src"),
@@ -121,7 +126,7 @@ def main() -> int:
                 "--workers", "0",
                 "--max-queue-depth", str(MAX_QUEUE_DEPTH),
                 "--lease-ttl", str(LEASE_TTL),
-                "--cache-dir", os.path.join(tmp, "frontend-cache"),
+                "--cache-dir", frontend_cache,
                 "--state-dir", os.path.join(tmp, "state"),
             ],
             env,
@@ -238,6 +243,22 @@ def main() -> int:
             print(f"ok: work ran on the agents "
                   f"({granted} leases, {reclaimed} reclaimed after the "
                   f"kill, {cluster['steals']} stolen)")
+
+            # -- one result store ---------------------------------------
+            store = ResultCache(frontend_cache)
+            for final in finals:
+                if store.get(final["digest"]) != final["result"]:
+                    print(f"FAIL: job {final['id']} (digest "
+                          f"{final['digest'][:12]}) does not read back "
+                          f"from the frontend's result cache",
+                          file=sys.stderr)
+                    return 1
+            if os.path.exists(os.path.join(frontend_cache, "cluster")):
+                print("FAIL: the frontend keeps a second store under "
+                      "cluster/", file=sys.stderr)
+                return 1
+            print(f"ok: all {len(finals)} results read back from the "
+                  f"frontend's one result cache")
 
             # -- clean shutdowns ----------------------------------------
             workers["smoke-w2"].send_signal(signal.SIGTERM)
