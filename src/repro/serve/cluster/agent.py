@@ -5,12 +5,16 @@ agent is a pure HTTP *client* of the frontend (workers behind NAT need
 no listening socket): it registers, then ``capacity`` slot threads
 long-poll ``POST /cluster/lease``, execute each leased job through a
 node-local :class:`~repro.sim.executor.Executor` (the same
-``run_job_guarded`` envelope the single-node slots use — disposable
-pool, hard timeout, typed failures), and report the outcome back.  A
+``run_job_guarded`` envelope the single-node slots use — one warm
+worker process per slot, hard timeout, typed failures), and report the
+outcome back.  :meth:`WorkerAgent.start` forks the slots' workers
+before it starts any thread; :meth:`WorkerAgent.stop` closes them.  A
 heartbeat thread renews the agent's liveness and its held leases; if
 the agent dies instead, the frontend's lease deadlines reclaim its
 jobs — the agent itself needs no shutdown handshake to be safe to
 SIGKILL, which is exactly what ``tools/cluster_smoke.py`` does to it.
+Its workers exit on their own once their parent is gone (within a
+second when idle, else after the running job).
 
 Cache traffic goes through a :class:`~repro.serve.cluster.shard.TieredCache`
 lease-scoped handle: local disk first, then the frontend's result cache
@@ -117,12 +121,15 @@ class WorkerAgent:
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> "WorkerAgent":
-        """Register (retrying until the frontend answers), then start
-        the slot and heartbeat threads."""
+        """Register (retrying until the frontend answers), fork the
+        slots' warm workers, then start the slot and heartbeat threads."""
         if self._started:
             raise RuntimeError("agent already started")
         self._started = True
         self._register_blocking()
+        # fork before any thread of ours exists (see SimulationService.start)
+        for executor in self._executors:
+            executor.start_worker()
         for i, executor in enumerate(self._executors):
             thread = threading.Thread(
                 target=self._slot_loop,
@@ -140,13 +147,16 @@ class WorkerAgent:
         return self
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Finish in-flight leases, then stop.  Leases that cannot be
-        reported in time are simply abandoned — the frontend's deadline
-        reclaim covers them, same as a crash."""
+        """Finish in-flight leases, then stop and close the slots'
+        workers.  Leases that cannot be reported in time are simply
+        abandoned — the frontend's deadline reclaim covers them, same as
+        a crash."""
         self._stopping.set()
         deadline = time.monotonic() + timeout
         for thread in self._threads:
             thread.join(max(0.1, deadline - time.monotonic()))
+        for executor in self._executors:
+            executor.close()
 
     @property
     def stopped(self) -> bool:

@@ -347,10 +347,20 @@ class ClusterCoordinator:
         A stale lease (expired and reclaimed, or simply unknown after a
         frontend restart) is *not* an error for the worker — the job is
         someone else's now; the report is counted and discarded.
-        Malformed result payloads raise ``ValueError`` (a 400).
+        Malformed payloads raise ``ValueError`` (a 400) before the lease
+        is touched, so it expires and its job is reclaimed.  A result the
+        cache cannot store (``OSError``, e.g. disk full) is counted as
+        ``cache_put_errors``; the job still resolves.
         """
         if (result is None) == (failure is None):
             raise ValueError("report needs exactly one of result/failure")
+        if result is not None:
+            try:
+                outcome: Any = SimResult.from_dict(result)
+            except (ValueError, TypeError, KeyError) as exc:
+                raise ValueError(f"malformed result payload: {exc}") from None
+        elif not isinstance(failure, dict):
+            raise ValueError("'failure' must be an object")
         with self._lock:
             self._reap_locked()
             self._node_locked(node_id)
@@ -373,14 +383,14 @@ class ClusterCoordinator:
             return False
 
         if result is not None:
-            try:
-                outcome: Any = SimResult.from_dict(result)
-            except (ValueError, TypeError, KeyError) as exc:
-                raise ValueError(f"malformed result payload: {exc}") from None
             # store the result so a re-run anywhere dedupes even if the
             # worker's own PUT was lost with the worker
             if record.job.cacheable:
-                self.cache_put(record.digest, result)
+                try:
+                    self.cache_put(record.digest, result)
+                except OSError:
+                    with self._lock:
+                        self.stats.add("cache_put_errors")
             with self._lock:
                 self.breaker.record_success(node_id)
         else:
@@ -403,8 +413,6 @@ class ClusterCoordinator:
     def _failure_from_wire(
         record: JobRecord, failure: Dict[str, Any]
     ) -> JobFailure:
-        if not isinstance(failure, dict):
-            raise ValueError("'failure' must be an object")
         kind = str(failure.get("kind", "error"))
         return JobFailure(
             workload=record.job.workload,

@@ -7,9 +7,12 @@ test) owns.  It wires together the subsystem:
   digest-deduplicated against in-flight work by the queue;
 * ``workers`` slot threads each pop the highest-priority ready record
   and run it through their **own** :class:`~repro.sim.executor.Executor`
-  via :meth:`~repro.sim.executor.Executor.run_job_guarded` (disposable
-  single-process pool, hard wall-clock timeout, typed failures).  All
-  slots share one :class:`~repro.sim.executor.ResultCache` and one
+  via :meth:`~repro.sim.executor.Executor.run_job_guarded` (hard
+  wall-clock timeout, typed failures).  Each slot's executor keeps one
+  warm worker process that runs job after job; :meth:`start` forks them
+  all before it starts any thread, and a worker killed by a timeout or
+  lost to a crash is replaced by a fresh fork at the slot's next job.
+  All slots share one :class:`~repro.sim.executor.ResultCache` and one
   on-disk compiled-trace cache — the whole point of a warm daemon.  The
   cluster coordinator serves that same result cache to worker agents,
   so it is the service's only result store;
@@ -17,8 +20,9 @@ test) owns.  It wires together the subsystem:
   transient failures are re-queued with exponential backoff + jitter,
   terminal ones feed the circuit breaker;
 * :meth:`drain` implements graceful SIGTERM: stop popping, finish
-  running jobs, persist everything non-terminal to
-  ``<state_dir>/queue.json`` for the next start's :meth:`restore`.
+  running jobs, close the slots' workers, persist everything
+  non-terminal to ``<state_dir>/queue.json`` for the next start's
+  :meth:`restore`.
 
 Metrics are one :class:`~repro.common.stats.StatGroup` tree (service
 counters + per-stage latency histograms + per-slot executor counters),
@@ -171,13 +175,18 @@ class SimulationService:
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> "SimulationService":
-        """Restore any drained queue, then start the worker slots."""
+        """Restore any drained queue, fork the slots' warm workers, then
+        start the slot threads."""
         if self._started:
             raise RuntimeError("service already started")
         self._started = True
         restored = self.restore()
         if restored:
             self._count("restored_jobs", restored)
+        # fork before any thread of ours exists: a child forked from a
+        # threaded process can inherit a lock held by a thread it lacks
+        for executor in self._executors:
+            executor.start_worker()
         for i, executor in enumerate(self._executors):
             thread = threading.Thread(
                 target=self._worker_loop,
@@ -214,6 +223,8 @@ class SimulationService:
         for thread in self._threads:
             remaining = max(0.1, deadline - self._clock())
             thread.join(remaining)
+        for executor in self._executors:
+            executor.close()
         persisted = 0
         if self.config.state_dir is not None:
             persisted = self.queue.persist(self._state_path())

@@ -4,7 +4,7 @@ The worker slots report every job outcome here.  The supervisor's job
 is policy, not mechanism: *whether* to retry a failure (and after how
 long), and *whether* a job spec has failed so persistently that new
 submissions of it should be refused for a while.  Mechanism — killing
-overdue workers, respawning broken pools — lives in
+overdue workers, replacing dead ones — lives in
 :meth:`repro.sim.executor.Executor.run_job_guarded`.
 
 Design notes:

@@ -16,6 +16,7 @@ the engine's specialised fast path.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
@@ -30,9 +31,24 @@ from repro.sim.compile.cache import (
 from repro.sim.compile.packed import PackedCoreTrace, pack_finite, pack_records
 from repro.workloads.base import Workload
 
+#: most trace identities the memo keeps: every entry holds an mmap (and
+#: its file descriptor) for as long as it stays, and a service's warm
+#: workers live as long as their daemon.  Above the 7 traces of the
+#: largest benchmark workload, so no sweep point loses its memo hit.
+MEMO_ENTRIES = 32
+
 #: per-process memo of mmap-backed arenas, keyed by trace digest, so a
-#: serial sweep pays the file open exactly once
-_MEMO: Dict[str, List[PackedCoreTrace]] = {}
+#: serial sweep pays the file open exactly once; least recently used
+#: entries leave first
+_MEMO: OrderedDict[str, List[PackedCoreTrace]] = OrderedDict()
+
+
+def _memoize(digest: str, arenas: List[PackedCoreTrace]) -> None:
+    """Keep ``arenas`` as the most recently used memo entry."""
+    _MEMO.pop(digest, None)
+    _MEMO[digest] = arenas
+    while len(_MEMO) > MEMO_ENTRIES:
+        _MEMO.popitem(last=False)
 
 
 class CompiledWorkload:
@@ -140,9 +156,8 @@ def compile_workload(
         arenas = _MEMO.get(digest)
         if arenas is None:
             arenas = cache.load(digest, key)
-            if arenas is not None:
-                _MEMO[digest] = arenas
         if arenas is not None:
+            _memoize(digest, arenas)
             _count("trace_compile_hits")
             logger.info(
                 "compiled-trace cache hit: %s (%d cores × %d records)",
@@ -161,7 +176,7 @@ def compile_workload(
         # cache with workers instead of holding a private heap copy
         arenas = cache.load(digest, key)
         if arenas is not None:
-            _MEMO[digest] = arenas
+            _memoize(digest, arenas)
             cores = arenas
         logger.info(
             "compiled %s: %d cores × %d records -> %s",

@@ -9,6 +9,9 @@ an :class:`Executor` that
   serial in-process fallback (``workers == 1``, or no usable
   ``multiprocessing`` start method) — results are **bit-identical** either
   way, because all randomness is derived from the job spec itself;
+* runs the service's jobs one at a time on a warm forked worker
+  (:meth:`Executor.run_job_guarded`) that kills overdue jobs and turns
+  crashes into typed failures;
 * memoises completed jobs in an on-disk :class:`ResultCache` keyed by a
   stable SHA-256 digest of the job spec plus the code version, so repeat
   figure regenerations short-circuit to a JSON read;
@@ -27,13 +30,12 @@ import hashlib
 import json
 import multiprocessing
 import os
+import signal
 import tempfile
+import threading
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    TimeoutError as FutureTimeoutError,
-)
+import weakref
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -79,8 +81,8 @@ class JobFailure:
     produce one.  ``kind`` is one of
 
     * ``"worker-crash"`` — the worker process died mid-job (OOM kill,
-      segfault, ``os.kill``); the pool was respawned and the rest of the
-      batch completed.  Retryable: the crash may be environmental.
+      segfault, ``os.kill``); the worker was replaced and the rest of
+      the batch completed.  Retryable: the crash may be environmental.
     * ``"timeout"`` — the job exceeded its wall-clock budget and its
       worker was killed (:meth:`Executor.run_job_guarded` only).
     * ``"error"`` — the job raised an ordinary exception; deterministic,
@@ -97,11 +99,15 @@ class JobFailure:
 
     @classmethod
     def from_exception(cls, job: "SimJob", exc: BaseException) -> "JobFailure":
+        return cls.error(job, f"{type(exc).__name__}: {exc}")
+
+    @classmethod
+    def error(cls, job: "SimJob", message: str) -> "JobFailure":
         return cls(
             workload=job.workload,
             prefetcher=job.prefetcher,
             kind="error",
-            message=f"{type(exc).__name__}: {exc}",
+            message=message,
             digest=job.digest(),
         )
 
@@ -545,6 +551,51 @@ def _pool_context() -> Optional[multiprocessing.context.BaseContext]:
     return None  # pragma: no cover - platform dependent
 
 
+#: held across a warm worker's fork and the parent's close of the
+#: worker's pipe end: a sibling forked in between would inherit that end
+#: and hide the worker's death (EOF) from the parent
+_FORK_LOCK = threading.Lock()
+
+
+def _warm_worker_loop(conn, parent_end) -> None:
+    """Body of an executor's warm worker process (single-threaded).
+
+    Runs ``(runner, job)`` requests from ``conn`` one at a time and
+    answers ``("ok", result)`` or ``("error", message)``.  Leaves when the
+    pipe reports EOF or when the parent dies (``os.getppid`` changes), so
+    a SIGKILLed daemon leaves no orphan behind.  SIGINT is ignored: a
+    Ctrl-C at the daemon's terminal starts its drain, which lets the
+    running job finish.
+    """
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = os.getppid()
+    while True:
+        try:
+            if not conn.poll(1.0):
+                if os.getppid() != parent:
+                    return
+                continue
+            runner, job = conn.recv()
+            try:
+                reply = ("ok", runner(job))
+            except Exception as exc:
+                reply = ("error", f"{type(exc).__name__}: {exc}")
+            conn.send(reply)
+        except (EOFError, OSError):
+            return
+
+
+def _stop_worker(process, conn, owner: int) -> None:
+    """SIGKILL and reap a warm worker.  Only the process that forked it
+    acts: later forks inherit this callback along with the executor."""
+    if os.getpid() != owner:
+        return
+    process.kill()
+    process.join(timeout=5.0)
+    conn.close()
+
+
 class Executor:
     """Runs batches of :class:`SimJob`\\ s with caching and parallelism.
 
@@ -557,7 +608,8 @@ class Executor:
     ``cache_skipped`` (uncacheable side-effecting jobs), ``executed``,
     ``run_seconds`` (wall-clock of the execution phase), ``failures`` /
     ``worker_crashes`` / ``timeouts`` (jobs that produced a
-    :class:`JobFailure` instead of a result), and — for
+    :class:`JobFailure` instead of a result), ``cache_store_errors``
+    (guarded results the cache could not store), and — for
     in-process execution — ``trace_compile_hits``/``trace_compile_misses``
     from the compiled-trace cache (worker processes report theirs via
     the ``repro.sim.compile`` log instead; counters do not cross the
@@ -583,6 +635,45 @@ class Executor:
         self.cache = cache
         self.check = check
         self.stats = stats if stats is not None else StatGroup("executor")
+        #: :meth:`run_job_guarded`'s warm worker: ``(process, pipe end)``
+        self._worker = None
+        #: kills the worker when the executor is closed or collected
+        self._finalizer: Optional[weakref.finalize] = None
+
+    def start_worker(self) -> None:
+        """Fork :meth:`run_job_guarded`'s warm worker now unless a live
+        one exists (otherwise the next guarded job forks it).  The
+        service and the worker agent call this before they start any
+        thread, so the long-lived worker cannot inherit a lock that a
+        thread held at fork time."""
+        if self._worker is not None and self._worker[0].is_alive():
+            return
+        context = _pool_context()
+        if context is None:  # pragma: no cover - platform dependent
+            return
+        self.close()
+        parent_end, child_end = context.Pipe()
+        process = context.Process(
+            target=_warm_worker_loop,
+            args=(child_end, parent_end),
+            name="executor-worker",
+            daemon=True,
+        )
+        with _FORK_LOCK:
+            process.start()
+            child_end.close()
+        self._worker = (process, parent_end)
+        self._finalizer = weakref.finalize(
+            self, _stop_worker, process, parent_end, os.getpid()
+        )
+
+    def close(self) -> None:
+        """Kill and reap the warm worker, if any.  Idempotent; a later
+        guarded job forks a new one."""
+        if self._finalizer is not None:
+            self._finalizer()
+        self._finalizer = None
+        self._worker = None
 
     def run_job(self, job: SimJob) -> SimResult:
         return self.run_jobs([job])[0]
@@ -668,17 +759,23 @@ class Executor:
     ) -> Union[SimResult, JobFailure]:
         """Run one job under the full robustness envelope; never raises.
 
-        The job executes in a disposable single-process pool, so a crash
-        is unambiguously attributable and ``timeout`` (wall-clock
-        seconds) is enforceable: an overdue worker is killed, not just
-        abandoned, and the outcome is a typed :class:`JobFailure` of kind
-        ``"timeout"``.  The result cache is consulted and populated
-        exactly as in :meth:`run_jobs`.  This is the hook
-        :mod:`repro.serve` dispatches through — one call per queue slot,
-        each slot owning its own :class:`Executor` so counters need no
-        locks.  When the platform has no multiprocessing start method the
-        job runs in-process: crashes then take the whole process (nothing
-        to isolate) and the timeout cannot be enforced.
+        The job executes on this executor's warm worker, a process
+        forked once (by :meth:`start_worker` or the first guarded job)
+        that runs one job at a time, so a crash is unambiguously
+        attributable (a ``"worker-crash"`` :class:`JobFailure`) and
+        ``timeout`` (wall-clock seconds) is enforceable: an overdue
+        worker is killed, not just abandoned (``"timeout"``).  The next
+        job forks a replacement for a killed or dead worker; Ctrl-C kills
+        the worker and propagates.  The result cache is consulted and
+        populated exactly as in :meth:`run_jobs`, except that a store
+        failing with ``OSError`` (disk full) is counted as
+        ``cache_store_errors`` and the result still returned.  This is
+        the hook :mod:`repro.serve` dispatches through — one call per
+        queue slot, each slot owning its own :class:`Executor` so
+        counters need no locks.  When the platform has no
+        multiprocessing start method the job runs in-process: crashes
+        then take the whole process (nothing to isolate) and the timeout
+        cannot be enforced.
 
         ``cache`` overrides the executor's own cache for this one call —
         anything with ``ResultCache``'s ``load``/``store`` shape works
@@ -700,16 +797,15 @@ class Executor:
             self.stats.add("cache_skipped")
 
         runner = execute_job_checked if self.check else execute_job
-        context = _pool_context()
         start = time.perf_counter()
         try:
-            if context is None:  # pragma: no cover - platform dependent
+            if _pool_context() is None:  # pragma: no cover - platform dependent
                 try:
                     result: Union[SimResult, JobFailure] = runner(job)
                 except Exception as exc:
                     result = JobFailure.from_exception(job, exc)
             else:
-                result = self._run_guarded_in_pool(runner, job, timeout, context)
+                result = self._run_on_worker(runner, job, timeout)
         finally:
             self.stats.add("run_seconds", time.perf_counter() - start)
         self.stats.add("executed")
@@ -720,34 +816,38 @@ class Executor:
             elif result.kind == "timeout":
                 self.stats.add("timeouts")
         elif cache is not None and job.cacheable and not self.check:
-            cache.store(job, result)
+            try:
+                cache.store(job, result)
+            except OSError:
+                self.stats.add("cache_store_errors")
         return result
 
-    def _run_guarded_in_pool(
-        self, runner, job: SimJob, timeout: Optional[float], context
+    def _run_on_worker(
+        self, runner, job: SimJob, timeout: Optional[float]
     ) -> Union[SimResult, JobFailure]:
-        pool = ProcessPoolExecutor(max_workers=1, mp_context=context)
+        self.start_worker()
+        process, conn = self._worker
         try:
-            future = pool.submit(runner, job)
-            try:
-                return future.result(timeout)
-            except FutureTimeoutError:
-                _terminate_pool(pool)
+            conn.send((runner, job))
+            if not conn.poll(timeout):
+                self.close()
                 return JobFailure.timeout(job, timeout or 0.0)
-            except BrokenExecutor as exc:
-                return JobFailure.crash(
-                    job, f"worker process died mid-job ({exc or 'no detail'})"
-                )
-            except Exception as exc:
-                return JobFailure.from_exception(job, exc)
+            status, payload = conn.recv()
+        except (EOFError, OSError):
+            self.close()
+            return JobFailure.crash(
+                job,
+                f"worker process died mid-job (exit code {process.exitcode})",
+            )
         except BaseException:
-            # KeyboardInterrupt/SystemExit: leave no orphaned workers or
-            # half-written cache entries behind (stores are atomic, and
+            # KeyboardInterrupt/SystemExit: leave no orphaned worker or
+            # half-written cache entry behind (stores are atomic, and
             # nothing reaches the cache from here).
-            _terminate_pool(pool)
+            self.close()
             raise
-        finally:
-            pool.shutdown(wait=True)
+        if status == "ok":
+            return payload
+        return JobFailure.error(job, payload)
 
     def _execute(
         self, jobs: List[SimJob], collect: bool = False

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
 import threading
@@ -70,6 +71,30 @@ def _no_leaked_service_threads():
         )
 
 
+@pytest.fixture(autouse=True)
+def _no_leaked_child_processes():
+    """Fail a test that leaves a ``multiprocessing`` child alive after
+    its teardown: an executor's warm worker it never closed, or a pool
+    it never shut down.
+
+    Children on their way out (a worker killed by its executor's
+    finalizer) get a few seconds' grace; children alive before the test
+    are not its fault.
+    """
+    before = set(multiprocessing.active_children())
+    yield
+    deadline = time.monotonic() + 5.0
+    leaked = set(multiprocessing.active_children()) - before
+    while leaked and time.monotonic() < deadline:
+        time.sleep(0.05)
+        leaked = {child for child in leaked if child.is_alive()}
+    if leaked:
+        pytest.fail(
+            "test leaked child processes: "
+            + ", ".join(sorted(f"{c.name} (pid {c.pid})" for c in leaked))
+        )
+
+
 @pytest.fixture
 def amap() -> AddressMap:
     """The paper's geometry: 64 B blocks, 2 KB regions, 4 KB pages."""
@@ -102,11 +127,12 @@ def _register_fault_workloads() -> None:
     """Register single-core workloads that misbehave on purpose.
 
     Registered in the *test* process; executor worker processes see them
-    because the pool prefers the ``fork`` start method (tests that rely
-    on them skip when fork is unavailable).  ``crash_once`` coordinates
-    through a sentinel file under ``$REPRO_FAULT_DIR`` so the first
-    attempt SIGKILLs its worker and every later attempt succeeds — the
-    shape of a transient OOM kill.
+    because executors fork their workers (tests that rely on them skip
+    when fork is unavailable) — so register them, and set
+    ``$REPRO_FAULT_DIR``, before a service starts.  ``crash_once``
+    coordinates through a sentinel file under ``$REPRO_FAULT_DIR`` so
+    the first attempt SIGKILLs its worker and every later attempt
+    succeeds — the shape of a transient OOM kill.
     """
     import signal
     import time as _time

@@ -265,6 +265,51 @@ class TestWorkStealing:
         assert coord.snapshot()["steals"] == 1
 
 
+
+class TestReportFailures:
+    """A report the frontend cannot take in never strands its job."""
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [{"result": {"not": "a result"}}, {"failure": "not an object"}],
+        ids=["malformed-result", "malformed-failure"],
+    )
+    def test_malformed_report_leaves_the_lease_to_expire(
+        self, cluster, outcome
+    ):
+        service, coord, clock = cluster
+        coord.register("w1")
+        record, _ = service.submit(make_job(seed=6))
+        lease = coord.lease("w1")
+        with pytest.raises(ValueError):
+            coord.report("w1", lease["id"], record.id, **outcome)
+        assert record.state is JobState.RUNNING
+        assert coord.snapshot()["leases_inflight"] == 1
+        clock.advance(10.1)  # past lease_ttl
+        assert coord.reap() == 1
+        assert record.state is JobState.PENDING
+
+    def test_store_error_still_resolves_the_job(
+        self, cluster, result_one, monkeypatch
+    ):
+        service, coord, _ = cluster
+
+        def disk_full(digest, result):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(coord.cache, "put", disk_full)
+        coord.register("w1")
+        record, _ = service.submit(make_job(seed=1))
+        lease = coord.lease("w1")
+        accepted = coord.report(
+            "w1", lease["id"], record.id, result=result_one.to_dict()
+        )
+        assert accepted is True
+        assert record.state is JobState.DONE
+        assert record.result.to_dict() == result_one.to_dict()
+        assert coord.stats.get("cache_put_errors") == 1
+        assert coord.snapshot()["leases_inflight"] == 0
+
 class TestLeaseExpiry:
     def test_expired_lease_reclaims_job(self, cluster):
         service, coord, clock = cluster

@@ -120,6 +120,32 @@ class TestRemoteExecution:
         assert final["error"]["node"] == "agent-err"
 
 
+    def test_local_store_error_neither_loses_the_result_nor_the_slot(
+        self, frontend, tmp_path
+    ):
+        service, url = frontend
+        agent = start_agent(url, tmp_path, "agent-full")
+
+        def disk_full(digest, result):
+            raise OSError(28, "No space left on device")
+
+        agent._local_cache.put = disk_full
+        try:
+            job = make_job(seed=5)
+            record, _ = service.submit(job)
+            final = ServiceClient(url, timeout=10.0).wait(
+                record.id, timeout=30.0
+            )
+            slots = [t for t in agent._threads if t.name == "worker-slot-0"]
+            slot_alive = slots[0].is_alive()
+        finally:
+            agent.stop(timeout=10.0)
+        assert final["state"] == "done", final.get("error")
+        assert final["result"] == execute_job(job).to_dict()
+        assert slot_alive, "the store error ended the slot thread"
+        slot = agent.snapshot()["counters"]["executor"]["slot0"]
+        assert slot["cache_store_errors"] == 1
+
 class TestSharedResultCache:
     def test_second_node_dedupes_via_frontend_cache(self, frontend, tmp_path):
         service, url = frontend

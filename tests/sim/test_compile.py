@@ -9,6 +9,7 @@ loop's.  Everything here enforces that property from a different angle.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import replace
 from itertools import islice
 
@@ -27,6 +28,7 @@ from repro.sim.compile import (
     pack_records,
     trace_key,
 )
+from repro.sim.compile import workload as compiled_module
 from repro.sim.compile.cache import key_digest
 from repro.sim.executor import Executor, SimJob, execute_job
 from repro.sim.runner import run_simulation
@@ -187,6 +189,42 @@ class TestTraceCache:
         after = compile_counters()
         assert after["trace_compile_misses"] - before["trace_compile_misses"] == 1
         assert after["trace_compile_hits"] - before["trace_compile_hits"] == 1
+
+    def test_memo_keeps_the_most_recently_used_identities(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(compiled_module, "_MEMO", OrderedDict())
+        limit = compiled_module.MEMO_ENTRIES
+        cache = TraceCache(tmp_path)
+        sources = [
+            make_workload("streaming", seed=seed, scale=SCALE)
+            for seed in range(limit + 1)
+        ]
+
+        def compile_one(source):
+            compile_workload(source, records_per_core=16, scale=SCALE,
+                             cache=cache)
+
+        def digest_of(source):
+            return key_digest(trace_key(source.name, source.seed, SCALE,
+                                        source.num_cores, 16))
+
+        for source in sources[:limit]:
+            compile_one(source)
+        compile_one(sources[0])  # a memo hit makes it the most recent
+        compile_one(sources[limit])
+        memo = compiled_module._MEMO
+        assert len(memo) == limit
+        assert digest_of(sources[0]) in memo
+        assert digest_of(sources[1]) not in memo, "LRU entry not evicted"
+
+        before = compile_counters()
+        compile_one(sources[1])
+        after = compile_counters()
+        assert after["trace_compile_hits"] - before["trace_compile_hits"] == 1
+        assert after["trace_compile_misses"] == before["trace_compile_misses"]
+        assert digest_of(sources[1]) in memo
+        assert len(memo) == limit
 
     def test_scale_none_stays_in_memory(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

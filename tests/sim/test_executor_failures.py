@@ -5,11 +5,16 @@ builds on: a worker process dying mid-job must cost exactly that job
 (typed :class:`JobFailure`), never the batch; overdue guarded jobs must
 have their workers *killed*, not abandoned; and interrupting a batch
 must leave no orphaned pool processes and no half-written cache
-entries.
+entries.  Guarded jobs run job after job on one warm worker per
+executor, whose lifetime is bounded by the executor's (``close``,
+garbage collection) and by its parent's (a SIGKILLed owner leaves no
+orphan).
 """
 
+import gc
 import multiprocessing
 import os
+import signal
 import threading
 import time
 
@@ -232,6 +237,208 @@ class TestInterruption:
         for job in jobs:
             assert cache.load(job) is None
 
+
+def worker_of(executor: Executor):
+    """The executor's warm worker process (``None`` before the first)."""
+    return executor._worker[0] if executor._worker is not None else None
+
+
+def pid_alive(pid: int) -> bool:
+    """False once ``pid`` has exited, zombie or reaped."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+def _own_a_warm_worker(conn) -> None:
+    """Helper process body: fork a warm worker, then a bystander that
+    inherits this process's end of the worker's pipe — so the worker
+    sees no EOF when this process dies — report both pids, and idle."""
+    executor = Executor(workers=1)
+    executor.start_worker()
+    bystander = os.fork()
+    if bystander == 0:
+        time.sleep(600)
+        os._exit(0)
+    conn.send((worker_of(executor).pid, bystander))
+    time.sleep(600)
+
+
+@needs_fork
+class TestWarmWorker:
+    def test_job_after_job_in_one_process_matches_in_process_runs(self):
+        a = ok_job(seed=101)
+        b = SimJob.build(
+            "em3d",
+            prefetcher="bingo",
+            system=small_system(num_cores=4),
+            instructions_per_core=1500,
+            warmup_instructions=0,
+            seed=102,
+            scale=0.02,
+        )
+        executor = Executor(workers=1)
+        pids = []
+        for job in (a, b, a):
+            result = executor.run_job_guarded(job)
+            assert not isinstance(result, JobFailure), result
+            assert result.to_dict() == execute_job(job).to_dict()
+            pids.append(worker_of(executor).pid)
+        assert len(set(pids)) == 1, "each job should reuse the warm worker"
+        assert pids[0] != os.getpid()
+        assert executor.stats.get("executed") == 3
+        executor.close()
+
+    def test_error_keeps_the_worker(self, fault_dir):
+        executor = Executor(workers=1)
+        executor.start_worker()
+        before = worker_of(executor)
+        outcome = executor.run_job_guarded(fault_job("raise_always"))
+        assert isinstance(outcome, JobFailure) and outcome.kind == "error"
+        assert outcome.message == "RuntimeError: deterministic workload bug"
+        assert worker_of(executor) is before and before.is_alive()
+        executor.close()
+
+    def test_crash_names_the_exit_code_and_next_job_gets_a_new_worker(
+        self, fault_dir
+    ):
+        executor = Executor(workers=1)
+        executor.start_worker()
+        crashed = worker_of(executor)
+        outcome = executor.run_job_guarded(fault_job("crash_always"))
+        assert isinstance(outcome, JobFailure)
+        assert outcome.kind == "worker-crash"
+        assert "exit code -9" in outcome.message
+        assert not crashed.is_alive()
+        assert worker_of(executor) is None
+        again = executor.run_job_guarded(ok_job(seed=103))
+        assert not isinstance(again, JobFailure)
+        assert worker_of(executor).pid != crashed.pid
+        executor.close()
+
+    def test_timeout_replaces_the_worker(self, fault_dir):
+        executor = Executor(workers=1)
+        executor.start_worker()
+        killed = worker_of(executor)
+        outcome = executor.run_job_guarded(
+            fault_job("sleep_forever"), timeout=0.3
+        )
+        assert isinstance(outcome, JobFailure) and outcome.kind == "timeout"
+        assert not killed.is_alive()
+        again = executor.run_job_guarded(ok_job(seed=104))
+        assert not isinstance(again, JobFailure)
+        executor.close()
+
+    def test_worker_dead_while_idle_is_replaced_before_the_job(self):
+        executor = Executor(workers=1)
+        executor.start_worker()
+        idle = worker_of(executor)
+        os.kill(idle.pid, signal.SIGKILL)
+        idle.join(5.0)
+        outcome = executor.run_job_guarded(ok_job(seed=105))
+        assert not isinstance(outcome, JobFailure), outcome
+        assert executor.stats.get("worker_crashes") == 0
+        executor.close()
+
+    def test_worker_ignores_sigint(self):
+        # Ctrl-C reaches the daemon's whole process group; the daemon
+        # drains, and the worker must live to finish its job
+        executor = Executor(workers=1)
+        assert not isinstance(executor.run_job_guarded(ok_job(seed=107)),
+                              JobFailure)
+        worker = worker_of(executor)
+        os.kill(worker.pid, signal.SIGINT)
+        outcome = executor.run_job_guarded(ok_job(seed=108))
+        assert not isinstance(outcome, JobFailure), outcome
+        assert worker_of(executor) is worker and worker.is_alive()
+        executor.close()
+
+    def test_interrupt_kills_the_worker_and_propagates(self, fault_dir):
+        executor = Executor(workers=1)
+        executor.start_worker()
+        worker = worker_of(executor)
+        # a real SIGINT (what Ctrl-C sends), to this process only
+        timer = threading.Timer(0.5, os.kill, (os.getpid(), signal.SIGINT))
+        timer.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                executor.run_job_guarded(fault_job("sleep_forever"))
+        finally:
+            timer.cancel()
+        assert not worker.is_alive()
+        assert worker_of(executor) is None
+
+    def test_close_is_idempotent_and_reaps(self):
+        executor = Executor(workers=1)
+        executor.start_worker()
+        worker = worker_of(executor)
+        executor.close()
+        executor.close()
+        assert not worker.is_alive()
+        assert worker.exitcode is not None
+        assert worker not in multiprocessing.active_children()
+
+    def test_collected_executor_leaves_no_worker(self):
+        # the second worker, forked later, holds a copy of the first
+        # one's pipe end: no EOF reaches the first, only the finalizer
+        first, second = Executor(workers=1), Executor(workers=1)
+        first.start_worker()
+        second.start_worker()
+        worker = worker_of(first)
+        del first
+        gc.collect()
+        assert not worker.is_alive()
+        second.close()
+
+    def test_store_error_still_returns_the_result(self, tmp_path):
+        class FullDisk(ResultCache):
+            def put(self, digest, result):
+                raise OSError(28, "No space left on device")
+
+        job = ok_job(seed=106)
+        executor = Executor(workers=1, cache=FullDisk(tmp_path))
+        result = executor.run_job_guarded(job)
+        assert not isinstance(result, JobFailure), result
+        assert result.to_dict() == execute_job(job).to_dict()
+        assert executor.stats.get("cache_store_errors") == 1
+        executor.close()
+
+
+@needs_fork
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="reads process state from /proc"
+)
+def test_worker_exits_when_its_owner_is_sigkilled():
+    context = multiprocessing.get_context("fork")
+    parent_end, child_end = context.Pipe()
+    owner = context.Process(target=_own_a_warm_worker, args=(child_end,))
+    owner.start()
+    child_end.close()
+    orphans = []
+    try:
+        assert parent_end.poll(30.0), "owner never reported its worker"
+        orphans = list(parent_end.recv())
+        worker_pid, bystander = orphans
+        assert pid_alive(worker_pid)
+        owner.kill()
+        owner.join(10.0)
+        deadline = time.monotonic() + 5.0
+        while pid_alive(worker_pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not pid_alive(worker_pid), "the orphaned worker outlived 5 s"
+        assert pid_alive(bystander), "EOF, not the lost parent, ended it"
+    finally:
+        parent_end.close()
+        owner.kill()
+        owner.join(10.0)
+        for pid in orphans:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 class TestCorruptCacheEviction:
     def test_truncated_entry_is_deleted_and_misses(self, tmp_path):

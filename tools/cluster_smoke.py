@@ -11,7 +11,9 @@ processes, real HTTP, a real SIGKILL:
 3. start two ``bingo-sim worker`` agents with *separate* cache dirs
    and wait until both register;
 4. SIGKILL one worker mid-run — its leases must expire and the jobs
-   must be reclaimed and finished by the survivor;
+   must be reclaimed and finished by the survivor, and the killed
+   agent's child processes (its slot's warm worker) must exit within
+   5 s instead of lingering as orphans;
 5. assert every job completes with results **bit-identical** to
    running the same specs in-process, and that the frontend itself
    executed nothing (``workers=0``);
@@ -39,11 +41,13 @@ import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from repro.common.config import small_system  # noqa: E402
 from repro.serve.client import ServiceClient, ServiceError  # noqa: E402
 from repro.serve.jobs import job_from_wire  # noqa: E402
 from repro.sim.executor import ResultCache, execute_job  # noqa: E402
+from serve_smoke import child_pids, lingering  # noqa: E402
 
 HEALTH_DEADLINE = 60.0
 REGISTER_DEADLINE = 30.0
@@ -187,6 +191,7 @@ def main() -> int:
                 REGISTER_DEADLINE,
                 "smoke-w1 to hold a lease",
             )
+            children = child_pids(workers["smoke-w1"].pid)
             workers["smoke-w1"].kill()
             workers["smoke-w1"].wait(timeout=10)
             # let any report that was already on the wire land, then count
@@ -198,6 +203,13 @@ def main() -> int:
             )
             print(f"ok: SIGKILLed smoke-w1 mid-run "
                   f"({orphaned} lease(s) orphaned)")
+            left = lingering(children)
+            if left:
+                print(f"FAIL: smoke-w1's children {left} outlived it",
+                      file=sys.stderr)
+                return 1
+            print(f"ok: all {len(children)} child process(es) of smoke-w1 "
+                  "exited after the kill")
 
             sweep_end = time.monotonic() + SWEEP_DEADLINE
             finals = [

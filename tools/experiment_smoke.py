@@ -32,7 +32,7 @@ import time
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro.serve.client import ServiceClient  # noqa: E402
+from repro.serve.client import ServiceClient, ServiceUnavailable  # noqa: E402
 
 HEALTH_DEADLINE = 60.0
 EXPERIMENT_DEADLINE = 300.0
@@ -64,7 +64,7 @@ def wait_healthy(client: ServiceClient) -> None:
     while time.monotonic() < deadline:
         try:
             health = client.health()
-        except OSError:
+        except (OSError, ServiceUnavailable):  # not listening yet
             time.sleep(0.1)
             continue
         if health.get("ok"):

@@ -10,7 +10,8 @@ over real HTTP, shut down with a real SIGTERM:
    result is bit-identical to running the same spec in-process;
 4. submit the identical spec again and assert the daemon answers it
    from the shared result cache (no second simulation);
-5. SIGTERM the daemon and assert it drains cleanly (exit code 0).
+5. SIGTERM the daemon and assert it drains cleanly (exit code 0), and
+   that its child processes (the slot's warm worker) exit with it.
 
 Exit code 0 means the whole sequence held.  Run via ``make serve-smoke``
 or directly: ``PYTHONPATH=src python tools/serve_smoke.py``.
@@ -36,12 +37,57 @@ from repro.sim.executor import execute_job  # noqa: E402
 HEALTH_DEADLINE = 60.0
 JOB_DEADLINE = 120.0
 DRAIN_DEADLINE = 30.0
+#: how long a dead daemon's or agent's children may take to exit
+ORPHAN_DEADLINE = 5.0
 
 
 def free_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
+
+
+def _proc_stat(pid: int):
+    """``(state, ppid)`` from ``/proc/<pid>/stat``, or ``None`` once the
+    process is gone (or on a platform without ``/proc``)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+    return fields[0], int(fields[1])
+
+
+#: process states of a process that has exited (a zombie has, too)
+EXITED = ("Z", "X")
+
+
+def _running(pid: int) -> bool:
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] not in EXITED
+
+
+def child_pids(pid: int) -> list:
+    """The running children of ``pid``, read from ``/proc`` (empty on a
+    platform without it)."""
+    if not os.path.isdir("/proc"):
+        return []
+    children = []
+    for entry in os.listdir("/proc"):
+        stat = _proc_stat(int(entry)) if entry.isdigit() else None
+        if stat is not None and stat[1] == pid and stat[0] not in EXITED:
+            children.append(int(entry))
+    return children
+
+
+def lingering(pids, deadline: float = ORPHAN_DEADLINE) -> list:
+    """Those of ``pids`` still running after up to ``deadline`` seconds."""
+    end = time.monotonic() + deadline
+    while True:
+        alive = [pid for pid in pids if _running(pid)]
+        if not alive or time.monotonic() >= end:
+            return alive
+        time.sleep(0.05)
 
 
 def main() -> int:
@@ -117,6 +163,7 @@ def main() -> int:
                 return 1
             print("ok: identical re-submission answered from the cache")
 
+            children = child_pids(daemon.pid)
             daemon.send_signal(signal.SIGTERM)
             try:
                 code = daemon.wait(timeout=DRAIN_DEADLINE)
@@ -129,6 +176,13 @@ def main() -> int:
                       file=sys.stderr)
                 return 1
             print("ok: SIGTERM drained cleanly (exit 0)")
+            left = lingering(children)
+            if left:
+                print(f"FAIL: daemon children {left} outlived its drain",
+                      file=sys.stderr)
+                return 1
+            print(f"ok: all {len(children)} daemon child process(es) "
+                  "exited with the drain")
             print("PASS: service smoke")
             return 0
         finally:
