@@ -287,8 +287,11 @@ def run_misspath_smoke(
     Two miss-dense points (``MISSPATH_SMOKE_POINTS``), each run by the
     fast loop, by the general loop over the same compiled trace, and by
     the general loop over the generators.  Fails (``ok: False``) if a
-    point does not run the fast loop in native miss-path mode or if any
-    leg's ``SimResult`` diverges field-for-field from the others.
+    point does not run the fast loop in native miss-path mode, if any
+    leg's ``SimResult`` diverges field-for-field from the others, or if
+    a point records no L1 MSHR stall (``mshr`` sums ``stalls`` and
+    ``allocations`` over the cores), so the agreement covers the stall
+    path.
     """
     from dataclasses import replace
 
@@ -298,6 +301,7 @@ def run_misspath_smoke(
         "warmup": warmup,
     }
     divergences: List[str] = []
+    mshr: Dict[str, Dict[str, int]] = {}
     previous_cache = os.environ.get("REPRO_CACHE_DIR")
     with tempfile.TemporaryDirectory(prefix="repro-misspath-") as tmp:
         os.environ["REPRO_CACHE_DIR"] = tmp
@@ -332,6 +336,15 @@ def run_misspath_smoke(
                     divergences.append(
                         f"{workload}/{prefetcher}: fast loop != general loop"
                     )
+                l1ds = [
+                    group["mshr"]
+                    for name, group in vectorized.raw_stats["memsys"].items()
+                    if name.startswith("l1d")
+                ]
+                mshr[f"{workload}/{prefetcher}"] = {
+                    counter: sum(group.get(counter, 0) for group in l1ds)
+                    for counter in ("stalls", "allocations")
+                }
             elapsed = time.perf_counter() - start
         finally:
             if previous_cache is None:
@@ -343,9 +356,11 @@ def run_misspath_smoke(
         vector_tier_runs=runs,
         demoted_ineligible_policy=fallback,
         divergences=divergences,
+        mshr=mshr,
         ok=runs == len(MISSPATH_SMOKE_POINTS)
         and fallback == 0
-        and not divergences,
+        and not divergences
+        and all(point["stalls"] > 0 for point in mshr.values()),
     )
     return report
 

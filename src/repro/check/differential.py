@@ -522,14 +522,14 @@ def run_check(
     end (``bingo-sim check --compiled``).
 
     ``vectorized=True`` (implies ``compile``) additionally runs the same
-    configuration through the engine's fast loop and diffs its
-    ``SimResult`` field for field against a general-loop run of the
-    compiled trace the harness just vouched for; any mismatch is
-    reported as a ``vector-replay`` divergence.  The fast loop cannot
-    host the event-level harness directly (it replays L1 hits without
-    emitting events), so the result-level diff against the harnessed
-    reference is exactly the guarantee it claims: byte-identical
-    ``SimResult`` objects.
+    configuration unobserved, on the general loop and on the engine's
+    fast loop, and diffs ``SimResult`` objects field for field: the
+    harnessed run against the unobserved general loop (an ``observer``
+    divergence: the harness changed the run it vouched for) and the fast
+    loop against it (a ``vector-replay`` divergence).  The fast loop
+    cannot host the event-level harness directly (it replays L1 hits
+    without emitting events), so the result-level diffs chain the
+    harness's verdict to it: byte-identical ``SimResult`` objects.
 
     ``replacement`` selects the LLC policy for every engine built here.
     The reference LLC is replacement-agnostic — it mirrors residency
@@ -607,12 +607,12 @@ def run_check(
 
     hierarchy.access = checked_access
     try:
-        engine.run()
+        harnessed = engine.run()
     finally:
         hierarchy.access = real_access
     checker.finish()
     error = invariants.finalize()
-    vector_divergences = []
+    result_divergences = []
     if vectorized:
         params = SimulationParams(
             instructions_per_core=instructions_per_core,
@@ -626,28 +626,33 @@ def run_check(
             workload=workload_obj, prefetcher=prefetcher, system=system,
             params=params, vectorized=True, replacement=replacement,
         ).run()
-        sd, vd = scalar.to_dict(), vector.to_dict()
-        if sd != vd:
-            keys = sorted(
-                key for key in set(sd) | set(vd) if sd.get(key) != vd.get(key)
-            )
-            vector_divergences.append(
-                Divergence(
-                    kind="vector-replay",
-                    detail=(
-                        "fast-loop SimResult differs from the general "
-                        f"loop's in fields: {', '.join(keys)}"
-                    ),
-                    event_index=-1,
+        sd = scalar.to_dict()
+        for kind, other, what in (
+            ("observer", harnessed, "the harnessed run's"),
+            ("vector-replay", vector, "the fast loop's"),
+        ):
+            od = other.to_dict()
+            if od != sd:
+                keys = sorted(
+                    key for key in set(sd) | set(od) if sd.get(key) != od.get(key)
                 )
-            )
+                result_divergences.append(
+                    Divergence(
+                        kind=kind,
+                        detail=(
+                            f"{what} SimResult differs from the unobserved "
+                            f"general loop's in fields: {', '.join(keys)}"
+                        ),
+                        event_index=-1,
+                    )
+                )
     return CheckReport(
         workload=workload,
         prefetcher=prefetcher,
         accesses=state["accesses"],
         events=checker._events,
         l1_divergences=state["l1_divergences"],
-        divergences=checker.divergences + vector_divergences,
+        divergences=checker.divergences + result_divergences,
         violations=list(error.violations) if error else [],
         explained=dict(checker.explained),
     )

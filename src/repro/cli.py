@@ -189,10 +189,10 @@ def _build_parser() -> argparse.ArgumentParser:
                               "the differential harness consumes packed "
                               "traces instead of live generators")
     check_p.add_argument("--vectorized", action="store_true",
-                         help="check the engine's fast loop: the same "
-                              "run replayed by the fast loop (implies "
-                              "--compiled) must match the harnessed "
-                              "general-loop run field for field")
+                         help="check the engine's fast loop: the "
+                              "harnessed run, the same run unobserved "
+                              "and the fast loop's replay (implies "
+                              "--compiled) must match field for field")
     check_p.add_argument("--replacement", default="lru",
                          choices=available_replacements(),
                          help="LLC replacement policy for the checked "

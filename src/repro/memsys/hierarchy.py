@@ -268,11 +268,10 @@ class MemoryHierarchy:
         # L1 MSHR: merge with an outstanding miss to the same block, or
         # stall if the file is full.
         mshr = self.l1_mshrs[core_id]
-        merged = mshr.merge(block, now)
+        merged, start = mshr.acquire(block, now)
         if merged is not None:
             latency = (merged - now) + cfg.l1d.hit_latency
             return AccessResult(latency=latency, llc_hit=True)
-        start = mshr.reserve(now)
         issue = start + cfg.l1d.hit_latency
 
         # ---- LLC (demand) ----

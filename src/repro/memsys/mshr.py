@@ -5,29 +5,44 @@ flight (Table I: 8 entries at the L1).  In our latency-based model it has
 two jobs: *merging* (a second miss to a block already in flight piggybacks
 on the first) and *back-pressure* (a miss issued while all entries are busy
 stalls until the oldest outstanding miss completes).
+
+Both engine loops go through :meth:`MshrFile.acquire` and
+:meth:`MshrFile.commit`, so the stall rule lives in this module only.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Optional
+from bisect import bisect_left, bisect_right, insort
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.stats import StatGroup
 
+_INF = float("inf")
+
 
 class MshrFile:
-    """Tracks outstanding misses as ``block -> completion_time``.
+    """Tracks outstanding misses in two sorted lists.
 
-    Times are core cycles (floats are accepted; ordering is what matters).
-    Entries whose completion time has passed are garbage-collected lazily
-    on each call, so the structure never grows beyond the live misses plus
-    at most the stalled reservations issued against them.
+    ``_live`` holds every registered miss as ``(finish, block)`` in
+    completion order (``_inflight`` maps ``block -> finish`` for the
+    merge probe), and ``_stalled`` holds the stalled reservations whose
+    entry claim was still in the future at registration, as
+    ``(start, block)`` in start order.  Times are core cycles (floats are
+    accepted; ordering is what matters).
 
-    A stalled reservation (:meth:`reserve` on a full file) never removes
-    the blocking entries: they remain visible to :meth:`lookup`/:meth:`merge`
-    until their real completion times, exactly like hardware, where a
-    stalled miss waits in the queue while the oldest outstanding miss
-    finishes its fill.
+    Each merge or reservation at ``now`` first pops the prefix of
+    ``_live`` that completed at or before ``now`` and the prefix of
+    ``_stalled`` whose starts ``now`` has reached.  A stalled miss starts
+    before it finishes, so ``_stalled`` never holds more entries than
+    ``_live``.
+
+    A stalled reservation never removes the blocking entries: they remain
+    visible to :meth:`merge` until their real completion times, exactly
+    like hardware, where a stalled miss waits in the queue while the
+    oldest outstanding miss finishes its fill.
+
+    :meth:`occupancy` and :meth:`outstanding` only read: probing the file
+    at any time leaves every later answer unchanged.
     """
 
     def __init__(self, entries: int, stats: Optional[StatGroup] = None) -> None:
@@ -36,31 +51,28 @@ class MshrFile:
         self.entries = entries
         self.stats = stats if stats is not None else StatGroup("mshr")
         self._inflight: Dict[int, float] = {}
-        self._starts: Dict[int, float] = {}
-        self._heap: List[tuple] = []  # (completion_time, block)
-        # Stalled reservations only: (start_time, block) ordered by start.
-        # ``_starts`` holds the authoritative value; heap entries whose
-        # start no longer matches it are stale and skipped on pop.
-        self._pending: List[tuple] = []
-        # High-water mark of ``now``; ``_expire`` is already destructive
-        # under non-monotone time, so the clock bakes in the same
-        # assumption rather than adding a new one.
-        self._clock = float("-inf")
+        self._live: List[Tuple[float, int]] = []
+        self._stalled: List[Tuple[float, int]] = []
+        # High-water mark of ``now``: a committed start after it is a
+        # stall still waiting for its entry.
+        self._clock = -_INF
 
     def _expire(self, now: float) -> None:
+        live = self._live
+        if live and live[0][0] <= now:
+            inflight = self._inflight
+            while live and live[0][0] <= now:
+                del inflight[live.pop(0)[1]]
         if now > self._clock:
             self._clock = now
-        while self._heap and self._heap[0][0] <= now:
-            time, block = heapq.heappop(self._heap)
-            # Stale heap entries (block re-registered later) are skipped.
-            if self._inflight.get(block) == time:
-                del self._inflight[block]
-                self._starts.pop(block, None)
+            stalled = self._stalled
+            while stalled and stalled[0][0] <= now:
+                del stalled[0]
 
     def outstanding(self, now: float) -> int:
-        """Number of misses still in flight at ``now``."""
-        self._expire(now)
-        return len(self._inflight)
+        """Number of registered misses still in flight at ``now``."""
+        live = self._live
+        return len(live) - bisect_right(live, (now, _INF))
 
     def occupancy(self, now: float) -> int:
         """Entries actually *occupied* at ``now``: started but not finished.
@@ -71,65 +83,70 @@ class MshrFile:
         start time.  The invariant checker asserts this never exceeds
         ``entries``.
         """
-        self._expire(now)
-        # Amortized O(1): ``_starts`` holds exactly the live misses whose
-        # entry claim is still in the future, so occupancy is a size
-        # subtraction once starts that have passed are popped.  (After
-        # ``_expire`` every in-flight finish is > now, so the old
-        # per-entry finish check is vacuous.)
-        pending = self._pending
-        starts = self._starts
-        while pending and pending[0][0] <= now:
-            start, block = heapq.heappop(pending)
-            if starts.get(block) == start:
-                del starts[block]
-        return len(self._inflight) - len(starts)
+        key = (now, _INF)
+        live, stalled = self._live, self._stalled
+        return (len(live) - bisect_right(live, key)) - (
+            len(stalled) - bisect_right(stalled, key)
+        )
 
-    def lookup(self, block: int, now: float) -> Optional[float]:
-        """Completion time of an in-flight miss to ``block``, if any."""
-        self._expire(now)
-        time = self._inflight.get(block)
-        if time is not None and time > now:
-            return time
-        return None
+    def acquire(self, block: int, now: float) -> Tuple[Optional[float], float]:
+        """Merge with an in-flight miss to ``block`` or reserve an entry.
 
-    def reserve(self, now: float) -> float:
-        """Find the earliest time a new miss can issue.
-
-        If the file is full at ``now``, the miss stalls until enough of
-        the oldest outstanding misses retire to free an entry; the
-        returned time is when the request actually leaves the cache.  The
-        blocking entries are *not* removed — their completions are still
-        in the future, and later accesses must keep merging with them
-        (they expire on their own once ``now`` passes their completion).
+        Returns ``(finish, now)`` when the miss merges, ``finish`` being
+        the in-flight miss's completion time, and ``(None, start)``
+        otherwise, ``start`` being when the new miss leaves the cache.
+        If the file is full at ``now``, stalled requests are served FIFO,
+        so the ``overflow``-th completion among the live misses is when
+        this one gets an entry.  A reservation is finished by
+        :meth:`commit` with the same ``start``.
         """
         self._expire(now)
-        overflow = len(self._inflight) - self.entries + 1
+        finish = self._inflight.get(block)
+        if finish is not None:
+            self.stats.add("merges")
+            return finish, now
+        live = self._live
+        overflow = len(live) - self.entries + 1
         if overflow <= 0:
-            return now
-        # Stalled requests are served FIFO, so the ``overflow``-th
-        # completion among the live misses is when this one gets a slot.
-        start = heapq.nsmallest(overflow, self._inflight.values())[-1]
+            return None, now
         self.stats.add("stalls")
-        return max(now, start)
+        # after expiry every live finish is later than ``now``
+        return None, live[overflow - 1][0]
+
+    def merge(self, block: int, now: float) -> Optional[float]:
+        """Merge with an in-flight miss; returns its completion time or None."""
+        self._expire(now)
+        finish = self._inflight.get(block)
+        if finish is not None:
+            self.stats.add("merges")
+        return finish
+
+    def reserve(self, now: float) -> float:
+        """The earliest time a new miss can issue (see :meth:`acquire`)."""
+        return self.acquire(None, now)[1]  # block None is never in flight
 
     def commit(self, block: int, finish: float, start: Optional[float] = None) -> None:
         """Register an issued miss that will complete at ``finish``.
 
         ``start`` is when the miss actually claims its entry (the value
-        :meth:`reserve` returned); omitted, the entry is treated as
-        occupied from registration, which is exact for unstalled misses.
+        :meth:`acquire` or :meth:`reserve` returned); omitted, the entry
+        is treated as occupied from registration, which is exact for
+        unstalled misses.  Re-registering a block replaces its entry.
         """
-        self._inflight[block] = finish
-        if start is not None and start > self._clock:
-            # Only stalled reservations have a future start; unstalled
-            # commits (start <= clock) are occupied at once and never
-            # touch the pending heap.
-            self._starts[block] = start
-            heapq.heappush(self._pending, (start, block))
-        else:
-            self._starts.pop(block, None)
-        heapq.heappush(self._heap, (finish, block))
+        inflight = self._inflight
+        old = inflight.get(block)
+        if old is not None:
+            live = self._live
+            del live[bisect_left(live, (old, block))]
+            stalled = self._stalled
+            for index, (_, other) in enumerate(stalled):
+                if other == block:
+                    del stalled[index]
+                    break
+        inflight[block] = finish
+        insort(self._live, (finish, block))
+        if start is not None and self._clock < start < finish:
+            insort(self._stalled, (start, block))
         self.stats.add("allocations")
 
     def allocate(self, block: int, now: float, completion: float) -> float:
@@ -142,10 +159,3 @@ class MshrFile:
         start = self.reserve(now)
         self.commit(block, completion + (start - now), start=start)
         return start
-
-    def merge(self, block: int, now: float) -> Optional[float]:
-        """Merge with an in-flight miss; returns its completion time or None."""
-        time = self.lookup(block, now)
-        if time is not None:
-            self.stats.add("merges")
-        return time

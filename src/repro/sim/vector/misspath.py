@@ -1,17 +1,22 @@
-"""The fast loop's shared miss path: inlined MSHR/LLC/DRAM barrier service.
+"""The fast loop's shared miss path: inlined LLC/DRAM barrier service.
 
 Every barrier of :mod:`repro.sim.vector.replay` is an L1 miss, and all
-of them go through one of two service routines, chosen once per run:
+of them go through one of two service routines, chosen once per run.
+Both open and close the miss with the core's
+:meth:`~repro.memsys.mshr.MshrFile.acquire` and
+:meth:`~repro.memsys.mshr.MshrFile.commit`, exactly as
+``MemoryHierarchy.access`` does, so the merge and stall rules live in
+:mod:`repro.memsys.mshr` only.
 
 * **native** — the LLC uses the cache model's built-in LRU order and no
-  Belady oracle is attached.  The whole miss sequence (MSHR → LLC →
+  Belady oracle is attached.  The rest of the miss sequence (LLC →
   DRAM → prefetcher training) is inlined over hoisted counter cells —
-  no ``AccessResult`` allocation, no method dispatch, no repeated
-  lazy-expiry passes.  The prefetcher trains only when the run has one.
+  no ``AccessResult`` allocation, no method dispatch.  The prefetcher
+  trains only when the run has one.
 * **fallback** — a replacement-policy interface or Belady oracle is
-  active: the MSHR head is inlined and the LLC/DRAM section goes
-  through the real ``MemoryHierarchy._llc_access`` (policies observe
-  every touch).  ``engine_tier_counters()`` counts these runs under
+  active: the LLC/DRAM section goes through the real
+  ``MemoryHierarchy._llc_access`` (policies observe every touch).
+  ``engine_tier_counters()`` counts these runs under
   ``demoted_ineligible_policy``.
 
 The channel-busy and open-row DRAM state is shared across cores and is
@@ -23,8 +28,6 @@ hypothesis property suite.
 """
 
 from __future__ import annotations
-
-import heapq
 
 from repro.common.hashing import mix64
 from repro.memsys.cache import BlockState
@@ -49,8 +52,8 @@ class MissPath:
         self.prefetchers = h.prefetchers
         self._issue_prefetches = h._issue_prefetches
 
-        # hoisted stat cells: the shared LLC set (already cells on the
-        # hierarchy) plus per-core MSHR cells the inline head needs
+        # hoisted stat cells of the shared LLC (already cells on the
+        # hierarchy)
         self.c_demand_accesses = h._c_demand_accesses
         self.c_demand_writes = h._c_demand_writes
         self.c_demand_hits = h._c_demand_hits
@@ -58,10 +61,6 @@ class MissPath:
         self.c_covered = h._c_covered
         self.c_prefetch_hits = h._c_prefetch_hits
         self.c_late_covered = h._c_late_covered
-        # MSHR stats go through StatGroup.add like the originals: the
-        # counters must stay lazily created, or raw_stats would grow
-        # zero-valued keys the general loop never materializes
-        self.mshr_stats = [m.stats for m in h.l1_mshrs]
 
         # DRAM timing scalars + live shared structures (timing_view is
         # the export hook; busy/open_row stay live-mutable references)
@@ -86,47 +85,6 @@ class MissPath:
             self._service_fallback if self.fallback else self._service_native
         )
 
-    # -- the MSHR head and tail, inlined ------------------------------------
-    def _mshr_head(self, mshr, block, now):
-        """Inline expiry + merge probe; None means no merge."""
-        inflight = mshr._inflight
-        if now > mshr._clock:
-            mshr._clock = now
-        mh = mshr._heap
-        if mh and mh[0][0] <= now:
-            pop = heapq.heappop
-            starts = mshr._starts
-            while mh and mh[0][0] <= now:
-                t, b = pop(mh)
-                if inflight.get(b) == t:
-                    del inflight[b]
-                    starts.pop(b, None)
-        t = inflight.get(block)
-        if t is not None and t > now:
-            return t
-        return None
-
-    def _mshr_reserve(self, mshr, core_id, now):
-        """Inline ``MshrFile.reserve`` (post-expiry): stall-adjusted start."""
-        inflight = mshr._inflight
-        overflow = len(inflight) - mshr.entries + 1
-        if overflow <= 0:
-            return now
-        start = heapq.nsmallest(overflow, inflight.values())[-1]
-        self.mshr_stats[core_id].add("stalls")
-        return max(now, start)
-
-    def _mshr_commit(self, mshr, core_id, block, finish, start):
-        """Inline ``MshrFile.commit`` keeping the pending-start heap."""
-        mshr._inflight[block] = finish
-        if start > mshr._clock:
-            mshr._starts[block] = start
-            heapq.heappush(mshr._pending, (start, block))
-        else:
-            mshr._starts.pop(block, None)
-        heapq.heappush(mshr._heap, (finish, block))
-        self.mshr_stats[core_id].add("allocations")
-
     # -- the two service variants -----------------------------------------
     # Each returns (total_latency, filled): the exact latency the
     # ``MemoryHierarchy.access`` miss tail would return, and whether the
@@ -136,11 +94,9 @@ class MissPath:
         h = self.h
         core_id = cs.core_id
         mshr = self.mshrs[core_id]
-        merged = self._mshr_head(mshr, block, now)
+        merged, start = mshr.acquire(block, now)
         if merged is not None:
-            self.mshr_stats[core_id].add("merges")
             return (merged - now) + self.l1_hit, False
-        start = self._mshr_reserve(mshr, core_id, now)
         now2 = start + self.l1_hit
 
         # ---- _llc_access, inlined (native LRU, no oracle, null sink) ----
@@ -194,7 +150,7 @@ class MissPath:
                 )
 
         total = (now2 - now) + self.l1_hit + lat2
-        self._mshr_commit(mshr, core_id, block, now + total, start)
+        mshr.commit(block, now + total, start)
         return total, True
 
     def _service_fallback(self, cs, index, block, vaddr, now, is_write):
@@ -202,16 +158,14 @@ class MissPath:
         h = self.h
         core_id = cs.core_id
         mshr = self.mshrs[core_id]
-        merged = self._mshr_head(mshr, block, now)
+        merged, start = mshr.acquire(block, now)
         if merged is not None:
-            self.mshr_stats[core_id].add("merges")
             return (merged - now) + self.l1_hit, False
-        start = self._mshr_reserve(mshr, core_id, now)
         now2 = start + self.l1_hit
         paddr = (block << self.block_bits) | (vaddr & self.block_mask)
         result = h._llc_access(core_id, cs.pcs[index], paddr, block, now2, is_write)
         total = (now2 - now) + self.l1_hit + result.latency
-        self._mshr_commit(mshr, core_id, block, now + total, start)
+        mshr.commit(block, now + total, start)
         return total, True
 
     # -- shared DRAM residue ----------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from repro.check import run_check
 from repro.core.bingo import BingoPrefetcher
+from repro.memsys.mshr import MshrFile
 
 QUICK = dict(instructions_per_core=3000, warmup_instructions=500)
 
@@ -81,3 +82,23 @@ def test_detects_planted_counter_bug(monkeypatch):
     )
     assert not report.ok
     assert report.violations
+
+
+def test_vectorized_check_passes_on_a_stalling_workload():
+    report = run_check("oscillate", "bingo", vectorized=True)
+    assert report.ok, report.summary()
+
+
+def test_detects_a_perturbing_observer(monkeypatch):
+    """Plant an MSHR probe that expires entries, as ``occupancy`` once
+    did: the invariant checker then changes the run it checks, and the
+    vectorized check must report it rather than vouch for that run."""
+    original = MshrFile.occupancy
+
+    def expiring_occupancy(self, now):
+        self._expire(now)
+        return original(self, now)
+
+    monkeypatch.setattr(MshrFile, "occupancy", expiring_occupancy)
+    report = run_check("oscillate", "bingo", vectorized=True)
+    assert [d.kind for d in report.divergences] == ["observer"]

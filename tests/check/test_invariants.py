@@ -4,8 +4,11 @@ import pytest
 
 from repro.check import InvariantChecker, InvariantViolation
 from repro.common.stats import StatGroup
+from repro.experiments.common import EXPERIMENT_SCALE, experiment_system
 from repro.memsys.mshr import MshrFile
 from repro.obs.events import DemandHit, DemandMiss, Eviction
+from repro.sim.engine import SimulationEngine, SimulationParams
+from repro.workloads.registry import make_workload
 
 
 class FakeHierarchy:
@@ -123,3 +126,39 @@ class TestStrictness:
         checker.emit(miss())
         assert checker.finalize() is None
         assert checker.checks_run == 0
+
+
+def _oscillate_run(checker=None):
+    """A miss-dense general-loop run, with ``checker`` riding it if given."""
+    engine = SimulationEngine(
+        make_workload("oscillate", scale=EXPERIMENT_SCALE),
+        "none",
+        experiment_system(),
+        SimulationParams(instructions_per_core=6000, warmup_instructions=1500),
+        sink=checker,
+        vectorized=False,
+    )
+    if checker is not None:
+        checker.attach(engine.hierarchy)
+    result = engine.run().to_dict()
+    if checker is not None:
+        assert checker.finalize() is None
+    return result
+
+
+class TestObservationDoesNotPerturb:
+    """Regression: the structural sweep probed MSHR occupancy at the
+    hierarchy's global clock, and the probe expired every miss finished
+    by then — misses a core running behind that clock would still have
+    merged or stalled behind.  A checked run changed ``mshr.stalls`` and
+    ``dram.queue_cycles``; it must be the run it checks."""
+
+    @pytest.fixture(scope="class")
+    def unobserved(self):
+        return _oscillate_run()
+
+    def test_sweeping_every_event_leaves_the_run_unchanged(self, unobserved):
+        assert _oscillate_run(InvariantChecker(interval=1)) == unobserved
+
+    def test_default_interval_leaves_the_run_unchanged(self, unobserved):
+        assert _oscillate_run(InvariantChecker()) == unobserved

@@ -1,6 +1,8 @@
 """MSHR file: merging, back-pressure, expiry."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memsys.mshr import MshrFile
 
@@ -148,7 +150,7 @@ class TestOccupancyIsNotALinearScan:
     """Regression: ``occupancy(now)`` used to iterate every in-flight
     entry per call.  On the hot miss path it is called once per L1 miss
     by the invariant checker, so with N live misses that was O(N) per
-    miss.  The pending-start heap makes it a size subtraction; this test
+    miss.  Two bisections of the sorted lists replace it; this test
     pins that by counting whole-dict scans."""
 
     def test_occupancy_does_not_scan_the_inflight_dict(self):
@@ -192,11 +194,145 @@ class TestOccupancyIsNotALinearScan:
 
 def _reference_occupancy(mshr, now):
     """The original O(N) definition, computed on live internal state."""
+    starts = {block: start for start, block in mshr._stalled}
     count = 0
     for block, finish in mshr._inflight.items():
         if finish <= now:
             continue
-        start = mshr._starts.get(block)
+        start = starts.get(block)
         if start is None or start <= now:
             count += 1
     return count
+
+
+class TestProbesAreReadOnly:
+    """Regression: ``occupancy`` used to expire entries at the probe's
+    time.  The invariant checker probes at the hierarchy's global clock,
+    so it deleted a core's in-flight misses before that core's later
+    misses could merge or stall behind them."""
+
+    def test_occupancy_leaves_a_later_merge_unchanged(self):
+        probed, plain = MshrFile(entries=4), MshrFile(entries=4)
+        for mshr in (probed, plain):
+            mshr.commit(1, finish=100.0)
+        assert probed.occupancy(now=150.0) == 0
+        assert probed.merge(1, now=50.0) == plain.merge(1, now=50.0) == 100.0
+
+    def test_outstanding_leaves_a_later_reservation_unchanged(self):
+        probed, plain = MshrFile(entries=1), MshrFile(entries=1)
+        for mshr in (probed, plain):
+            mshr.commit(1, finish=100.0)
+        assert probed.outstanding(now=150.0) == 0
+        assert probed.reserve(now=50.0) == plain.reserve(now=50.0) == 100.0
+
+
+class _ModelMshr:
+    """Brute-force MSHR semantics over dicts.
+
+    A call at ``now`` forgets the misses finished at or before ``now``
+    and the stalls whose start ``now`` has reached; a new miss waits for
+    the ``overflow``-th earliest live finish.  A commit records a stall
+    only if its start lies after every ``now`` seen so far (earlier
+    starts have already claimed their entry) and before its finish.
+    """
+
+    def __init__(self, entries):
+        self.entries = entries
+        self.finish = {}  # block -> completion time
+        self.waiting = {}  # block -> start of a stall not yet reached
+        self.clock = float("-inf")
+        self.merges = self.stalls = self.allocations = 0
+
+    def _expire(self, now):
+        self.clock = max(self.clock, now)
+        self.finish = {b: f for b, f in self.finish.items() if f > now}
+        self.waiting = {b: s for b, s in self.waiting.items() if s > now}
+
+    def merge(self, block, now):
+        self._expire(now)
+        if block in self.finish:
+            self.merges += 1
+        return self.finish.get(block)
+
+    def reserve(self, now):
+        self._expire(now)
+        overflow = len(self.finish) - self.entries + 1
+        if overflow <= 0:
+            return now
+        self.stalls += 1
+        return max(now, sorted(self.finish.values())[overflow - 1])
+
+    def acquire(self, block, now):
+        merged = self.merge(block, now)
+        if merged is not None:
+            return merged, now
+        return None, self.reserve(now)
+
+    def commit(self, block, finish, start):
+        self.finish[block] = finish
+        self.waiting.pop(block, None)
+        if start is not None and self.clock < start < finish:
+            self.waiting[block] = start
+        self.allocations += 1
+
+    def occupancy(self, now):
+        return sum(
+            1
+            for block, finish in self.finish.items()
+            if finish > now and self.waiting.get(block, now) <= now
+        )
+
+    def outstanding(self, now):
+        return sum(1 for finish in self.finish.values() if finish > now)
+
+
+_times = st.integers(min_value=0, max_value=60).map(float)
+_blocks = st.integers(min_value=0, max_value=9)
+_operations = st.lists(
+    st.one_of(
+        # a demand miss as both engine loops issue it: acquire, then
+        # commit the new miss ``latency`` cycles after its start
+        st.tuples(
+            st.just("acquire"), _blocks, _times,
+            st.integers(min_value=1, max_value=40).map(float),
+        ),
+        # a direct registration, possibly of a block already in flight
+        st.tuples(
+            st.just("commit"), _blocks, _times, st.one_of(st.none(), _times)
+        ),
+        st.tuples(st.just("merge"), _blocks, _times),
+        st.tuples(st.just("reserve"), _times),
+        st.tuples(st.just("occupancy"), _times),
+        st.tuples(st.just("outstanding"), _times),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.integers(min_value=1, max_value=8), operations=_operations)
+def test_matches_a_brute_force_model(entries, operations):
+    """Every answer and counter against :class:`_ModelMshr`, under
+    non-monotone time and re-registered blocks; the stalled list never
+    outgrows the live misses."""
+    mshr, model = MshrFile(entries), _ModelMshr(entries)
+    for op, *args in operations:
+        if op == "acquire":
+            block, now, latency = args
+            answer = mshr.acquire(block, now)
+            assert answer == model.acquire(block, now)
+            merged, start = answer
+            if merged is None:
+                mshr.commit(block, start + latency, start)
+                model.commit(block, start + latency, start)
+        elif op == "commit":
+            block, finish, start = args
+            mshr.commit(block, finish, start)
+            model.commit(block, finish, start)
+        else:
+            assert getattr(mshr, op)(*args) == getattr(model, op)(*args), op
+        stats = mshr.stats
+        assert (
+            stats.get("merges"), stats.get("stalls"), stats.get("allocations")
+        ) == (model.merges, model.stalls, model.allocations)
+        assert len(mshr._stalled) <= len(mshr._live)

@@ -169,6 +169,13 @@ class TestMissDenseStaysVectorized:
         assert runs["fast"] == runs["general"]
         assert after["vectorized"] == before["vectorized"] + 1
         assert after["demoted"] == before["demoted"]
+        # the equality covers the MSHR stall path only if misses stalled
+        memsys = runs["fast"]["raw_stats"]["memsys"]
+        assert sum(
+            group["mshr"].get("stalls", 0)
+            for name, group in memsys.items()
+            if name.startswith("l1d")
+        ) > 0
 
     def test_demotion_reasons_are_counted(self):
         """A miss-dense trace under an LLC policy interface (``arc``,
