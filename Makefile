@@ -35,8 +35,9 @@ bench-vector:
 	$(PYTHON) -m pytest benchmarks/bench_engine_speed.py::test_compiled_path_matches_generator -q
 	$(PYTHON) -m pytest benchmarks/bench_engine_speed.py::test_engine_speed --benchmark-only -s
 
-# shared-miss-path gate: two miss-dense points on both loops; fails if
-# the fast loop does not run or any SimResult diverges
+# shared-miss-tail gate: two miss-dense points on both loops; fails if
+# a point does not run the fast loop with no LLC policy interface, or
+# any SimResult diverges
 bench-misspath:
 	$(PYTHON) benchmarks/bench_engine_speed.py --misspath
 

@@ -9,9 +9,9 @@ rather than a claim.  Measurements over a Fig. 8-style
 * **vectorized** — the same serial matrix replayed from packed compiled
   traces by the engine's fast loop (cold trace cache: the first point
   of each workload pays the compile, the rest ``mmap`` the arena), plus
-  the fast-loop run count and how many of those runs served their
-  misses in fallback mode (``ineligible_policy``; none on this LRU
-  matrix);
+  the fast-loop run count and how many of those runs had an LLC
+  replacement-policy interface attached (``ineligible_policy``; none on
+  this LRU matrix);
 * **parallel** — the vectorized matrix through ``Executor(workers=N)``
   (``effective_workers`` records what the host can actually run;
   ``oversubscribed`` flags worker counts beyond ``cpu_count``, where
@@ -146,7 +146,7 @@ def measure_matrix(
         "parallel_speedup": round(serial_s / parallel_s, 2),
         "cached_speedup": round(serial_s / cached_s, 2),
         # fast-loop engagement over the vectorized pass: every point
-        # selects the fast loop; none should need the fallback miss path
+        # selects the fast loop; none has an LLC policy interface
         "vector_tier_runs": tiers_after["vectorized"]
         - tiers_before["vectorized"],
         "vector_tier_demoted_ineligible_policy": tiers_after[
@@ -282,14 +282,15 @@ MISSPATH_SMOKE_POINTS = (("zipf", "bingo"), ("oscillate", "bingo"))
 def run_misspath_smoke(
     instructions: int = 20_000, warmup: int = 5_000
 ) -> Dict[str, object]:
-    """CI gate for the shared miss path: fast loop *and* agreement.
+    """CI gate for the shared miss tail: fast loop *and* agreement.
 
     Two miss-dense points (``MISSPATH_SMOKE_POINTS``), each run by the
     fast loop, by the general loop over the same compiled trace, and by
     the general loop over the generators.  Fails (``ok: False``) if a
-    point does not run the fast loop in native miss-path mode, if any
-    leg's ``SimResult`` diverges field-for-field from the others, or if
-    a point records no L1 MSHR stall (``mshr`` sums ``stalls`` and
+    point does not run the fast loop with no LLC policy interface
+    (``vectorized`` +1 and ``demoted`` +0 per point), if any leg's
+    ``SimResult`` diverges field-for-field from the others, or if a
+    point records no L1 MSHR stall (``mshr`` sums ``stalls`` and
     ``allocations`` over the cores), so the agreement covers the stall
     path.
     """
@@ -306,7 +307,7 @@ def run_misspath_smoke(
     with tempfile.TemporaryDirectory(prefix="repro-misspath-") as tmp:
         os.environ["REPRO_CACHE_DIR"] = tmp
         try:
-            runs = fallback = 0
+            runs = policy_runs = 0
             start = time.perf_counter()
             for workload, prefetcher in MISSPATH_SMOKE_POINTS:
                 job = SimJob.build(
@@ -323,7 +324,7 @@ def run_misspath_smoke(
                 vectorized = execute_job(job)
                 after = engine_tier_counters()
                 runs += after["vectorized"] - before["vectorized"]
-                fallback += after["demoted"] - before["demoted"]
+                policy_runs += after["demoted"] - before["demoted"]
                 general = execute_job(replace(job, vectorized=False))
                 generator = execute_job(
                     replace(job, compile=False, vectorized=False)
@@ -354,11 +355,11 @@ def run_misspath_smoke(
     report.update(
         elapsed_s=round(elapsed, 3),
         vector_tier_runs=runs,
-        demoted_ineligible_policy=fallback,
+        demoted_ineligible_policy=policy_runs,
         divergences=divergences,
         mshr=mshr,
         ok=runs == len(MISSPATH_SMOKE_POINTS)
-        and fallback == 0
+        and policy_runs == 0
         and not divergences
         and all(point["stalls"] > 0 for point in mshr.values()),
     )
@@ -443,7 +444,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         print(json.dumps(report, indent=2))
         if not report["ok"]:
-            print("miss-path smoke FAILED", file=sys.stderr)
+            print(
+                "miss-path smoke FAILED: every point must run the fast "
+                "loop with no LLC policy interface, agree with the "
+                "general loop and the generators, and stall its MSHRs",
+                file=sys.stderr,
+            )
             return 1
         return 0
     report = run_bench(

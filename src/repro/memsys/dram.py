@@ -113,25 +113,6 @@ class DramModel:
             self._open_row[channel][bank] = row
         self._writebacks.value += 1
 
-    # -- state export (the fast loop's miss path) ----------------------------
-    def timing_view(self) -> dict:
-        """The scalars and live structures an inlined ``access`` needs.
-
-        The live ``channel_busy``/``open_row`` structures are shared
-        mutable state: the caller (repro.sim.vector.misspath) must read
-        and advance them in the same order ``access`` would.
-        """
-        return {
-            "channels": self.config.channels,
-            "banks_per_channel": self.config.banks_per_channel,
-            "row_size_bytes": self.config.row_size_bytes,
-            "hit_cycles": self.hit_cycles,
-            "miss_cycles": self.miss_cycles,
-            "occupancy_cycles": self.occupancy_cycles,
-            "channel_busy": self._channel_busy,
-            "open_row": self._open_row,
-        }
-
     # -- introspection ----------------------------------------------------------
     def row_hit_ratio(self) -> float:
         return self.stats.ratio("row_hits", "reads")

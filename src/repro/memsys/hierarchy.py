@@ -18,7 +18,7 @@ back-pressure.  DESIGN.md §6 documents the fidelity trade-offs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.stats import StatGroup
@@ -36,18 +36,11 @@ class AccessResult:
     """Outcome of one demand access through the hierarchy.
 
     A plain ``__slots__`` class rather than a dataclass: one instance is
-    allocated per demand access, squarely on the simulator's hot path.
+    allocated per :meth:`MemoryHierarchy.access` call, squarely on the
+    general loop's hot path.
     """
 
-    __slots__ = (
-        "latency",
-        "l1_hit",
-        "llc_hit",
-        "llc_miss",
-        "covered",
-        "late",
-        "prefetches_issued",
-    )
+    __slots__ = ("latency", "l1_hit", "llc_hit", "llc_miss", "covered", "late")
 
     def __init__(
         self,
@@ -57,7 +50,6 @@ class AccessResult:
         llc_miss: bool = False,
         covered: bool = False,  # hit on a not-yet-used prefetched block
         late: bool = False,  # ...whose fill had not completed yet
-        prefetches_issued: int = 0,
     ) -> None:
         self.latency = latency
         self.l1_hit = l1_hit
@@ -65,15 +57,18 @@ class AccessResult:
         self.llc_miss = llc_miss
         self.covered = covered
         self.late = late
-        self.prefetches_issued = prefetches_issued
 
     def __repr__(self) -> str:
         return (
             f"AccessResult(latency={self.latency!r}, l1_hit={self.l1_hit!r}, "
             f"llc_hit={self.llc_hit!r}, llc_miss={self.llc_miss!r}, "
-            f"covered={self.covered!r}, late={self.late!r}, "
-            f"prefetches_issued={self.prefetches_issued!r})"
+            f"covered={self.covered!r}, late={self.late!r})"
         )
+
+
+#: Outcomes of :meth:`MemoryHierarchy.l1_miss`.  ``MERGED`` is 0, so the
+#: outcome's truth value says whether the caller must fill its L1.
+MERGED, LLC_MISS, LLC_HIT, COVERED, LATE = range(5)
 
 
 class MemoryHierarchy:
@@ -180,6 +175,8 @@ class MemoryHierarchy:
         )
         self._llc_stats = self.stats.child("llc")
         self._block_bits = amap.block_bits
+        self._l1_hit_latency = config.l1d.hit_latency
+        self._llc_hit_latency = config.llc.hit_latency
         self._now = 0.0  # advanced by accesses; used to time writebacks
 
         # Fast-path counter cells, hoisted so the per-access path touches
@@ -234,7 +231,6 @@ class MemoryHierarchy:
         is_write: bool = False,
     ) -> AccessResult:
         """One demand load/store from ``core_id`` at cycle ``now``."""
-        cfg = self.config
         paddr = self.translator.translate(core_id, vaddr)
         block = paddr >> self._block_bits
 
@@ -262,29 +258,24 @@ class MemoryHierarchy:
 
         if l1_hit:
             self._l1_hits[core_id].value += 1
-            return AccessResult(latency=cfg.l1d.hit_latency, l1_hit=True)
+            return AccessResult(latency=self._l1_hit_latency, l1_hit=True)
         self._l1_misses[core_id].value += 1
 
-        # L1 MSHR: merge with an outstanding miss to the same block, or
-        # stall if the file is full.
-        mshr = self.l1_mshrs[core_id]
-        merged, start = mshr.acquire(block, now)
-        if merged is not None:
-            latency = (merged - now) + cfg.l1d.hit_latency
+        latency, outcome = self.l1_miss(core_id, pc, paddr, block, now, is_write)
+        if outcome == MERGED:  # rides an in-flight miss: no L1 fill
             return AccessResult(latency=latency, llc_hit=True)
-        issue = start + cfg.l1d.hit_latency
-
-        # ---- LLC (demand) ----
-        result = self._llc_access(core_id, pc, paddr, block, issue, is_write)
-        total = (issue - now) + cfg.l1d.hit_latency + result.latency
-        mshr.commit(block, now + total, start=start)
-
         # Fill the L1 (non-inclusive victim handling: L1 victims vanish).
         l1.fill(block, BlockState(core_id=core_id))
-        result.latency = total
-        return result
+        if outcome == LLC_MISS:
+            return AccessResult(latency=latency, llc_miss=True)
+        return AccessResult(
+            latency=latency,
+            llc_hit=True,
+            covered=outcome >= COVERED,
+            late=outcome == LATE,
+        )
 
-    def _llc_access(
+    def l1_miss(
         self,
         core_id: int,
         pc: int,
@@ -292,10 +283,35 @@ class MemoryHierarchy:
         block: int,
         now: float,
         is_write: bool,
-    ) -> AccessResult:
-        cfg = self.config
+    ) -> Tuple[float, int]:
+        """The tail of one L1D miss issued at cycle ``now``.
+
+        Claims an L1 MSHR (merging with an in-flight miss to ``block``, or
+        stalling while the file is full), probes the LLC, reads DRAM on an
+        LLC miss, trains the core's prefetcher and issues its prefetches,
+        then commits the MSHR entry.  Returns ``(latency, outcome)``: the
+        miss's end-to-end latency and one of ``MERGED``, ``LLC_MISS``,
+        ``LLC_HIT``, ``COVERED`` or ``LATE``.  The caller fills its L1
+        unless the outcome is ``MERGED``.
+
+        Both engine loops call this method once per L1D miss:
+        :meth:`access` here, and the fast loop (:mod:`repro.sim.vector`)
+        with its own list L1s.  It builds no ``AccessResult``; besides the
+        returned tuple it allocates only an LLC fill's block state and
+        the prefetcher's ``AccessInfo``.
+        """
+        l1_hit_latency = self._l1_hit_latency
+        mshr = self.l1_mshrs[core_id]
+        merged, start = mshr.acquire(block, now)
+        if merged is not None:
+            return (merged - now) + l1_hit_latency, MERGED
+        issue = start + l1_hit_latency
+        llc_hit_latency = self._llc_hit_latency
+
+        # ---- LLC (demand) ----
         self._c_demand_accesses.value += 1
-        self._now = max(self._now, now)
+        if issue > self._now:
+            self._now = issue
         if self._oracle_observe is not None:
             # Belady bookkeeping: consume this block's occurrence so
             # next_use() looks strictly into the future.  Demand accesses
@@ -305,21 +321,19 @@ class MemoryHierarchy:
             self._c_demand_writes.value += 1
 
         state = self.llc.lookup(block)
-        hit = state is not None
-        result = AccessResult(latency=0.0)
         sink = self.sink
-
-        if hit:
-            wait = max(0.0, state.ready_time - now)
+        if state is not None:
+            wait = max(0.0, state.ready_time - issue)
+            outcome = LLC_HIT
             if state.prefetched and not state.used:
                 # First demand use of a prefetched block: a covered miss.
                 state.used = True
                 self._c_covered.value += 1
                 self._c_prefetch_hits.value += 1
-                result.covered = True
+                outcome = COVERED
                 if wait > 0:
                     self._c_late_covered.value += 1
-                    result.late = True
+                    outcome = LATE
                 if self.prefetchers:
                     # Tell the issuing prefetcher its prefetch was
                     # consumed: accuracy feedback must not wait for the
@@ -327,33 +341,31 @@ class MemoryHierarchy:
                     self.prefetchers[state.core_id].on_prefetch_used(block)
             else:
                 self._c_demand_hits.value += 1
-            result.llc_hit = True
-            result.latency = cfg.llc.hit_latency + wait
+            latency = llc_hit_latency + wait
             if is_write:
                 state.dirty = True
             if sink.enabled:
                 sink.emit(
                     DemandHit(
-                        time=now,
+                        time=issue,
                         core_id=core_id,
                         pc=pc,
                         block=block,
-                        covered=result.covered,
-                        late=result.late,
+                        covered=outcome >= COVERED,
+                        late=outcome == LATE,
                     )
                 )
         else:
+            outcome = LLC_MISS
             self._c_demand_misses.value += 1
             if sink.enabled:
                 sink.emit(
-                    DemandMiss(time=now, core_id=core_id, pc=pc, block=block)
+                    DemandMiss(time=issue, core_id=core_id, pc=pc, block=block)
                 )
-            dram_latency = self.dram.access(
-                now + cfg.llc.hit_latency, block << self._block_bits
+            latency = llc_hit_latency + self.dram.access(
+                issue + llc_hit_latency, block << self._block_bits
             )
-            result.llc_miss = True
-            result.latency = cfg.llc.hit_latency + dram_latency
-            fill_state = BlockState(core_id=core_id, ready_time=now + result.latency)
+            fill_state = BlockState(core_id=core_id, ready_time=issue + latency)
             fill_state.used = True
             fill_state.dirty = is_write
             self.llc.fill(block, fill_state)
@@ -365,17 +377,20 @@ class MemoryHierarchy:
                 pc=pc,
                 address=paddr,
                 block=block,
-                hit=hit,
-                time=now,
+                hit=state is not None,
+                time=issue,
                 core_id=core_id,
                 is_write=is_write,
             )
             requests = pf.clamp_degree(pf.on_access(info))
             if requests:
-                result.prefetches_issued = self._issue_prefetches(
-                    pf, core_id, block, requests, now + cfg.llc.hit_latency
+                self._issue_prefetches(
+                    pf, core_id, block, requests, issue + llc_hit_latency
                 )
-        return result
+
+        total = (issue - now) + l1_hit_latency + latency
+        mshr.commit(block, now + total, start)
+        return total, outcome
 
     # -- the prefetch path ----------------------------------------------------
     def _issue_prefetches(
@@ -385,8 +400,7 @@ class MemoryHierarchy:
         trigger_block: int,
         requests,
         issue_time: float,
-    ) -> int:
-        issued = 0
+    ) -> None:
         sink = self.sink
         for req in requests:
             block = req.block
@@ -407,7 +421,6 @@ class MemoryHierarchy:
             )
             pf.on_prefetch_fill(block, ready)
             self._c_prefetches_issued.value += 1
-            issued += 1
             if sink.enabled:
                 # The latency model materialises the fill at issue, so
                 # the issue/fill pair is emitted back to back; replay
@@ -427,7 +440,6 @@ class MemoryHierarchy:
                         time=ready, core_id=core_id, block=block, ready_time=ready
                     )
                 )
-        return issued
 
     # -- end-of-run accounting ------------------------------------------------
     def finalize(self) -> None:

@@ -460,7 +460,7 @@ class SimulationService:
             "breaker_open_digests": self.supervisor.breaker.open_digests,
             "executor_totals": totals,
             # which engine loop answered in-process runs, and how many
-            # fast-loop runs served misses in fallback mode (see
+            # fast-loop runs had an LLC policy interface attached (see
             # repro.sim.engine._TIER_RUNS)
             "engine_tiers": engine_tier_counters(),
             # the multi-node tier: per-node gauges, leases, steals

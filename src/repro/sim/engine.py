@@ -44,9 +44,10 @@ VECTOR_VERSION = 3
 
 #: Process-local counts of which engine loop each ``run()`` selected:
 #: ``vectorized`` (the fast loop) or ``general``.  ``demoted`` and
-#: ``demoted_ineligible_policy`` count fast-loop runs whose miss path
-#: runs in fallback mode because an LLC replacement-policy interface or
-#: Belady oracle is attached (see ``repro.sim.vector.misspath``).
+#: ``demoted_ineligible_policy`` count the fast-loop runs that have an
+#: LLC replacement-policy interface or Belady oracle attached.  Such
+#: runs take the same miss tail as every other; the names are
+#: historical and kept because benchmark tooling reads them.
 #: Diagnostics only — deliberately *not* routed into ``SimResult`` or
 #: ``raw_stats``, which must stay byte-identical across loops.
 _TIER_RUNS = {
@@ -235,8 +236,10 @@ class SimulationEngine:
         hits without calling the hierarchy, so prefetchers (if any) must
         observe the **LLC**; ``train_at="l1"`` stays eligible only for
         the no-prefetcher baseline, where the L1 eviction hook is inert.
-        Anything else — ``vectorized=False``, or a trace compiled shorter
-        than the run — runs the general loop, byte-for-byte.
+        The LLC replacement policy does not matter: both loops service
+        every L1 miss through ``MemoryHierarchy.l1_miss``.  Anything
+        else — ``vectorized=False``, or a trace compiled shorter than the
+        run — runs the general loop, byte-for-byte.
         """
         return (
             self.vectorized
@@ -265,7 +268,7 @@ class SimulationEngine:
             replay = VectorReplay(self)
             advance = replay.advance
             _TIER_RUNS["vectorized"] += 1
-            if replay.misspath.fallback:
+            if self.replacement != "lru":  # an LLC policy interface
                 _TIER_RUNS["demoted"] += 1
                 _TIER_RUNS["demoted_ineligible_policy"] += 1
         else:

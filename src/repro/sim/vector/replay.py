@@ -34,8 +34,10 @@ general loop's outcome depends on it:
   exactly the ``OrderedDict`` LRU victim.  The real L1 ``Cache``
   objects are never touched (only their counters).
 
-* **The shared miss path** (:mod:`repro.sim.vector.misspath`) services
-  each barrier through an inlined copy of the hierarchy's miss tail.
+* **One miss tail.**  Each barrier is serviced by
+  :meth:`MemoryHierarchy.l1_miss <repro.memsys.hierarchy.MemoryHierarchy.l1_miss>`,
+  the same MSHR/LLC/DRAM/prefetcher path ``MemoryHierarchy.access``
+  takes on an L1 miss; the list L1 is filled unless the miss merged.
 
 Every float is produced by the same operations in the same order as the
 general loop, so ``SimResult``\\ s match field for field — the
@@ -46,8 +48,6 @@ from __future__ import annotations
 
 import heapq
 from typing import List, Optional
-
-from repro.sim.vector.misspath import MissPath
 
 
 class _CoreState:
@@ -115,8 +115,10 @@ class VectorReplay:
         # page -> block shift, and the in-page block-index mask
         self.frame_shift = amap.page_bits - amap.block_bits
         self.page_blocks = (1 << self.frame_shift) - 1
+        self.block_mask = amap.block_size - 1
         self.translator = h.translator
         self.mapping = h.translator.mapping_view()
+        self.l1_miss = h.l1_miss
         l1cfg = h.config.l1d
         self.hit_lat = l1cfg.hit_latency
         self.ways = l1cfg.ways
@@ -131,7 +133,6 @@ class VectorReplay:
             )
             for core_id, core in enumerate(engine.cores)
         ]
-        self.misspath = MissPath(self)
 
     # -- the driver -------------------------------------------------------
     def advance(self, budget_per_core: int) -> None:
@@ -244,14 +245,12 @@ class VectorReplay:
 
     # -- barriers ---------------------------------------------------------
     def _execute_barrier(self, cs: _CoreState, dispatch: float) -> None:
-        """One L1 miss against the shared miss path.
+        """One L1 miss through the hierarchy's miss tail.
 
-        The head and tail are :meth:`MemoryHierarchy.access` verbatim
-        with the list L1 standing in for the ``Cache`` object; the shared
-        middle is the inlined service in
-        :mod:`repro.sim.vector.misspath` — so the LLC, DRAM, prefetchers,
-        and the translator's PRNG see byte-identical call streams in
-        byte-identical global order.
+        :meth:`MemoryHierarchy.access` verbatim, with the list L1
+        standing in for the ``Cache`` object: the MSHRs, LLC, DRAM,
+        prefetchers and the translator's PRNG see byte-identical call
+        streams in byte-identical global order.
         """
         h = self.h
         index = cs.count
@@ -275,10 +274,15 @@ class VectorReplay:
 
         h._l1_accesses[core_id].value += 1
         h._l1_misses[core_id].value += 1
-        latency, filled = self.misspath.service(
-            cs, index, block, vaddr, issue, is_write
+        latency, outcome = self.l1_miss(
+            core_id,
+            cs.pcs[index],
+            (block << self.block_bits) | (vaddr & self.block_mask),
+            block,
+            issue,
+            is_write,
         )
-        if filled:
+        if outcome:  # not merged into an in-flight miss
             self._fill(cs, block, index)
         complete = issue + latency
         if not is_write:

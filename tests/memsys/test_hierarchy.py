@@ -77,6 +77,32 @@ class TestDemandPath:
         # The stalled miss waits for an earlier one to retire first.
         assert latencies[4] > latencies[0]
 
+    def test_reaccess_while_in_flight_merges(self):
+        """A block evicted from the L1 while its miss is still in flight
+        merges into that miss when accessed again: it waits out the
+        remainder, never reaches the LLC and does not refill the L1."""
+        config = tiny_config()  # 2-way L1, 8 sets
+        hierarchy = MemoryHierarchy(config)
+        first = hierarchy.access(0, pc=1, vaddr=0x0, now=0.0)
+        block = hierarchy.translator.translate(0, 0x0) >> 6
+        # two more blocks of the same page and L1 set evict block 0
+        for i in range(1, 3):
+            hierarchy.access(0, pc=1, vaddr=i * config.l1d.sets * 64, now=float(i))
+        l1 = hierarchy.l1ds[0]
+        assert not l1.contains(block)
+        llc = hierarchy.stats.child("llc")
+        demand_before = llc.get("demand_accesses")
+        fills_before = l1.stats.get("fills")
+
+        result = hierarchy.access(0, pc=1, vaddr=0x0, now=3.0)
+
+        assert result.latency == (first.latency - 3.0) + config.l1d.hit_latency
+        assert result.llc_hit and not result.llc_miss and not result.l1_hit
+        assert llc.get("demand_accesses") == demand_before
+        assert l1.stats.get("fills") == fills_before
+        assert not l1.contains(block)
+        assert hierarchy.stats.child("l1d0").child("mshr").get("merges") == 1
+
     def test_write_counted(self):
         hierarchy = MemoryHierarchy(tiny_config())
         hierarchy.access(0, pc=1, vaddr=0x1000, now=0.0, is_write=True)

@@ -3,9 +3,9 @@
 The refactor's non-negotiable: routing LRU through the policy interface
 (``lru-interface``) must change *nothing* — field-for-field ``SimResult``
 equality against the native fast path, on both engine loops.  And since
-the LLC is the only policy-bearing level and both loops funnel policy
-LLC traffic through the same ``_llc_access``, every registry policy
-must be loop-transparent too.
+the LLC is the only policy-bearing level and both loops send every L1
+miss through the same ``MemoryHierarchy.l1_miss``, every registry
+policy must be loop-transparent too.
 """
 
 from __future__ import annotations

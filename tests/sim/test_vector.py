@@ -4,8 +4,9 @@ The fast loop's one non-negotiable property: it changes *nothing* about
 a run except its speed.  Every test here holds it to field-for-field
 ``SimResult`` equality against the general loop, which replays the same
 compiled trace and (by default) the source generators too — across the
-full prefetcher zoo, miss-dense stress workloads, and both miss-path
-modes.
+full prefetcher zoo, miss-dense stress workloads, and runs with and
+without an LLC replacement-policy interface.  Both loops service every
+L1 miss through the one ``MemoryHierarchy.l1_miss``.
 """
 
 from __future__ import annotations
@@ -138,8 +139,8 @@ def test_property_hazard_heavy_equality(
     """Ordering-hazard-heavy draws: miss-dense stress workloads, where
     nearly every record is a barrier and cores contend for the same LLC
     sets and DRAM banks, so any slip in the global barrier order shows.
-    ``replacement`` pins the miss path's mode (``lru``: native, ``arc``:
-    fallback); ``prefetcher`` toggles training at the barrier."""
+    ``replacement`` runs the LLC with (``arc``) or without (``lru``) a
+    policy interface; ``prefetcher`` toggles training at the barrier."""
     runs = run_loops(
         workload=workload,
         prefetcher=prefetcher,
@@ -169,19 +170,22 @@ class TestMissDenseStaysVectorized:
         assert runs["fast"] == runs["general"]
         assert after["vectorized"] == before["vectorized"] + 1
         assert after["demoted"] == before["demoted"]
-        # the equality covers the MSHR stall path only if misses stalled
+        # the equality covers the MSHR stall and merge paths only if
+        # misses stalled and merged
         memsys = runs["fast"]["raw_stats"]["memsys"]
-        assert sum(
-            group["mshr"].get("stalls", 0)
-            for name, group in memsys.items()
-            if name.startswith("l1d")
-        ) > 0
+        for event in ("stalls", "merges"):
+            assert sum(
+                group["mshr"].get(event, 0)
+                for name, group in memsys.items()
+                if name.startswith("l1d")
+            ) > 0, event
 
     def test_demotion_reasons_are_counted(self):
         """A miss-dense trace under an LLC policy interface (``arc``,
-        ``lru-interface``) runs the fallback miss path: equal to the
-        general loop, and counted once under ``ineligible_policy``.
-        Native ``lru`` counts nothing."""
+        ``lru-interface``) runs the fast loop, equal to the general loop,
+        and is counted once under ``demoted_ineligible_policy``: the
+        counter names are historical, the miss tail is the same.  Native
+        ``lru`` (no policy interface) counts nothing."""
         for replacement, expected in (
             ("lru-interface", 1), ("arc", 1), ("lru", 0)
         ):
@@ -202,6 +206,51 @@ class TestMissDenseStaysVectorized:
                 after["demoted_ineligible_policy"]
                 == before["demoted_ineligible_policy"] + expected
             ), replacement
+
+
+class TestOneMissTail:
+    """Both loops reach the LLC only through ``MemoryHierarchy.l1_miss``."""
+
+    @pytest.mark.parametrize("replacement", ["lru", "arc"])
+    def test_every_l1_miss_calls_the_hierarchy(self, replacement):
+        """One ``l1_miss`` call per L1D miss on the fast loop, and the
+        wrapped run equals the unwrapped one: a miss tail copied back
+        into the fast loop would make no calls."""
+        runs = run_loops(
+            workload="zipf",
+            prefetcher="bingo",
+            instructions=2000,
+            warmup=300,
+            replacement=replacement,
+            with_generator=False,
+        )
+        system = small_system(num_cores=4)
+        params = SimulationParams(2000, 300)
+        compiled = compile_workload(
+            make_workload("zipf", seed=7, scale=SCALE), records_per_core=2000
+        )
+        engine = SimulationEngine(
+            compiled, "bingo", system, params, replacement=replacement
+        )
+        assert engine._fast_path_eligible()
+        real_miss = engine.hierarchy.l1_miss
+        calls = 0
+
+        def counted_miss(*args):
+            nonlocal calls
+            calls += 1
+            return real_miss(*args)
+
+        engine.hierarchy.l1_miss = counted_miss
+        wrapped = engine.run().to_dict()
+        misses = sum(
+            group["misses"]
+            for name, group in wrapped["raw_stats"]["memsys"].items()
+            if name.startswith("l1d")
+        )
+        assert misses > 0
+        assert calls == misses
+        assert wrapped == runs["fast"] == runs["general"]
 
 
 class TestEligibilityAndFallback:
