@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-replacement bench bench-quick bench-report bench-vector bench-misspath experiments serve-smoke experiment-smoke cluster-smoke clean
+.PHONY: install test test-replacement bench bench-quick bench-report bench-vector bench-misspath experiments serve-smoke cluster-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -48,14 +48,11 @@ bench-output:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s 2>&1 | tee bench_output.txt
 
 # Black-box smoke of the bingo-sim serve daemon: start, submit over
-# HTTP, compare against a direct run, SIGTERM, assert a clean drain
+# HTTP, compare against a direct run, run `bingo-sim experiment
+# --space` against it (12 points, two halving rounds to a full-length
+# winner that re-submits as a cache hit), SIGTERM, assert a clean drain
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) tools/serve_smoke.py
-
-# Black-box smoke of adaptive experiments: POST a 12-point space,
-# assert two halving rounds promote screens to a full-length winner
-experiment-smoke:
-	PYTHONPATH=src $(PYTHON) tools/experiment_smoke.py
 
 # Black-box smoke of the multi-node cluster: frontend-only daemon +
 # two worker agents, saturate the queue (429 + Retry-After), SIGKILL

@@ -307,8 +307,9 @@ def _build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--space", metavar="JSON|@FILE", default=None,
                        help="adaptive search: a parameter-space object "
                             "(inline JSON, or @path to a JSON file) "
-                            "submitted to a running daemon and screened "
-                            "by successive halving (docs/service.md)")
+                            "screened by successive halving, each round "
+                            "run as jobs on a running daemon "
+                            "(docs/service.md)")
     exp_p.add_argument("--objective", default="ipc",
                        help="metric to optimise: ipc, coverage, accuracy, "
                             "mpki, overprediction (default: ipc)")
@@ -330,10 +331,9 @@ def _build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--url", default=None,
                        help=f"service base URL (default: "
                             f"$REPRO_SERVE_URL or {default_url})")
-    exp_p.add_argument("--no-wait", action="store_true",
-                       help="submit and print the experiment id without "
-                            "polling it to completion")
-    exp_p.add_argument("--wait-timeout", type=float, default=1800.0)
+    exp_p.add_argument("--wait-timeout", type=float, default=1800.0,
+                       help="seconds the whole search may take "
+                            "(default: 1800)")
     return parser
 
 
@@ -678,10 +678,18 @@ def _cmd_jobs(args) -> int:
 
 
 def _cmd_experiment_space(args) -> int:
-    """The ``--space`` path: adaptive search against a running daemon."""
+    """The ``--space`` path: successive halving against a running daemon."""
     import json as _json
 
-    from repro.serve import ServiceClient, ServiceError
+    from repro.serve import (
+        HalvingSchedule,
+        Objective,
+        OrchestrationError,
+        ServiceClient,
+        ServiceError,
+        run_halving,
+        space_from_wire,
+    )
 
     text = args.space
     if text.startswith("@"):
@@ -692,51 +700,45 @@ def _cmd_experiment_space(args) -> int:
             print(f"error: cannot read space file: {exc}", file=sys.stderr)
             return 2
     try:
-        space = _json.loads(text)
+        payload = _json.loads(text)
     except ValueError as exc:
         print(f"error: --space is not valid JSON: {exc}", file=sys.stderr)
         return 2
-    schedule = {"screen": args.screen, "full": args.full, "eta": args.eta}
-    if args.cutoff is not None:
-        schedule["cutoff"] = args.cutoff
-    client = ServiceClient(_serve_url(args))
     try:
-        accepted = client.submit_experiment(
+        space = space_from_wire(payload)
+        schedule = HalvingSchedule(
+            screen_instructions=args.screen,
+            full_instructions=args.full,
+            eta=args.eta,
+            cutoff=args.cutoff,
+        )
+        objective = Objective(args.objective)
+        print(
+            f"experiment: {len(space.points())} points, "
+            f"rungs {schedule.rungs()}"
+        )
+        search = run_halving(
+            ServiceClient(_serve_url(args)),
             space,
-            schedule=schedule,
-            objective=args.objective,
+            schedule,
+            objective,
             priority=args.priority,
+            timeout=args.wait_timeout,
         )
-    except (ServiceError, OSError) as exc:
-        print(f"error: experiment submit failed: {exc}", file=sys.stderr)
+    except (ValueError, TypeError) as exc:
+        print(f"error: bad experiment: {exc}", file=sys.stderr)
+        return 2
+    except (ServiceError, OrchestrationError, OSError) as exc:
+        print(f"error: experiment failed: {exc}", file=sys.stderr)
         return 1
-    print(
-        f"experiment {accepted['id']} {accepted['state']}: "
-        f"{accepted['points']} points, rungs {accepted['rungs']}"
-    )
-    if args.no_wait:
-        return 0
-    try:
-        record = client.wait_experiment(
-            accepted["id"], timeout=args.wait_timeout
-        )
-    except (ServiceError, OSError, TimeoutError) as exc:
-        print(f"error: experiment wait failed: {exc}", file=sys.stderr)
-        return 1
-    for round_report in record.get("rounds", []):
+    for round_report in search["rounds"]:
         print(
             f"round {round_report['round']}: "
             f"{round_report['instructions']} instructions, "
             f"{round_report['candidates']} candidates -> "
-            f"{len(round_report.get('promoted', []))} promoted"
+            f"{len(round_report['promoted'])} promoted"
         )
-    if record["state"] != "done":
-        print(
-            f"experiment {record['id']} failed: {record.get('error')}",
-            file=sys.stderr,
-        )
-        return 1
-    winner = record["winner"]
+    winner = search["winner"]
     spec = winner["spec"]
     rows = [
         dict(field="workload", value=spec["workload"]),
@@ -745,7 +747,7 @@ def _cmd_experiment_space(args) -> int:
         dict(field=winner["metric"], value=round(winner["score"], 4)),
         dict(field="job", value=winner["job_id"]),
     ]
-    print(format_table(rows, title=f"experiment {record['id']} winner"))
+    print(format_table(rows, title="experiment winner"))
     return 0
 
 

@@ -9,15 +9,15 @@ exponential backoff, per-job wall-clock timeouts and a circuit breaker
 (:mod:`repro.serve.client`).  All worker slots share one on-disk
 result cache and compiled-trace cache, so a fleet of figure sweeps
 against one warm daemon deduplicates work across *clients*, not just
-within a batch.  On top of the job path,
-:mod:`repro.serve.orchestrate` runs adaptive *experiments*: submit a
-parameter space and a successive-halving schedule screens it with
-cheap short traces, promoting only the top fraction to full-length
-runs.  :mod:`repro.serve.cluster` scales the whole thing past one box:
-remote worker agents lease jobs over the same HTTP protocol, read and
-write the frontend's one result cache over ``/cluster/cache/<digest>``,
-and the frontend applies queue-depth admission control.  See
-``docs/service.md``.
+within a batch.  On top of the job path, a client runs adaptive
+*experiments* (:func:`repro.serve.orchestrate.run_halving`): a
+successive-halving schedule screens a parameter space with cheap short
+traces, submitting only the top fraction of each round to the next,
+up to full-length runs.  :mod:`repro.serve.cluster` scales the whole
+thing past one box: remote worker agents lease jobs over the same HTTP
+protocol, read and write the frontend's one result cache over
+``/cluster/cache/<digest>``, and the frontend applies queue-depth
+admission control.  See ``docs/service.md``.
 """
 
 from repro.serve.api import DEFAULT_PORT, make_server, run_server
@@ -48,14 +48,11 @@ from repro.serve.jobs import (
 )
 from repro.serve.metrics import LatencyHistogram
 from repro.serve.orchestrate import (
-    ExperimentOrchestrator,
-    ExperimentRecord,
     ExperimentSpace,
-    ExperimentState,
     HalvingSchedule,
     Objective,
-    objective_from_wire,
-    schedule_from_wire,
+    OrchestrationError,
+    run_halving,
     space_from_wire,
 )
 from repro.serve.queue import JobQueue
@@ -74,10 +71,7 @@ __all__ = [
     "CircuitBreaker",
     "ClusterCacheClient",
     "ClusterCoordinator",
-    "ExperimentOrchestrator",
-    "ExperimentRecord",
     "ExperimentSpace",
-    "ExperimentState",
     "HalvingSchedule",
     "JobQueue",
     "JobRecord",
@@ -85,6 +79,7 @@ __all__ = [
     "LatencyHistogram",
     "NodeQuarantined",
     "Objective",
+    "OrchestrationError",
     "QuarantinedError",
     "RetryPolicy",
     "ServiceClient",
@@ -101,9 +96,8 @@ __all__ = [
     "job_from_wire",
     "job_to_wire",
     "make_server",
-    "objective_from_wire",
+    "run_halving",
     "run_server",
     "run_worker",
-    "schedule_from_wire",
     "space_from_wire",
 ]

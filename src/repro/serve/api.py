@@ -14,20 +14,15 @@ Routes (all JSON in, JSON out):
 * ``GET /healthz`` — liveness + drain state + queue gauges.
 * ``GET /metrics`` — the service's full counter tree (see
   :meth:`repro.serve.service.SimulationService.metrics`).
-* ``POST /experiments`` — submit a parameter *space* for adaptive
-  search (``{"space": {...}, "schedule": {...}, "objective": ...}``,
-  see :mod:`repro.serve.orchestrate`).  Returns 202 with ``{"id",
-  "state", "points", "rungs"}``; 400 for a malformed space, 503 while
-  draining.
-* ``GET /experiments/<id>`` — the live experiment record: state,
-  round-by-round promotion reports, and the winner once done.
-* ``GET /experiments`` — newest-first experiment summaries (no rounds).
+
+Adaptive searches are client-side: :func:`repro.serve.orchestrate.run_halving`
+drives their rounds through ``POST /jobs`` and ``GET /jobs/<id>``.
 
 Submissions are **admission controlled** when the service has a
-``max_queue_depth``: beyond it, ``POST /jobs`` and ``POST /experiments``
-answer 429 (``code: "backpressure"``) with a ``Retry-After`` header
-derived from the observed drain rate.  A ``wire_version`` mismatch in
-any job spec or cluster call answers 409 (``code: "wire-version"``).
+``max_queue_depth``: beyond it, ``POST /jobs`` answers 429
+(``code: "backpressure"``) with a ``Retry-After`` header derived from
+the observed drain rate.  A ``wire_version`` mismatch in any job spec
+or cluster call answers 409 (``code: "wire-version"``).
 
 Cluster routes (worker agents only; see :mod:`repro.serve.cluster`):
 
@@ -66,11 +61,6 @@ from repro.serve.cluster.coordinator import (
     UnknownNodeError,
 )
 from repro.serve.jobs import WIRE_VERSION, WireVersionMismatch, job_from_wire
-from repro.serve.orchestrate import (
-    objective_from_wire,
-    schedule_from_wire,
-    space_from_wire,
-)
 from repro.serve.service import (
     QuarantinedError,
     ServiceConfig,
@@ -134,7 +124,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
         return {"Retry-After": str(max(1, int(round(seconds))))}
 
     def _read_body(self) -> Optional[Dict[str, Any]]:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            # the body's extent is unknown, so the connection cannot be
+            # reused for another request
+            self.close_connection = True
+            self._error(400, "bad Content-Length")
+            return None
         if length <= 0:
             self._error(400, "request body required")
             return None
@@ -177,23 +174,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self._error(404, f"no such job: {job_id}")
             else:
                 self._send_json(200, record.to_dict())
-        elif path == "/experiments":
-            self._send_json(
-                200,
-                {
-                    "experiments": [
-                        record.to_dict(include_rounds=False)
-                        for record in self.service.experiments()
-                    ]
-                },
-            )
-        elif path.startswith("/experiments/"):
-            experiment_id = path[len("/experiments/"):]
-            experiment = self.service.get_experiment(experiment_id)
-            if experiment is None:
-                self._error(404, f"no such experiment: {experiment_id}")
-            else:
-                self._send_json(200, experiment.to_dict())
         elif path.startswith("/cluster/cache/"):
             self._get_cluster_cache(path[len("/cluster/cache/"):])
         else:
@@ -204,8 +184,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0].rstrip("/")
         if path == "/jobs":
             self._post_jobs()
-        elif path == "/experiments":
-            self._post_experiments()
         elif path == "/cluster/register":
             self._post_cluster_register()
         elif path == "/cluster/lease":
@@ -290,57 +268,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._error(503, str(exc), accepted=accepted)
             return
         self._send_json(202, {"jobs": accepted})
-
-    def _post_experiments(self) -> None:
-        payload = self._read_body()
-        if payload is None:
-            return
-        if "space" not in payload:
-            self._error(400, "body needs a 'space' object")
-            return
-        unknown = set(payload) - {"space", "schedule", "objective", "priority"}
-        if unknown:
-            self._error(400, f"unknown field(s): {sorted(unknown)}")
-            return
-        priority = payload.get("priority", 0)
-        if not isinstance(priority, int):
-            self._error(400, "'priority' must be an integer")
-            return
-        try:
-            space = space_from_wire(payload["space"])
-            schedule = schedule_from_wire(payload.get("schedule"))
-            objective = objective_from_wire(payload.get("objective"))
-            record = self.service.submit_experiment(
-                space,
-                schedule=schedule,
-                objective=objective,
-                priority=priority,
-            )
-        except (ValueError, TypeError) as exc:
-            self._error(400, f"bad experiment spec: {exc}")
-            return
-        except AdmissionError as exc:
-            self._error(
-                429,
-                str(exc),
-                headers=self._retry_after_headers(exc.retry_after),
-                code="backpressure",
-                retry_after=round(exc.retry_after, 3),
-                queue_depth=exc.depth,
-            )
-            return
-        except RuntimeError as exc:  # draining
-            self._error(503, str(exc))
-            return
-        self._send_json(
-            202,
-            {
-                "id": record.id,
-                "state": record.state.value,
-                "points": len(record.points),
-                "rungs": record.schedule.rungs(),
-            },
-        )
 
     # -- cluster ------------------------------------------------------------
     def _cluster_payload(self) -> Optional[Dict[str, Any]]:

@@ -1,8 +1,9 @@
 """A tiny urllib-based client for the simulation service.
 
-No dependencies beyond the stdlib, mirroring the server.  Experiments
-and sweeps use it to run against a warm daemon — shared result cache,
-shared compiled traces — instead of cold-starting a process per batch:
+No dependencies beyond the stdlib, mirroring the server.  Sweeps and
+adaptive searches (:func:`repro.serve.orchestrate.run_halving`) use it
+to run against a warm daemon — shared result cache, shared compiled
+traces — instead of cold-starting a process per batch:
 
     client = ServiceClient("http://127.0.0.1:8424")
     accepted = client.submit({"workload": "em3d", "prefetcher": "bingo",
@@ -29,12 +30,12 @@ import random
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.sim.executor import SimJob
 from repro.serve.jobs import WIRE_VERSION, job_to_wire
 
-#: states a poller can stop on (jobs and experiments alike)
+#: job states a poller can stop on
 _TERMINAL = ("done", "failed")
 
 
@@ -260,15 +261,15 @@ class ServiceClient:
     def status(self, job_id: str) -> Dict[str, Any]:
         return self._request("GET", f"/jobs/{job_id}")
 
-    def _poll(
+    def wait(
         self,
-        fetch: Callable[[], Dict[str, Any]],
-        what: str,
-        timeout: float,
-        poll_interval: float,
-        max_interval: float,
+        job_id: str,
+        timeout: float = 300.0,
+        poll_interval: float = 0.25,
+        max_interval: float = 2.0,
     ) -> Dict[str, Any]:
-        """Poll ``fetch`` until a terminal state, with jittered backoff.
+        """Poll until the job reaches a terminal state; returns the
+        final record.  Raises ``TimeoutError`` if it does not.
 
         A fixed poll period synchronises a fleet of waiting clients into
         bursts against the daemon; the interval instead grows
@@ -278,73 +279,17 @@ class ServiceClient:
         deadline = self._monotonic() + timeout
         interval = max(0.01, poll_interval)
         while True:
-            record = fetch()
+            record = self.status(job_id)
             if record["state"] in _TERMINAL:
                 return record
             now = self._monotonic()
             if now >= deadline:
                 raise TimeoutError(
-                    f"{what} still {record['state']} after {timeout:g}s"
+                    f"job {job_id} still {record['state']} after {timeout:g}s"
                 )
             delay = interval * (1.0 + 0.25 * self._random())
             self._sleep(min(delay, deadline - now))
             interval = min(interval * 1.5, max_interval)
-
-    def wait(
-        self,
-        job_id: str,
-        timeout: float = 300.0,
-        poll_interval: float = 0.25,
-        max_interval: float = 2.0,
-    ) -> Dict[str, Any]:
-        """Poll until the job reaches a terminal state; returns the
-        final record.  Raises ``TimeoutError`` if it does not."""
-        return self._poll(
-            lambda: self.status(job_id),
-            f"job {job_id}",
-            timeout,
-            poll_interval,
-            max_interval,
-        )
-
-    # -- experiments ---------------------------------------------------------
-    def submit_experiment(
-        self,
-        space: Dict[str, Any],
-        schedule: Optional[Dict[str, Any]] = None,
-        objective: Optional[Union[str, Dict[str, Any]]] = None,
-        priority: int = 0,
-    ) -> Dict[str, Any]:
-        """Submit a parameter space for adaptive search; returns
-        ``{"id", "state", "points", "rungs"}`` (see docs/service.md)."""
-        payload: Dict[str, Any] = {"space": space, "priority": priority}
-        if schedule is not None:
-            payload["schedule"] = schedule
-        if objective is not None:
-            payload["objective"] = objective
-        return self._submit_request("/experiments", payload)
-
-    def experiment(self, experiment_id: str) -> Dict[str, Any]:
-        return self._request("GET", f"/experiments/{experiment_id}")
-
-    def experiments(self) -> List[Dict[str, Any]]:
-        return self._request("GET", "/experiments")["experiments"]
-
-    def wait_experiment(
-        self,
-        experiment_id: str,
-        timeout: float = 1800.0,
-        poll_interval: float = 0.5,
-        max_interval: float = 5.0,
-    ) -> Dict[str, Any]:
-        """Poll until the experiment finishes; returns the final record."""
-        return self._poll(
-            lambda: self.experiment(experiment_id),
-            f"experiment {experiment_id}",
-            timeout,
-            poll_interval,
-            max_interval,
-        )
 
     # -- cluster (worker agents) --------------------------------------------
     def cluster_register(

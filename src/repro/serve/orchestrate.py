@@ -1,11 +1,12 @@
-"""Adaptive experiments on the service: successive halving over a space.
+"""Adaptive experiments: successive halving over a space, run by a client.
 
 The fixed-grid machinery (``experiments``, ``sweep``) enumerates every
-point of a parameter matrix at full length.  The paper's flagship
-Fig. 5/7-style studies are really *searches* over that matrix — most
-grid points exist only to be ruled out — so this module turns a
-submitted parameter **space** into rounds of batched jobs driven
-through the live :class:`~repro.serve.service.SimulationService`:
+point of a parameter matrix at full length.  The paper's sensitivity
+studies (Fig. 6's history-table sweep, Fig. 10's iso-degree variants)
+are really *searches* over that matrix — most grid points exist only
+to be ruled out — so :func:`run_halving` turns a parameter **space**
+into rounds of ordinary jobs submitted to a running service through a
+:class:`~repro.serve.client.ServiceClient`:
 
 * an :class:`ExperimentSpace` is ``workloads × prefetchers × knob
   grids`` over a shared base spec (seed, scale, system, replacement,
@@ -17,46 +18,37 @@ through the live :class:`~repro.serve.service.SimulationService`:
   (ranked by the :class:`Objective` — IPC, coverage, MPKI, ...) is
   promoted, Hyperband-style, with an optional absolute ``cutoff`` for
   per-round early stopping;
-* every round's jobs ride the ordinary service path — priority queue,
-  in-flight dedup, retries, circuit breaker — and the **full-length**
-  jobs of the final rung are byte-identical to directly-submitted
-  :class:`~repro.sim.executor.SimJob`\\ s (same digests), so their
-  results land in, and re-submissions are answered by, the shared
-  :class:`~repro.sim.executor.ResultCache`;
-* progress streams through the service's ``/metrics`` StatGroup
-  (``serve.experiments.*`` counters + a per-round latency histogram)
-  and ``GET /experiments/<id>`` returns the live round-by-round record.
+* every rung's jobs ride the daemon's ordinary job path — priority
+  queue, in-flight dedup, retries, circuit breaker, admission control —
+  and the **full-length** jobs of the final rung are byte-identical to
+  directly-submitted :class:`~repro.sim.executor.SimJob`\\ s (same
+  digests), so their results land in, and re-submissions are answered
+  by, the shared :class:`~repro.sim.executor.ResultCache`.
 
 Screen-rung jobs scale the warmup window proportionally
 (:meth:`SimJob.with_instructions`), so a short trace measures the same
 *shape* of run; the final rung uses the base spec's params untouched —
 that exactness is what makes the digest/cache guarantees above hold.
+The daemon keeps no state for a search: the client must stay up until
+the last rung finishes.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.sim.executor import SimJob
 from repro.sim.results import SimResult
 from repro.sim.sweep import expand_grid
-from repro.serve.jobs import (
-    JobRecord,
-    JobState,
-    job_from_wire,
-    job_to_wire,
-    new_job_id,
-)
-from repro.serve.metrics import LatencyHistogram
+from repro.serve.client import ServiceClient, ServiceError
+from repro.serve.jobs import job_from_wire, job_to_wire
 
-#: a submitted space larger than this is refused outright — an adaptive
-#: search that starts by enumerating a hundred thousand screens is a
-#: grid sweep wearing a costume (and a daemon-sized memory bill)
+#: a space larger than this is refused outright — an adaptive search
+#: that starts by enumerating a hundred thousand screens is a grid sweep
+#: wearing a costume
 MAX_POINTS = 4096
 
 #: objective metrics -> (SimResult attribute, natural direction)
@@ -71,33 +63,15 @@ OBJECTIVE_METRICS: Dict[str, Tuple[str, str]] = {
 
 
 class OrchestrationError(RuntimeError):
-    """An experiment could not run to completion."""
-
-
-class ExperimentState(str, Enum):
-    """Lifecycle of a submitted experiment."""
-
-    PENDING = "pending"
-    RUNNING = "running"
-    DONE = "done"
-    FAILED = "failed"
-
-    @property
-    def terminal(self) -> bool:
-        return self in (ExperimentState.DONE, ExperimentState.FAILED)
+    """A search could not run to completion."""
 
 
 @dataclass(frozen=True)
 class Objective:
-    """What to optimise, and in which direction.
-
-    ``mode`` defaults to the metric's natural direction (``mpki`` and
-    ``overprediction`` minimise, everything else maximises); passing it
-    explicitly lets a study invert a metric on purpose.
-    """
+    """What to optimise, in the metric's natural direction (``mpki`` and
+    ``overprediction`` minimise, everything else maximises)."""
 
     metric: str = "ipc"
-    mode: str = ""
 
     def __post_init__(self) -> None:
         if self.metric not in OBJECTIVE_METRICS:
@@ -105,14 +79,10 @@ class Objective:
                 f"unknown objective metric {self.metric!r}; "
                 f"choose from {sorted(OBJECTIVE_METRICS)}"
             )
-        if self.mode not in ("", "max", "min"):
-            raise ValueError(
-                f"objective mode must be 'max' or 'min', got {self.mode!r}"
-            )
 
     @property
     def direction(self) -> str:
-        return self.mode or OBJECTIVE_METRICS[self.metric][1]
+        return OBJECTIVE_METRICS[self.metric][1]
 
     def score(self, result: SimResult) -> float:
         return float(getattr(result, OBJECTIVE_METRICS[self.metric][0]))
@@ -127,9 +97,6 @@ class Objective:
             return True
         return score >= cutoff if self.direction == "max" else score <= cutoff
 
-    def to_dict(self) -> Dict[str, str]:
-        return {"metric": self.metric, "mode": self.direction}
-
 
 @dataclass(frozen=True)
 class HalvingSchedule:
@@ -138,17 +105,15 @@ class HalvingSchedule:
     Rungs grow geometrically by ``eta`` from ``screen_instructions``
     until they reach ``full_instructions`` (the last rung is always
     exactly the full budget); after every non-final rung the top
-    ``ceil(n / eta)`` candidates (never fewer than ``min_keep``)
-    promote.  ``cutoff`` adds absolute per-round early stopping: a
-    candidate whose score fails the bar is dropped even inside the keep
-    fraction — though the single best candidate always survives, so an
-    experiment always produces a winner.
+    ``ceil(n / eta)`` candidates promote.  ``cutoff`` adds absolute
+    per-round early stopping: a candidate whose score fails the bar is
+    dropped even inside the keep fraction — though the single best
+    candidate always survives, so a search always produces a winner.
     """
 
     screen_instructions: int = 2_000
     full_instructions: int = 20_000
     eta: float = 2.0
-    min_keep: int = 1
     cutoff: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -161,8 +126,6 @@ class HalvingSchedule:
             )
         if self.eta <= 1.0:
             raise ValueError(f"eta must be > 1, got {self.eta}")
-        if self.min_keep < 1:
-            raise ValueError(f"min_keep must be >= 1, got {self.min_keep}")
 
     def rungs(self) -> List[int]:
         """Instruction budgets per round, ending exactly at full length."""
@@ -176,17 +139,7 @@ class HalvingSchedule:
 
     def keep(self, candidates: int) -> int:
         """How many of ``candidates`` promote out of a non-final round."""
-        return min(candidates, max(self.min_keep, math.ceil(candidates / self.eta)))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "screen": self.screen_instructions,
-            "full": self.full_instructions,
-            "eta": self.eta,
-            "min_keep": self.min_keep,
-            "cutoff": self.cutoff,
-            "rungs": self.rungs(),
-        }
+        return min(candidates, max(1, math.ceil(candidates / self.eta)))
 
 
 @dataclass(frozen=True)
@@ -226,7 +179,7 @@ class ExperimentSpace:
         Deterministic odometer order: workloads outermost, then
         prefetchers, then knob axes with the last axis varying fastest —
         the same order :func:`expand_grid` gives a fixed sweep, so point
-        indices are stable across the orchestrator, logs, and clients.
+        indices are stable across runs, logs, and clients.
         """
         combos = expand_grid({name: values for name, values in self.knobs})
         out: List[Dict[str, Any]] = []
@@ -243,19 +196,6 @@ class ExperimentSpace:
                     out.append(spec)
         return out
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "workloads": list(self.workloads),
-            "prefetchers": list(self.prefetchers),
-            "knobs": {name: list(values) for name, values in self.knobs},
-            "base": dict(self.base),
-        }
-
-
-# ---------------------------------------------------------------------------
-# Wire-format parsers (the ``POST /experiments`` body)
-# ---------------------------------------------------------------------------
-
 
 def _names(payload: Any, what: str) -> Tuple[str, ...]:
     if isinstance(payload, str):
@@ -268,7 +208,8 @@ def _names(payload: Any, what: str) -> Tuple[str, ...]:
 
 
 def space_from_wire(payload: Any) -> ExperimentSpace:
-    """Build an :class:`ExperimentSpace` from the POST body's ``space``."""
+    """Build an :class:`ExperimentSpace` from its JSON object (the
+    ``bingo-sim experiment --space`` argument)."""
     if not isinstance(payload, dict):
         raise ValueError("'space' must be an object")
     unknown = set(payload) - {"workloads", "prefetchers", "knobs", "base"}
@@ -297,425 +238,153 @@ def space_from_wire(payload: Any) -> ExperimentSpace:
     return ExperimentSpace(**kwargs)
 
 
-def schedule_from_wire(payload: Any) -> HalvingSchedule:
-    if payload is None:
-        return HalvingSchedule()
-    if not isinstance(payload, dict):
-        raise ValueError("'schedule' must be an object")
-    known = {"screen", "full", "eta", "min_keep", "cutoff"}
-    unknown = set(payload) - known
-    if unknown:
-        raise ValueError(f"unknown schedule field(s): {sorted(unknown)}")
-    try:
-        return HalvingSchedule(
-            screen_instructions=int(payload.get("screen", 2_000)),
-            full_instructions=int(payload.get("full", 20_000)),
-            eta=float(payload.get("eta", 2.0)),
-            min_keep=int(payload.get("min_keep", 1)),
-            cutoff=(
-                None
-                if payload.get("cutoff") is None
-                else float(payload["cutoff"])
-            ),
-        )
-    except TypeError as exc:
-        raise ValueError(f"bad schedule value: {exc}") from None
+def _full_job(point: Dict[str, Any], schedule: HalvingSchedule) -> SimJob:
+    """The point's full-length job — byte-identical to a direct build."""
+    spec = dict(point)
+    spec["instructions"] = schedule.full_instructions
+    if "warmup" not in spec:
+        # job_from_wire's absolute default (20k) can exceed a short
+        # full budget; default proportionally instead
+        spec["warmup"] = schedule.full_instructions // 5
+    return job_from_wire(spec)
 
 
-def objective_from_wire(payload: Any) -> Objective:
-    if payload is None:
-        return Objective()
-    if isinstance(payload, str):
-        return Objective(metric=payload)
-    if not isinstance(payload, dict):
-        raise ValueError("'objective' must be a metric name or an object")
-    unknown = set(payload) - {"metric", "mode"}
-    if unknown:
-        raise ValueError(f"unknown objective field(s): {sorted(unknown)}")
-    return Objective(
-        metric=str(payload.get("metric", "ipc")),
-        mode=str(payload.get("mode", "")),
-    )
+def run_halving(
+    client: ServiceClient,
+    space: ExperimentSpace,
+    schedule: HalvingSchedule,
+    objective: Objective,
+    priority: int = 0,
+    timeout: float = 1800.0,
+) -> Dict[str, Any]:
+    """Successive halving over ``space`` on the service behind ``client``.
 
+    Returns ``{"points", "rounds", "winner"}``: the point specs (index
+    == point id), one report per rung run (``instructions``,
+    ``candidates``, best-first ``results``, ``promoted`` point ids), and
+    the best full-length point with its wire spec, score, digest, and
+    ``job_id``.
 
-# ---------------------------------------------------------------------------
-# Records
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ExperimentRecord:
-    """One experiment's service-side state (mutated by its runner thread)."""
-
-    space: ExperimentSpace
-    schedule: HalvingSchedule
-    objective: Objective
-    id: str = field(default_factory=new_job_id)
-    priority: int = 0
-    state: ExperimentState = ExperimentState.PENDING
-    created_at: float = field(default_factory=time.time)
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
-    #: wire-format point specs (no ``instructions``), index == point id
-    points: List[Dict[str, Any]] = field(default_factory=list)
-    #: per-round reports, appended as rounds complete
-    rounds: List[Dict[str, Any]] = field(default_factory=list)
-    winner: Optional[Dict[str, Any]] = None
-    error: Optional[str] = None
-
-    def to_dict(self, include_rounds: bool = True) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "id": self.id,
-            "state": self.state.value,
-            "priority": self.priority,
-            "objective": self.objective.to_dict(),
-            "schedule": self.schedule.to_dict(),
-            "space": self.space.to_dict(),
-            "points": len(self.points),
-            "rounds_completed": len(self.rounds),
-            "created_at": self.created_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "winner": self.winner,
-            "error": self.error,
-        }
-        if include_rounds:
-            out["rounds"] = list(self.rounds)
-        return out
-
-
-# ---------------------------------------------------------------------------
-# The orchestrator
-# ---------------------------------------------------------------------------
-
-
-class ExperimentOrchestrator:
-    """Drives experiments as rounds of batched jobs through one service.
-
-    One daemon thread per experiment: it submits a rung's jobs through
-    :meth:`SimulationService.submit` (so dedup, retries, the breaker,
-    and the shared caches all apply), polls the returned records to
-    terminal states, ranks the survivors, and promotes.  All shared
-    state (`_experiments`, record mutation) is guarded by one lock;
-    counters ride the service's StatGroup under ``experiments.*`` using
-    the service's own metrics lock.
+    Every point's full-length job is built before anything is
+    submitted, so a malformed spec or a space over :data:`MAX_POINTS`
+    raises ``ValueError`` up front.  Raises :class:`OrchestrationError`
+    when every candidate of a round fails, :class:`ServiceError` when
+    the service refuses a rung (draining, backpressure beyond the
+    client's retries) or goes away, and ``TimeoutError`` once the search
+    has run ``timeout`` seconds.
     """
-
-    #: poll period while waiting for a round's jobs (in-process records)
-    POLL_SECONDS = 0.02
-
-    def __init__(self, service: "Any") -> None:  # SimulationService
-        self._service = service
-        self._lock = threading.Lock()
-        self._stopping = threading.Event()
-        self._experiments: Dict[str, ExperimentRecord] = {}
-        self._threads: Dict[str, threading.Thread] = {}
-        self._stats = service.stats.child("experiments")
-        self._stats_lock = service._metrics_lock
-        self._round_latency = LatencyHistogram(self._stats, "round")
-
-    # -- submission ---------------------------------------------------------
-    def submit(
-        self,
-        space: ExperimentSpace,
-        schedule: Optional[HalvingSchedule] = None,
-        objective: Optional[Objective] = None,
-        priority: int = 0,
-    ) -> ExperimentRecord:
-        """Validate, register, and start one experiment; returns its record.
-
-        Every point is expanded and compiled into its *full-length*
-        :class:`SimJob` up front, so a malformed spec anywhere in the
-        space fails the submission (a 400, not a half-run experiment).
-        Raises ``RuntimeError`` while the service is draining.
-        """
-        if self._stopping.is_set() or self._service.draining:
-            raise RuntimeError("service is draining; experiment refused")
-        schedule = schedule if schedule is not None else HalvingSchedule()
-        objective = objective if objective is not None else Objective()
-        record = ExperimentRecord(
-            space=space,
-            schedule=schedule,
-            objective=objective,
-            priority=priority,
+    points = space.points()
+    if len(points) > MAX_POINTS:
+        raise ValueError(
+            f"space expands to {len(points)} points "
+            f"(max {MAX_POINTS}); shrink an axis"
         )
-        record.points = space.points()
-        if len(record.points) > MAX_POINTS:
-            raise ValueError(
-                f"space expands to {len(record.points)} points "
-                f"(max {MAX_POINTS}); shrink an axis"
-            )
-        full_jobs = [
-            self._full_job(point, schedule) for point in record.points
-        ]
-        with self._lock:
-            self._experiments[record.id] = record
-            thread = threading.Thread(
-                target=self._run,
-                args=(record, full_jobs),
-                name=f"experiment-{record.id}",
-                daemon=True,
-            )
-            self._threads[record.id] = thread
-        self._count("submitted")
-        thread.start()
-        return record
-
-    @staticmethod
-    def _full_job(point: Dict[str, Any], schedule: HalvingSchedule) -> SimJob:
-        """The point's full-length job — byte-identical to a direct build."""
-        spec = dict(point)
-        spec["instructions"] = schedule.full_instructions
-        if "warmup" not in spec:
-            # job_from_wire's absolute default (20k) can exceed a short
-            # full budget; default proportionally instead
-            spec["warmup"] = schedule.full_instructions // 5
-        return job_from_wire(spec)
-
-    # -- introspection ------------------------------------------------------
-    def get(self, experiment_id: str) -> Optional[ExperimentRecord]:
-        with self._lock:
-            return self._experiments.get(experiment_id)
-
-    def records(self) -> List[ExperimentRecord]:
-        """All experiments, newest first."""
-        with self._lock:
-            return sorted(
-                self._experiments.values(),
-                key=lambda record: record.created_at,
-                reverse=True,
-            )
-
-    def state_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        with self._lock:
-            for record in self._experiments.values():
-                counts[record.state.value] = counts.get(record.state.value, 0) + 1
-        return counts
-
-    # -- shutdown -----------------------------------------------------------
-    def stop(self, timeout: float = 10.0) -> None:
-        """Abort running experiments (drain path); idempotent."""
-        self._stopping.set()
-        with self._lock:
-            threads = list(self._threads.values())
-        deadline = time.monotonic() + timeout
-        for thread in threads:
-            thread.join(max(0.1, deadline - time.monotonic()))
-
-    # -- the runner thread --------------------------------------------------
-    def _run(self, record: ExperimentRecord, full_jobs: List[SimJob]) -> None:
-        with self._lock:
-            record.state = ExperimentState.RUNNING
-            record.started_at = time.time()
-        try:
-            self._drive(record, full_jobs)
-        except OrchestrationError as exc:
-            self._fail(record, str(exc))
-        except Exception as exc:  # defensive: a bug must surface, not hang
-            self._fail(record, f"{type(exc).__name__}: {exc}")
-
-    def _fail(self, record: ExperimentRecord, message: str) -> None:
-        with self._lock:
-            record.state = ExperimentState.FAILED
-            record.error = message
-            record.finished_at = time.time()
-        self._count("failed")
-
-    def _drive(self, record: ExperimentRecord, full_jobs: List[SimJob]) -> None:
-        survivors = list(range(len(full_jobs)))
-        rungs = record.schedule.rungs()
-        winner: Optional[Tuple[int, float, JobRecord]] = None
-        for round_index, budget in enumerate(rungs):
-            final = round_index == len(rungs) - 1
-            if not final and len(survivors) == 1:
-                # nothing left to screen; jump straight to full length
-                self._count("rungs_skipped")
-                continue
-            started = time.monotonic()
-            scored, report = self._run_round(
-                record, survivors, budget, round_index, full_jobs, final
-            )
-            with self._stats_lock:
-                self._stats.add("rounds")
-            self._round_latency.observe(time.monotonic() - started)
-            if not scored:
-                with self._lock:
-                    record.rounds.append(report)
-                raise OrchestrationError(
-                    f"round {round_index}: every candidate failed"
-                )
-            if final:
-                promoted = scored[:1]
-                winner = scored[0]
-            else:
-                promoted = self._promote(record, scored)
-            report["promoted"] = [index for index, _, _ in promoted]
-            with self._lock:
-                record.rounds.append(report)
-            survivors = [index for index, _, _ in promoted]
-
-        assert winner is not None  # rungs() always ends with the full rung
-        index, score, job_record = winner
-        with self._lock:
-            record.winner = {
-                "point": index,
-                "spec": job_to_wire(full_jobs[index]),
-                "instructions": record.schedule.full_instructions,
-                "score": score,
-                "metric": record.objective.metric,
-                "mode": record.objective.direction,
-                "digest": job_record.digest,
-                "job_id": job_record.id,
-            }
-            record.state = ExperimentState.DONE
-            record.finished_at = time.time()
-        self._count("completed")
-
-    def _promote(
-        self,
-        record: ExperimentRecord,
-        scored: List[Tuple[int, float, JobRecord]],
-    ) -> List[Tuple[int, float, JobRecord]]:
-        """Top keep-fraction, then the absolute cutoff (best always lives)."""
-        keep = record.schedule.keep(len(scored))
-        promoted = scored[:keep]
-        cutoff = record.schedule.cutoff
-        if cutoff is not None:
-            passing = [
-                entry
-                for entry in promoted
-                if record.objective.meets(entry[1], cutoff)
-            ]
-            dropped = len(promoted) - len(passing)
-            if dropped:
-                self._count("early_stopped", dropped)
-            promoted = passing or promoted[:1]
-        self._count("promotions", len(promoted))
-        return promoted
-
-    def _run_round(
-        self,
-        record: ExperimentRecord,
-        survivors: Sequence[int],
-        budget: int,
-        round_index: int,
-        full_jobs: List[SimJob],
-        final: bool,
-    ) -> Tuple[List[Tuple[int, float, JobRecord]], Dict[str, Any]]:
-        """Submit one rung's jobs, await them, rank the completions.
-
-        Returns ``(scored, report)`` where ``scored`` is best-first
-        ``(point_index, score, job_record)`` — ties broken by point
-        index, so ranking is deterministic — and ``report`` is the
-        JSON-ready round summary (without ``promoted``, which the
-        caller fills in).
-        """
-        from repro.serve.cluster.coordinator import AdmissionError
-        from repro.serve.service import QuarantinedError
-
-        job_records: Dict[int, Optional[JobRecord]] = {}
-        for index in survivors:
-            job = (
-                full_jobs[index]
-                if final
-                else full_jobs[index].with_instructions(budget)
-            )
-            try:
-                while True:
-                    try:
-                        job_record, deduped = self._service.submit(
-                            job, priority=record.priority
-                        )
-                        break
-                    except AdmissionError as exc:
-                        # backpressure: an admitted experiment paces its
-                        # rungs instead of dying mid-flight
-                        if self._stopping.is_set():
-                            raise OrchestrationError(
-                                "orchestrator stopped (draining)"
-                            ) from None
-                        self._count("rung_backpressure_waits")
-                        time.sleep(min(exc.retry_after, 2.0))
-            except QuarantinedError:
-                job_records[index] = None
-                self._count("points_quarantined")
-                continue
-            except OrchestrationError:
-                raise
-            except RuntimeError as exc:  # queue closed: draining
-                raise OrchestrationError(f"submission refused: {exc}") from None
-            job_records[index] = job_record
-            self._count("jobs_submitted")
-            if deduped:
-                self._count("jobs_deduped")
-
-        pending = [jr for jr in job_records.values() if jr is not None]
-        while any(not jr.state.terminal for jr in pending):
-            if self._stopping.is_set():
-                raise OrchestrationError("orchestrator stopped (draining)")
-            time.sleep(self.POLL_SECONDS)
-
-        scored: List[Tuple[int, float, JobRecord]] = []
-        entries: List[Dict[str, Any]] = []
-        failed = 0
-        for index in survivors:
-            job_record = job_records[index]
-            entry: Dict[str, Any] = {
-                "point": index,
-                "workload": record.points[index]["workload"],
-                "prefetcher": record.points[index].get("prefetcher", "none"),
-                "knobs": dict(
-                    record.points[index].get("prefetcher_kwargs") or {}
-                ),
-            }
-            if job_record is None:
-                entry.update(state="quarantined", score=None)
-                failed += 1
-            elif job_record.state is JobState.DONE:
-                score = record.objective.score(job_record.result)
-                entry.update(
-                    state="done",
-                    score=score,
-                    job_id=job_record.id,
-                    digest=job_record.digest,
-                )
-                scored.append((index, score, job_record))
-            else:
-                entry.update(
-                    state=job_record.state.value,
-                    score=None,
-                    job_id=job_record.id,
-                    error=job_record.error,
-                )
-                failed += 1
-            entries.append(entry)
-        if failed:
-            self._count("points_failed", failed)
-
-        scored.sort(
-            key=lambda item: (record.objective.sort_key(item[1]), item[0])
-        )
-        entries.sort(
-            key=lambda entry: (
-                entry["score"] is None,
-                record.objective.sort_key(entry["score"])
-                if entry["score"] is not None
-                else 0.0,
-                entry["point"],
-            )
-        )
-        report = {
+    full_jobs = [_full_job(point, schedule) for point in points]
+    deadline = time.monotonic() + timeout
+    rungs = schedule.rungs()
+    survivors = list(range(len(points)))
+    rounds: List[Dict[str, Any]] = []
+    for round_index, budget in enumerate(rungs):
+        final = round_index == len(rungs) - 1
+        if not final and len(survivors) == 1:
+            continue  # nothing left to screen; jump straight to full length
+        jobs = {
+            index: full_jobs[index]
+            if final
+            else full_jobs[index].with_instructions(budget)
+            for index in survivors
+        }
+        results = _run_rung(client, jobs, objective, priority, deadline)
+        scored = [entry for entry in results if entry["state"] == "done"]
+        report: Dict[str, Any] = {
             "round": round_index,
             "instructions": budget,
             "final": final,
             "candidates": len(survivors),
-            "completed": len(scored),
-            "failed": failed,
-            "results": entries,
+            "failed": len(survivors) - len(scored),
+            "results": results,
         }
-        return scored, report
+        rounds.append(report)
+        if not scored:
+            raise OrchestrationError(
+                f"round {round_index}: every candidate failed"
+            )
+        if final:
+            promoted = scored[:1]
+        else:
+            # top keep-fraction, then the cutoff (the best always lives)
+            promoted = scored[: schedule.keep(len(scored))]
+            promoted = [
+                entry
+                for entry in promoted
+                if objective.meets(entry["score"], schedule.cutoff)
+            ] or promoted[:1]
+        survivors = [entry["point"] for entry in promoted]
+        report["promoted"] = survivors
 
-    def _count(self, counter: str, amount: int = 1) -> None:
-        with self._stats_lock:
-            self._stats.add(counter, amount)
+    best = rounds[-1]["results"][0]  # the full-length rung's best
+    winner = {
+        "point": best["point"],
+        "spec": job_to_wire(full_jobs[best["point"]]),
+        "score": best["score"],
+        "metric": objective.metric,
+        "digest": best["digest"],
+        "job_id": best["job_id"],
+    }
+    return {"points": points, "rounds": rounds, "winner": winner}
+
+
+def _run_rung(
+    client: ServiceClient,
+    jobs: Dict[int, SimJob],
+    objective: Objective,
+    priority: int,
+    deadline: float,
+) -> List[Dict[str, Any]]:
+    """Submit one rung's jobs, wait for them, score the completions.
+
+    Jobs go in one at a time: a ``429 quarantined`` answer drops only
+    that point, where a batch ``POST /jobs`` stops at the first
+    quarantined spec.  Entries come back best first (ties broken by
+    point index, so ranking is deterministic), failures last.
+    """
+    accepted: Dict[int, Optional[Dict[str, Any]]] = {}
+    for index, job in jobs.items():
+        try:
+            accepted[index] = client.submit(job, priority=priority)
+        except ServiceError as exc:
+            if exc.status != 429 or exc.body.get("code") != "quarantined":
+                raise
+            accepted[index] = None
+
+    results: List[Dict[str, Any]] = []
+    for index, submission in accepted.items():
+        if submission is None:
+            results.append(
+                {"point": index, "state": "quarantined", "score": None}
+            )
+            continue
+        record = client.wait(
+            submission["id"], timeout=max(0.0, deadline - time.monotonic())
+        )
+        entry = {
+            "point": index,
+            "state": record["state"],
+            "score": None,
+            "job_id": record["id"],
+            "digest": record["digest"],
+        }
+        if record["state"] == "done":
+            result = SimResult.from_dict(record["result"])
+            entry["score"] = objective.score(result)
+        else:
+            entry["error"] = record["error"]
+        results.append(entry)
+    results.sort(
+        key=lambda entry: (
+            entry["score"] is None,
+            objective.sort_key(entry["score"] or 0.0),
+            entry["point"],
+        )
+    )
+    return results

@@ -48,13 +48,6 @@ from repro.serve.cluster.coordinator import (
 )
 from repro.serve.jobs import JobRecord, JobState
 from repro.serve.metrics import LatencyHistogram
-from repro.serve.orchestrate import (
-    ExperimentOrchestrator,
-    ExperimentRecord,
-    ExperimentSpace,
-    HalvingSchedule,
-    Objective,
-)
 from repro.serve.queue import JobQueue
 from repro.serve.supervisor import CircuitBreaker, RetryPolicy, Supervisor
 
@@ -154,10 +147,7 @@ class SimulationService:
         self._stopping = threading.Event()
         self._drained = threading.Event()
         self._started = False
-        #: adaptive experiments driver (successive halving over a space);
-        #: shares this service's queue, caches, breaker, and metrics tree
-        self.orchestrator = ExperimentOrchestrator(self)
-        #: queue-depth backpressure on POST /jobs + /experiments
+        #: queue-depth backpressure on POST /jobs
         self.admission = AdmissionController(
             max_depth=self.config.max_queue_depth, clock=clock
         )
@@ -214,10 +204,6 @@ class SimulationService:
         Idempotent; safe to call from a signal-initiated thread.
         """
         self._stopping.set()
-        # Abort experiment runner threads *before* closing the queue:
-        # they bail at their next poll tick instead of wedging the
-        # drain waiting on jobs that will never be popped.
-        self.orchestrator.stop(timeout=min(5.0, timeout))
         self.queue.close()
         deadline = self._clock() + timeout
         for thread in self._threads:
@@ -275,11 +261,6 @@ class SimulationService:
         if deduped:
             self._count("dedup_hits")
         return record, deduped
-
-    def submit_many(
-        self, jobs: List[SimJob], priority: int = 0
-    ) -> List[Tuple[JobRecord, bool]]:
-        return [self.submit(job, priority) for job in jobs]
 
     # -- the worker slots ---------------------------------------------------
     def _worker_loop(self, executor: Executor) -> None:
@@ -388,40 +369,6 @@ class SimulationService:
         with self._metrics_lock:
             self.stats.add(counter, amount)
 
-    # -- experiments --------------------------------------------------------
-    def submit_experiment(
-        self,
-        space: ExperimentSpace,
-        schedule: Optional[HalvingSchedule] = None,
-        objective: Optional[Objective] = None,
-        priority: int = 0,
-    ) -> ExperimentRecord:
-        """Start an adaptive search over ``space``; returns its record.
-
-        See :mod:`repro.serve.orchestrate` — rounds of screens promote
-        the top fraction to full length via successive halving, all
-        through this service's ordinary job path.  Raises
-        :class:`AdmissionError` when the queue is over its depth bound —
-        an experiment is a large batch of future submissions, so a
-        saturated frontend refuses the whole space up front (admitted
-        experiments then *pace* their rungs against the same bound
-        instead of failing).
-        """
-        depth = self.queue.depth()
-        retry_after = self.admission.check(depth)
-        if retry_after is not None:
-            self._count("rejected_admission")
-            raise AdmissionError(depth, retry_after)
-        return self.orchestrator.submit(
-            space, schedule=schedule, objective=objective, priority=priority
-        )
-
-    def get_experiment(self, experiment_id: str) -> Optional[ExperimentRecord]:
-        return self.orchestrator.get(experiment_id)
-
-    def experiments(self) -> List[ExperimentRecord]:
-        return self.orchestrator.records()
-
     # -- introspection ------------------------------------------------------
     def get(self, job_id: str) -> Optional[JobRecord]:
         return self.queue.get(job_id)
@@ -456,7 +403,6 @@ class SimulationService:
             "queue_depth": counts.get("pending", 0),
             "in_flight": counts.get("running", 0),
             "jobs_by_state": counts,
-            "experiments_by_state": self.orchestrator.state_counts(),
             "breaker_open_digests": self.supervisor.breaker.open_digests,
             "executor_totals": totals,
             # which engine loop answered in-process runs, and how many

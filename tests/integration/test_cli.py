@@ -147,6 +147,50 @@ def test_experiment_without_id_or_space_rejected(capsys):
     assert "--space" in capsys.readouterr().err
 
 
+def test_experiment_space_against_a_live_service(capsys, tmp_path):
+    import json
+    import threading
+
+    from repro.serve import ServiceConfig, SimulationService, make_server
+
+    service = SimulationService(
+        ServiceConfig(workers=2, job_timeout=60.0, cache_dir=None)
+    ).start()
+    server = make_server(service, host="127.0.0.1", port=0)
+    host, port = server.server_address[:2]
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "workloads": ["streaming"],
+        "prefetchers": ["nextline"],
+        "knobs": {"degree": [1, 2, 3, 4]},
+        "base": {"seed": 7, "scale": 0.02, "compile": False,
+                 "warmup": 500, "system": "experiment"},
+    }))
+    try:
+        code = cli.main(
+            ["experiment", "--space", f"@{space}",
+             "--url", f"http://{host}:{port}", "--objective", "throughput",
+             "--screen", "750", "--full", "3000", "--eta", "2"]
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(5.0)
+        service.drain(timeout=10.0)
+    assert code == 0
+    out = capsys.readouterr().out
+    rounds = [line for line in out.splitlines() if line.startswith("round ")]
+    assert rounds == [
+        "round 0: 750 instructions, 4 candidates -> 2 promoted",
+        "round 1: 1500 instructions, 2 candidates -> 1 promoted",
+        "round 2: 3000 instructions, 1 candidates -> 1 promoted",
+    ]
+    assert "experiment winner" in out
+    assert "throughput" in out and "nextline" in out
+
+
 def test_check_command(capsys):
     code = cli.main(
         ["check", "-w", "streaming", "-p", "bingo", "-p", "bop",

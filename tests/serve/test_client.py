@@ -66,7 +66,7 @@ class TestNonJsonBody:
 
 
 class FakeTime:
-    """Deterministic monotonic clock + sleep recorder for _poll tests."""
+    """Deterministic monotonic clock + sleep recorder for wait tests."""
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -143,20 +143,6 @@ class TestPollBackoff:
         with pytest.raises(TimeoutError, match="running"):
             client.wait("j1", timeout=3.0, poll_interval=0.5)
         assert fake_time.now <= 3.0 + 0.5, "sleeps are clamped to deadline"
-
-    def test_wait_experiment_polls_same_loop(
-        self, client, fake_time, monkeypatch
-    ):
-        client._random = lambda: 0.0
-        states = iter(["running", "running", "done"])
-        monkeypatch.setattr(
-            client,
-            "experiment",
-            lambda experiment_id: {"id": experiment_id, "state": next(states)},
-        )
-        record = client.wait_experiment("e1", timeout=100.0)
-        assert record["state"] == "done"
-        assert len(fake_time.sleeps) == 2
 
 
 def _free_port() -> int:

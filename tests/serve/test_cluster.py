@@ -399,21 +399,6 @@ class TestAdmissionIntegration:
         record, deduped = service.submit(make_job(seed=1))
         assert deduped is True
 
-    def test_experiment_submission_rejected_when_saturated(self, tmp_path):
-        clock = FakeClock()
-        service = SimulationService(
-            ServiceConfig(workers=0, cache_dir=None, max_queue_depth=1),
-            clock=clock,
-        )
-        service.submit(make_job(seed=1))
-        from repro.serve.orchestrate import space_from_wire
-
-        space = space_from_wire(
-            {"workloads": ["streaming"], "prefetchers": ["none"]}
-        )
-        with pytest.raises(AdmissionError):
-            service.submit_experiment(space)
-
 
 class TestSnapshot:
     def test_gauges_shape(self, cluster):

@@ -1,30 +1,35 @@
 """Adaptive experiments: spaces, schedules, and the halving end to end.
 
-The end-to-end class is the acceptance test for the orchestrator: a
-12-point space screened over two halving rounds before the full-length
-rung, with the promoted full-length runs provably *identical* — same
-digests, same result fields, shared result-cache entries — to jobs
-built and submitted directly.
+The end-to-end class is the acceptance test for :func:`run_halving`: a
+client screens a 12-point space over two halving rounds before the
+full-length rung, against a live service over real HTTP, and the
+promoted full-length runs are provably *identical* — same digests, same
+result fields, shared result-cache entries — to jobs built and
+submitted directly.
 """
 
+import threading
 import time
 
 import pytest
 
 from repro.serve import (
     ExperimentSpace,
-    ExperimentState,
     HalvingSchedule,
     Objective,
+    OrchestrationError,
     QuarantinedError,
+    ServiceClient,
     ServiceConfig,
+    ServiceError,
     SimulationService,
     job_from_wire,
-    objective_from_wire,
-    schedule_from_wire,
+    make_server,
+    run_halving,
     space_from_wire,
 )
 from repro.sim.executor import Executor
+from repro.sim.results import SimResult
 
 #: shared base spec: tiny scaled workloads, uncompiled, experiment system
 BASE = {
@@ -35,6 +40,10 @@ BASE = {
     "system": "experiment",
 }
 
+#: a one-point space and a two-rung schedule for the failure paths
+ONE_POINT = ExperimentSpace(workloads=("streaming",), base=BASE)
+SHORT = HalvingSchedule(screen_instructions=750, full_instructions=1500)
+
 
 class TestObjective:
     def test_natural_directions(self):
@@ -42,9 +51,6 @@ class TestObjective:
         assert Objective("coverage").direction == "max"
         assert Objective("mpki").direction == "min"
         assert Objective("overprediction").direction == "min"
-
-    def test_mode_override(self):
-        assert Objective("coverage", mode="min").direction == "min"
 
     def test_sort_key_orders_best_first(self):
         maximise = Objective("ipc")
@@ -62,8 +68,6 @@ class TestObjective:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown objective"):
             Objective("wattage")
-        with pytest.raises(ValueError, match="mode"):
-            Objective("ipc", mode="sideways")
 
 
 class TestHalvingSchedule:
@@ -90,7 +94,6 @@ class TestHalvingSchedule:
         assert schedule.keep(12) == 6
         assert schedule.keep(3) == 2  # ceil(3/2)
         assert schedule.keep(1) == 1
-        assert HalvingSchedule(eta=2.0, min_keep=4).keep(4) == 4
 
     def test_validation(self):
         with pytest.raises(ValueError, match="eta"):
@@ -169,44 +172,50 @@ class TestWireParsers:
         with pytest.raises(ValueError, match="knbos"):
             space_from_wire({"workloads": ["x"], "knbos": {}})
 
-    def test_schedule_defaults_and_fields(self):
-        assert schedule_from_wire(None) == HalvingSchedule()
-        schedule = schedule_from_wire(
-            {"screen": 100, "full": 400, "eta": 4, "cutoff": 1.5}
-        )
-        assert schedule.screen_instructions == 100
-        assert schedule.full_instructions == 400
-        assert schedule.eta == 4.0
-        assert schedule.cutoff == 1.5
-        with pytest.raises(ValueError, match="fulll"):
-            schedule_from_wire({"fulll": 400})
 
-    def test_objective_forms(self):
-        assert objective_from_wire(None) == Objective()
-        assert objective_from_wire("mpki") == Objective("mpki")
-        assert objective_from_wire(
-            {"metric": "coverage", "mode": "min"}
-        ) == Objective("coverage", mode="min")
-        with pytest.raises(ValueError):
-            objective_from_wire(["ipc"])
+def serve_http(service):
+    """Serve ``service`` over real HTTP on an ephemeral port.
 
+    Returns ``(client, stop)``; ``stop()`` shuts the HTTP server down,
+    as the daemon does after its drain.
+    """
+    server = make_server(service, host="127.0.0.1", port=0)
+    host, port = server.server_address[:2]
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
 
-def wait_experiment(record, timeout: float = 120.0):
-    deadline = time.time() + timeout
-    while not record.state.terminal and time.time() < deadline:
-        time.sleep(0.02)
-    return record
+    def stop():
+        server.shutdown()
+        server.server_close()
+        thread.join(5.0)
+
+    return ServiceClient(f"http://{host}:{port}", timeout=10.0), stop
 
 
 @pytest.fixture
-def service():
-    svc = SimulationService(
+def live():
+    """(service, client): two running worker slots behind real HTTP."""
+    service = SimulationService(
         ServiceConfig(workers=2, job_timeout=60.0, cache_dir="")
     ).start()
+    client, stop = serve_http(service)
     try:
-        yield svc
+        yield service, client
     finally:
-        svc.drain(timeout=10.0)
+        stop()
+        service.drain(timeout=10.0)
+
+
+@pytest.fixture
+def idle():
+    """(service, client): worker slots never started, so nothing runs."""
+    service = SimulationService(ServiceConfig(workers=1, cache_dir=None))
+    client, stop = serve_http(service)
+    try:
+        yield service, client
+    finally:
+        stop()
+        service.drain(timeout=5.0)
 
 
 class TestEndToEndHalving:
@@ -224,151 +233,207 @@ class TestEndToEndHalving:
     )
     OBJECTIVE = Objective("throughput")
 
-    def run_experiment(self, service):
-        record = service.submit_experiment(
-            self.SPACE, schedule=self.SCHEDULE, objective=self.OBJECTIVE
+    def run_search(self, client):
+        return run_halving(
+            client, self.SPACE, self.SCHEDULE, self.OBJECTIVE, timeout=120.0
         )
-        wait_experiment(record)
-        assert record.state is ExperimentState.DONE, record.error
-        return record
 
-    def test_halving_promotes_screens_to_full_length(self, service):
-        record = self.run_experiment(service)
+    def test_halving_promotes_screens_to_full_length(self, live):
+        _, client = live
+        search = self.run_search(client)
+        rounds = search["rounds"]
 
-        assert len(record.points) == 12
+        assert len(search["points"]) == 12
         # two short-trace screening rounds, then the full-length rung
-        assert [r["instructions"] for r in record.rounds] == [750, 1500, 3000]
-        assert [r["candidates"] for r in record.rounds] == [12, 6, 3]
-        assert [r["final"] for r in record.rounds] == [False, False, True]
+        assert [r["instructions"] for r in rounds] == [750, 1500, 3000]
+        assert [r["candidates"] for r in rounds] == [12, 6, 3]
+        assert [r["final"] for r in rounds] == [False, False, True]
 
         # each round runs exactly the previous round's promotions
-        for previous, current in zip(record.rounds, record.rounds[1:]):
+        for previous, current in zip(rounds, rounds[1:]):
             ran = {entry["point"] for entry in current["results"]}
             assert ran == set(previous["promoted"])
-        assert len(record.rounds[-1]["promoted"]) == 1
+        assert len(rounds[-1]["promoted"]) == 1
 
-        metrics = service.metrics()
-        counters = metrics["counters"]["experiments"]
-        assert counters["rounds"] == 3
-        assert counters["jobs_submitted"] == 12 + 6 + 3
-        assert counters["completed"] == 1
-        assert counters["round"]["count"] == 3, "round latency histogram"
-        assert metrics["experiments_by_state"] == {"done": 1}
+        # one submission per candidate per rung
+        assert client.metrics()["counters"]["submitted"] == 12 + 6 + 3
 
-    def test_full_length_jobs_identical_to_direct_submissions(self, service):
-        record = self.run_experiment(service)
+    def test_full_length_jobs_identical_to_direct_submissions(self, live):
+        _, client = live
+        search = self.run_search(client)
 
-        final = record.rounds[-1]
+        final = search["rounds"][-1]
         for entry in final["results"]:
             direct = job_from_wire(
-                dict(record.points[entry["point"]], instructions=3000)
+                dict(search["points"][entry["point"]], instructions=3000)
             )
             assert entry["digest"] == direct.digest(), (
                 "the final rung must run the untouched full-length job"
             )
             # field-identical to a directly-executed SimJob
-            service_result = service.get(entry["job_id"]).result
+            served = client.status(entry["job_id"])["result"]
             direct_result = Executor(workers=1, cache=None).run_job(direct)
-            assert service_result.summary() == direct_result.summary()
+            assert served == direct_result.to_dict()
 
         # screens are *different* jobs (scaled budget => different digest)
         screen_digests = {
-            entry["digest"] for entry in record.rounds[0]["results"]
+            entry["digest"] for entry in search["rounds"][0]["results"]
         }
         final_digests = {entry["digest"] for entry in final["results"]}
         assert screen_digests.isdisjoint(final_digests)
 
-    def test_winner_matches_exhaustive_grid_argmax(self, service):
-        record = self.run_experiment(service)
-        hits_before = sum(
-            executor.stats.get("cache_hits")
-            for executor in service._executors
-        )
+    def test_winner_matches_exhaustive_grid_argmax(self, live):
+        _, client = live
+        search = self.run_search(client)
+        winner = search["winner"]
+        hits_before = client.metrics()["executor_totals"].get("cache_hits", 0)
 
         # exhaustive: every point at full length, directly submitted
         full_jobs = [
             job_from_wire(dict(point, instructions=3000))
-            for point in record.points
+            for point in search["points"]
         ]
-        submissions = service.submit_many(full_jobs)
-        deadline = time.time() + 120
-        while any(
-            not job_record.state.terminal for job_record, _ in submissions
-        ) and time.time() < deadline:
-            time.sleep(0.02)
-
         scores = []
-        for job, (job_record, _) in zip(full_jobs, submissions):
-            assert job_record.state.value == "done", job_record.error
-            scores.append(self.OBJECTIVE.score(job_record.result))
+        for accepted in client.submit_many(full_jobs):
+            record = client.wait(accepted["id"], timeout=120.0)
+            assert record["state"] == "done", record["error"]
+            result = SimResult.from_dict(record["result"])
+            scores.append(self.OBJECTIVE.score(result))
 
         # the halving winner scores exactly the exhaustive-grid argmax
         # (score comparison, so co-optimal ties cannot flake the test)
-        assert record.winner["score"] == pytest.approx(max(scores))
-        assert record.winner["metric"] == "throughput"
+        assert winner["score"] == pytest.approx(max(scores))
+        assert winner["metric"] == "throughput"
         winner_direct = job_from_wire(
-            dict(record.points[record.winner["point"]], instructions=3000)
+            dict(search["points"][winner["point"]], instructions=3000)
         )
-        assert record.winner["digest"] == winner_direct.digest()
+        assert winner["digest"] == winner_direct.digest()
+        assert winner["spec"] == client.status(winner["job_id"])["job"]
 
         # the rung already ran 3 of these 12 full-length jobs — the
         # shared ResultCache must answer the re-submissions
-        hits_after = sum(
-            executor.stats.get("cache_hits")
-            for executor in service._executors
-        )
+        hits_after = client.metrics()["executor_totals"].get("cache_hits", 0)
         assert hits_after - hits_before >= 3
 
 
 class TestOrchestratorFailurePaths:
-    def test_all_points_quarantined_fails_experiment(self, monkeypatch):
-        service = SimulationService(ServiceConfig(workers=1, cache_dir=None))
+    def test_all_points_quarantined_fails_experiment(self, idle, monkeypatch):
+        service, client = idle
 
         def refuse(job, priority=0):
             raise QuarantinedError("deadbeef" * 8, 30.0)
 
         monkeypatch.setattr(service, "submit", refuse)
-        record = service.submit_experiment(
-            ExperimentSpace(workloads=("streaming",), base=BASE),
-            schedule=HalvingSchedule(
-                screen_instructions=750, full_instructions=1500
-            ),
+        with pytest.raises(OrchestrationError, match="every candidate failed"):
+            run_halving(client, ONE_POINT, SHORT, Objective())
+
+    def test_quarantined_point_drops_out_of_its_round(self, live, monkeypatch):
+        service, client = live
+        submit = service.submit
+
+        def refuse_degree_two(job, priority=0):
+            if dict(job.prefetcher_kwargs)["degree"] == 2:
+                raise QuarantinedError(job.digest(), 30.0)
+            return submit(job, priority)
+
+        monkeypatch.setattr(service, "submit", refuse_degree_two)
+        space = ExperimentSpace(
+            workloads=("streaming",),
+            prefetchers=("nextline",),
+            knobs=(("degree", (1, 2, 3)),),
+            base=BASE,
         )
-        wait_experiment(record, timeout=20.0)
-        assert record.state is ExperimentState.FAILED
-        assert "every candidate failed" in record.error
-        assert record.rounds[0]["results"][0]["state"] == "quarantined"
+        search = run_halving(client, space, SHORT, Objective("throughput"))
+        screen = search["rounds"][0]
+        states = {entry["point"]: entry["state"] for entry in screen["results"]}
+        assert states == {0: "done", 1: "quarantined", 2: "done"}
+        assert screen["failed"] == 1
+        assert search["winner"]["point"] in (0, 2)
 
     def test_drain_aborts_running_experiment(self):
-        # workers never started: the round's jobs stay pending forever,
-        # so only the drain path can end this experiment
+        # worker slots never start: the screen's job stays pending, so
+        # only the daemon's drain can end this search
         service = SimulationService(ServiceConfig(workers=1, cache_dir=None))
-        record = service.submit_experiment(
-            ExperimentSpace(workloads=("streaming",), base=BASE)
-        )
-        time.sleep(0.1)
-        service.drain(timeout=5.0)
-        wait_experiment(record, timeout=10.0)
-        assert record.state is ExperimentState.FAILED
-        assert "stopped" in record.error or "draining" in record.error
+        client, stop = serve_http(service)
+        outcome = {}
 
-    def test_submit_experiment_while_draining_refused(self):
-        service = SimulationService(ServiceConfig(workers=1, cache_dir=None))
+        def search():
+            try:
+                run_halving(client, ONE_POINT, SHORT, Objective(), timeout=60.0)
+            except ServiceError as exc:
+                outcome["error"] = exc
+
+        runner = threading.Thread(target=search)
+        runner.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while not service.queue.records() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert service.queue.records(), "the search never submitted"
+        finally:
+            # what SIGTERM does to the daemon: drain, then stop serving
+            service.drain(timeout=5.0)
+            stop()
+            runner.join(15.0)
+        assert not runner.is_alive(), "the search hung on a drained daemon"
+        assert isinstance(outcome.get("error"), ServiceError)
+
+    def test_search_on_drained_service_refused(self, idle):
+        service, client = idle
         service.drain(timeout=1.0)
-        with pytest.raises(RuntimeError, match="draining"):
-            service.submit_experiment(
-                ExperimentSpace(workloads=("streaming",), base=BASE)
-            )
+        with pytest.raises(ServiceError, match="draining") as excinfo:
+            run_halving(client, ONE_POINT, SHORT, Objective())
+        assert excinfo.value.status == 503
 
-    def test_oversized_space_rejected(self):
-        service = SimulationService(ServiceConfig(workers=1, cache_dir=None))
+    def test_oversized_space_rejected(self, idle):
+        _, client = idle
         huge = ExperimentSpace(
             workloads=("streaming",),
-            knobs=(("degree", tuple(range(5000)),),),
+            knobs=(("degree", tuple(range(5000))),),
             base=BASE,
         )
         with pytest.raises(ValueError, match="points"):
-            service.submit_experiment(huge)
+            run_halving(client, huge, SHORT, Objective())
+        assert client.jobs() == [], "nothing may be submitted"
+
+
+def space_payload(**base):
+    return {
+        "workloads": ["streaming"],
+        "prefetchers": ["none"],
+        "base": dict(BASE, **base),
+    }
+
+
+class TestValidationBeforeSubmission:
+    """A bad space fails before any of its jobs reaches the queue."""
+
+    def search(self, client, payload):
+        return run_halving(client, space_from_wire(payload), SHORT, Objective())
+
+    def test_missing_space_rejected(self, idle):
+        _, client = idle
+        with pytest.raises(ValueError, match="'space' must be an object"):
+            self.search(client, None)
+        assert client.jobs() == []
+
+    def test_malformed_space_rejected(self, idle):
+        _, client = idle
+        with pytest.raises(ValueError, match="workloads"):
+            self.search(client, {"prefetchers": ["none"]})
+        assert client.jobs() == []
+
+    def test_base_owning_instructions_rejected(self, idle):
+        _, client = idle
+        with pytest.raises(ValueError, match="instructions"):
+            self.search(client, space_payload(instructions=5000))
+        assert client.jobs() == []
+
+    def test_bad_base_spec_rejected(self, idle):
+        _, client = idle
+        with pytest.raises(ValueError, match="bogus_knob"):
+            self.search(client, space_payload(bogus_knob=1))
+        assert client.jobs() == []
 
 
 class TestScreenJobs:

@@ -10,7 +10,13 @@ over real HTTP, shut down with a real SIGTERM:
    result is bit-identical to running the same spec in-process;
 4. submit the identical spec again and assert the daemon answers it
    from the shared result cache (no second simulation);
-5. SIGTERM the daemon and assert it drains cleanly (exit code 0), and
+5. run ``bingo-sim experiment --space @file`` against the daemon as a
+   subprocess: a 12-point space (2 workloads x 6 next-line degrees)
+   over a two-round successive-halving schedule (750 -> 1500 -> 3000
+   instructions).  Assert exit 0, printed rounds 12 -> 6 -> 3 -> 1, and
+   that the winning job's spec (``GET /jobs/<printed job id>``)
+   re-submits as a result-cache hit;
+6. SIGTERM the daemon and assert it drains cleanly (exit code 0), and
    that its child processes (the slot's warm worker) exit with it.
 
 Exit code 0 means the whole sequence held.  Run via ``make serve-smoke``
@@ -18,7 +24,9 @@ or directly: ``PYTHONPATH=src python tools/serve_smoke.py``.
 """
 
 import dataclasses
+import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -36,6 +44,7 @@ from repro.sim.executor import execute_job  # noqa: E402
 
 HEALTH_DEADLINE = 60.0
 JOB_DEADLINE = 120.0
+EXPERIMENT_DEADLINE = 300.0
 DRAIN_DEADLINE = 30.0
 #: how long a dead daemon's or agent's children may take to exit
 ORPHAN_DEADLINE = 5.0
@@ -88,6 +97,83 @@ def lingering(pids, deadline: float = ORPHAN_DEADLINE) -> list:
         if not alive or time.monotonic() >= end:
             return alive
         time.sleep(0.05)
+
+
+#: the adaptive-search scenario: 12 points, rungs 750 -> 1500 -> 3000
+SPACE = {
+    "workloads": ["streaming", "em3d"],
+    "prefetchers": ["nextline"],
+    "knobs": {"degree": [1, 2, 3, 4, 5, 6]},
+    "base": {
+        "seed": 7,
+        "scale": 0.02,
+        "compile": False,
+        "warmup": 500,
+        "system": "experiment",
+    },
+}
+ROUND_LINE = re.compile(
+    r"^round \d+: (\d+) instructions, (\d+) candidates -> (\d+) promoted$"
+)
+WINNER_JOB_LINE = re.compile(r"^\s*job\s+([0-9a-f]+)\s*$")
+
+
+def check_experiment(client, url: str, env: dict, tmp: str) -> bool:
+    """Scenario 5: the operator's ``bingo-sim experiment --space`` path."""
+    space_path = os.path.join(tmp, "space.json")
+    with open(space_path, "w", encoding="utf-8") as handle:
+        json.dump(SPACE, handle)
+    try:
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "experiment",
+                "--space", f"@{space_path}", "--url", url,
+                "--objective", "throughput",
+                "--screen", "750", "--full", "3000", "--eta", "2",
+            ],
+            env=env, cwd=REPO_ROOT, capture_output=True, text=True,
+            timeout=EXPERIMENT_DEADLINE,
+        )
+    except subprocess.TimeoutExpired:
+        print(f"FAIL: experiment ran past {EXPERIMENT_DEADLINE:g}s",
+              file=sys.stderr)
+        return False
+    if proc.returncode != 0:
+        print(f"FAIL: experiment exited {proc.returncode}: "
+              f"{proc.stderr.strip()}", file=sys.stderr)
+        return False
+    lines = proc.stdout.splitlines()
+    rounds = [m.groups() for m in map(ROUND_LINE.match, lines) if m]
+    budgets = [int(budget) for budget, _, _ in rounds]
+    chain = [int(candidates) for _, candidates, _ in rounds]
+    chain += [int(promoted) for _, _, promoted in rounds[-1:]]
+    if budgets != [750, 1500, 3000] or chain != [12, 6, 3, 1]:
+        print(f"FAIL: halving did not screen: rungs {budgets}, "
+              f"candidates {chain}\n{proc.stdout}", file=sys.stderr)
+        return False
+    print("ok: experiment screened 12 -> 6 -> 3 -> 1 over rungs "
+          f"{budgets}")
+
+    job_ids = [m.group(1) for m in map(WINNER_JOB_LINE.match, lines) if m]
+    if len(job_ids) != 1:
+        print(f"FAIL: no winner job id printed\n{proc.stdout}",
+              file=sys.stderr)
+        return False
+    spec = client.status(job_ids[0])["job"]
+    if spec["instructions"] != 3000:
+        print(f"FAIL: winner not from the full-length rung: {spec}",
+              file=sys.stderr)
+        return False
+    hits_before = client.metrics()["executor_totals"].get("cache_hits", 0)
+    rerun = client.wait(client.submit(spec)["id"], timeout=JOB_DEADLINE)
+    hits = client.metrics()["executor_totals"].get("cache_hits", 0)
+    if rerun["state"] != "done" or hits - hits_before < 1:
+        print(f"FAIL: winner re-submission missed the result cache "
+              f"(state {rerun['state']}, new hits {hits - hits_before})",
+              file=sys.stderr)
+        return False
+    print("ok: winner re-submission answered from the result cache")
+    return True
 
 
 def main() -> int:
@@ -162,6 +248,9 @@ def main() -> int:
                       f"totals={totals}", file=sys.stderr)
                 return 1
             print("ok: identical re-submission answered from the cache")
+
+            if not check_experiment(client, client.base_url, env, tmp):
+                return 1
 
             children = child_pids(daemon.pid)
             daemon.send_signal(signal.SIGTERM)
