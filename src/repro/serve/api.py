@@ -124,18 +124,21 @@ class ServiceHandler(BaseHTTPRequestHandler):
         return {"Retry-After": str(max(1, int(round(seconds))))}
 
     def _read_body(self) -> Optional[Dict[str, Any]]:
+        # On each rejection below the body stays unread, so the
+        # connection cannot be reused: its bytes would parse as the next
+        # request.
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
-            # the body's extent is unknown, so the connection cannot be
-            # reused for another request
             self.close_connection = True
             self._error(400, "bad Content-Length")
             return None
         if length <= 0:
+            self.close_connection = True
             self._error(400, "request body required")
             return None
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             self._error(413, f"body exceeds {MAX_BODY_BYTES} bytes")
             return None
         raw = self.rfile.read(length)

@@ -5,13 +5,14 @@ Every paper artifact is a matrix of independent ``(workload × prefetcher
 self-describing, picklable :class:`SimJob` and runs whole batches through
 an :class:`Executor` that
 
-* fans jobs out across a ``ProcessPoolExecutor`` (``workers > 1``) with a
-  serial in-process fallback (``workers == 1``, or no usable
-  ``multiprocessing`` start method) — results are **bit-identical** either
-  way, because all randomness is derived from the job spec itself;
-* runs the service's jobs one at a time on a warm forked worker
-  (:meth:`Executor.run_job_guarded`) that kills overdue jobs and turns
-  crashes into typed failures;
+* runs a batch in-process (``workers == 1``) or fans it out over warm
+  worker processes, one job in flight per worker (``workers > 1``) —
+  results are **bit-identical** either way, because all randomness is
+  derived from the job spec itself;
+* runs the service's jobs one at a time on a long-lived warm worker
+  (:meth:`Executor.run_job_guarded`) that kills overdue jobs;
+* turns a worker's death into a typed failure for exactly the job that
+  worker held, on both paths;
 * memoises completed jobs in an on-disk :class:`ResultCache` keyed by a
   stable SHA-256 digest of the job spec plus the code version, so repeat
   figure regenerations short-circuit to a JSON read;
@@ -30,14 +31,15 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import tempfile
 import threading
 import time
 import weakref
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -99,15 +101,11 @@ class JobFailure:
 
     @classmethod
     def from_exception(cls, job: "SimJob", exc: BaseException) -> "JobFailure":
-        return cls.error(job, f"{type(exc).__name__}: {exc}")
-
-    @classmethod
-    def error(cls, job: "SimJob", message: str) -> "JobFailure":
         return cls(
             workload=job.workload,
             prefetcher=job.prefetcher,
             kind="error",
-            message=message,
+            message=f"{type(exc).__name__}: {exc}",
             digest=job.digest(),
         )
 
@@ -141,8 +139,7 @@ class JobFailure:
 
 class BatchFailure(RuntimeError):
     """Raised by :meth:`Executor.run_jobs` (``return_failures=False``)
-    when jobs crashed their workers.  Unlike the raw
-    ``BrokenProcessPool`` it replaces, it is raised *after* the rest of
+    when jobs crashed their workers.  It is raised *after* the rest of
     the batch completed (and was cached), and it names the jobs lost."""
 
     def __init__(self, failures: Sequence[JobFailure]) -> None:
@@ -507,69 +504,58 @@ def _unlink_quietly(path: Union[str, os.PathLike]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Forcibly stop a pool's worker processes (timeout/interrupt path).
-
-    ``shutdown(cancel_futures=True)`` alone would *wait* for the running
-    job — exactly what a wall-clock kill or a Ctrl-C cleanup must not do.
-    Reaches into the pool's process table (no public API exists) and
-    SIGTERMs each worker; the subsequent ``shutdown(wait=True)`` then
-    reaps them immediately, so no orphans outlive the call.
-
-    The snapshot must happen *before* ``shutdown()``: even with
-    ``wait=False`` the executor drops its ``_processes`` reference as
-    part of shutdown, so reading it afterwards finds nothing to kill.
-    """
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except TypeError:  # pragma: no cover - cancel_futures is 3.9+
-        pool.shutdown(wait=False)
-    for process in processes:
-        try:
-            process.terminate()
-        except (OSError, ValueError):  # pragma: no cover - already gone
-            pass
-    for process in processes:
-        process.join(timeout=2.0)
-        if process.is_alive():  # pragma: no cover - SIGTERM blocked
-            try:
-                process.kill()
-            except (OSError, ValueError, AttributeError):
-                pass
-
-
-def _pool_context() -> Optional[multiprocessing.context.BaseContext]:
-    """Prefer ``fork`` (cheap, shares loaded modules), fall back to
-    ``spawn``; ``None`` means the platform supports neither and the
-    executor must run serially."""
-    for method in ("fork", "spawn"):
-        try:
-            return multiprocessing.get_context(method)
-        except ValueError:  # pragma: no cover - platform dependent
-            continue
-    return None  # pragma: no cover - platform dependent
-
-
 #: held across a warm worker's fork and the parent's close of the
 #: worker's pipe end: a sibling forked in between would inherit that end
 #: and hide the worker's death (EOF) from the parent
 _FORK_LOCK = threading.Lock()
 
 
-def _warm_worker_loop(conn, parent_end) -> None:
+def _new_worker() -> Tuple[multiprocessing.Process, Connection]:
+    """Start a warm worker running :func:`_warm_worker_loop`; returns the
+    process and the parent's end of its pipe.  Prefers ``fork`` (cheap,
+    shares loaded modules) and falls back to ``spawn``, which every
+    platform has."""
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - platform dependent
+        context = multiprocessing.get_context("spawn")
+    parent_end, child_end = context.Pipe()
+    process = context.Process(
+        target=_warm_worker_loop,
+        args=(child_end, parent_end, os.getpid()),
+        name="executor-worker",
+        daemon=True,
+    )
+    with _FORK_LOCK:
+        process.start()
+        child_end.close()
+    return process, parent_end
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc`` if it crosses the pipe intact (pickling and unpickling it
+    keep its message), else a ``RuntimeError`` carrying its
+    ``"Type: message"``."""
+    try:
+        intact = str(pickle.loads(pickle.dumps(exc))) == str(exc)
+    except Exception:
+        intact = False
+    return exc if intact else RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _warm_worker_loop(conn, parent_end, parent: int) -> None:
     """Body of an executor's warm worker process (single-threaded).
 
     Runs ``(runner, job)`` requests from ``conn`` one at a time and
-    answers ``("ok", result)`` or ``("error", message)``.  Leaves when the
-    pipe reports EOF or when the parent dies (``os.getppid`` changes), so
-    a SIGKILLed daemon leaves no orphan behind.  SIGINT is ignored: a
-    Ctrl-C at the daemon's terminal starts its drain, which lets the
-    running job finish.
+    answers ``("ok", result)`` or ``("error", exception)``.  Leaves when
+    the pipe reports EOF or when ``os.getppid()`` is no longer
+    ``parent``, the pid of the process that started it, so a SIGKILLed
+    owner leaves no orphan behind — even one that died before this loop
+    began.  SIGINT is ignored: a Ctrl-C at the daemon's terminal starts
+    its drain, which lets the running job finish.
     """
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    parent = os.getppid()
     while True:
         try:
             if not conn.poll(1.0):
@@ -580,15 +566,49 @@ def _warm_worker_loop(conn, parent_end) -> None:
             try:
                 reply = ("ok", runner(job))
             except Exception as exc:
-                reply = ("error", f"{type(exc).__name__}: {exc}")
+                reply = ("error", _portable(exc))
             conn.send(reply)
         except (EOFError, OSError):
             return
 
 
-def _stop_worker(process, conn, owner: int) -> None:
+def _send_job(conn: Connection, runner, job: SimJob) -> None:
+    """Hand ``job`` to an idle warm worker.  A worker that died idle
+    breaks the pipe; its EOF then reports the job as crashed."""
+    try:
+        conn.send((runner, job))
+    except OSError:
+        pass
+
+
+def _receive(
+    process, conn: Connection, job: SimJob, collect: bool
+) -> Union[SimResult, JobFailure]:
+    """Decode a warm worker's reply to ``job``.
+
+    A result is returned.  The job's own exception is raised, or with
+    ``collect`` returned as an ``"error"`` :class:`JobFailure`.  EOF
+    means the worker died holding ``job``: it is reaped and the job
+    becomes a ``"worker-crash"`` failure naming the exit code.
+    """
+    try:
+        status, payload = conn.recv()
+    except (EOFError, OSError):
+        _stop_worker(process, conn, os.getpid())
+        return JobFailure.crash(
+            job, f"worker process died mid-job (exit code {process.exitcode})"
+        )
+    if status == "ok":
+        return payload
+    if not collect:
+        raise payload
+    return JobFailure.from_exception(job, payload)
+
+
+def _stop_worker(process, conn: Connection, owner: int) -> None:
     """SIGKILL and reap a warm worker.  Only the process that forked it
-    acts: later forks inherit this callback along with the executor."""
+    acts: later forks inherit this callback along with the executor.
+    Idempotent."""
     if os.getpid() != owner:
         return
     process.kill()
@@ -599,17 +619,18 @@ def _stop_worker(process, conn, owner: int) -> None:
 class Executor:
     """Runs batches of :class:`SimJob`\\ s with caching and parallelism.
 
-    ``workers=1`` executes in-process (no pool, no pickling); ``workers>1``
-    fans out over a process pool.  Either way, identical jobs within one
-    batch are executed once, and an attached :class:`ResultCache` is
-    consulted first and populated afterwards.
+    ``workers=1`` executes batches in-process (no fork, no pickling);
+    ``workers>1`` fans a batch out over that many warm workers, forked
+    for the batch and killed when it ends.  Either way, identical jobs
+    within one batch are executed once, and an attached
+    :class:`ResultCache` is consulted first and populated afterwards.
 
     ``stats`` counters: ``jobs``, ``cache_hits``, ``cache_misses``,
     ``cache_skipped`` (uncacheable side-effecting jobs), ``executed``,
     ``run_seconds`` (wall-clock of the execution phase), ``failures`` /
     ``worker_crashes`` / ``timeouts`` (jobs that produced a
     :class:`JobFailure` instead of a result), ``cache_store_errors``
-    (guarded results the cache could not store), and — for
+    (results the cache could not store), and — for
     in-process execution — ``trace_compile_hits``/``trace_compile_misses``
     from the compiled-trace cache (worker processes report theirs via
     the ``repro.sim.compile`` log instead; counters do not cross the
@@ -648,23 +669,10 @@ class Executor:
         thread held at fork time."""
         if self._worker is not None and self._worker[0].is_alive():
             return
-        context = _pool_context()
-        if context is None:  # pragma: no cover - platform dependent
-            return
         self.close()
-        parent_end, child_end = context.Pipe()
-        process = context.Process(
-            target=_warm_worker_loop,
-            args=(child_end, parent_end),
-            name="executor-worker",
-            daemon=True,
-        )
-        with _FORK_LOCK:
-            process.start()
-            child_end.close()
-        self._worker = (process, parent_end)
+        self._worker = _new_worker()
         self._finalizer = weakref.finalize(
-            self, _stop_worker, process, parent_end, os.getpid()
+            self, _stop_worker, *self._worker, os.getpid()
         )
 
     def close(self) -> None:
@@ -683,13 +691,17 @@ class Executor:
     ) -> List[Union[SimResult, JobFailure]]:
         """Execute a batch; results are returned in input order.
 
-        A worker process dying mid-job (OOM kill, segfault) does **not**
-        lose the batch: the affected job is isolated and reported as a
-        :class:`JobFailure`, the pool is respawned, and every other job
-        still completes (and is cached).  With ``return_failures=False``
-        (the default) such failures — and only such failures — are then
-        raised as one :class:`BatchFailure`; ordinary exceptions from a
-        job propagate unchanged.  With ``return_failures=True`` both
+        With ``workers > 1`` and more than one job to execute, the batch
+        fans out over ``min(workers, jobs)`` warm workers, one job in
+        flight per worker.  A worker dying mid-job (OOM kill, segfault)
+        does **not** lose the batch: exactly the job it held becomes a
+        ``"worker-crash"`` :class:`JobFailure`, a replacement is forked
+        while work remains, and every other job still completes (and is
+        cached).  The workers are killed when the batch returns or
+        raises, Ctrl-C included.  With ``return_failures=False`` (the
+        default) such failures — and only such failures — are then
+        raised as one :class:`BatchFailure`; a job's ordinary exception
+        propagates unchanged.  With ``return_failures=True`` both
         crashes and ordinary exceptions come back in-slot as typed
         :class:`JobFailure` values (the service supervisor's retry path).
         """
@@ -706,20 +718,10 @@ class Executor:
             if digest in pending:
                 pending[digest].append(index)
                 continue
-            if self.cache is not None:
-                if self.check or not job.cacheable:
-                    # Side-effecting jobs (event tracing) must run for
-                    # real: a cached result cannot rewrite the trace.
-                    # Checked jobs likewise: the invariant checker only
-                    # sees events from an actual execution.
-                    self.stats.add("cache_skipped")
-                else:
-                    hit = self.cache.load(job)
-                    if hit is not None:
-                        self.stats.add("cache_hits")
-                        results[index] = hit
-                        continue
-                    self.stats.add("cache_misses")
+            hit = self._probe(self.cache, job)
+            if hit is not None:
+                results[index] = hit
+                continue
             pending[digest] = [index]
             pending_jobs.append(job)
 
@@ -736,10 +738,7 @@ class Executor:
                 if delta:
                     self.stats.add(counter, delta)
             for job, result in zip(pending_jobs, executed):
-                if isinstance(result, JobFailure):
-                    self.stats.add("failures")
-                elif self.cache is not None and job.cacheable and not self.check:
-                    self.cache.store(job, result)
+                self._settle(self.cache, job, result)
                 for index in pending[job.digest()]:
                     results[index] = result
         if not return_failures:
@@ -767,15 +766,11 @@ class Executor:
         worker is killed, not just abandoned (``"timeout"``).  The next
         job forks a replacement for a killed or dead worker; Ctrl-C kills
         the worker and propagates.  The result cache is consulted and
-        populated exactly as in :meth:`run_jobs`, except that a store
-        failing with ``OSError`` (disk full) is counted as
-        ``cache_store_errors`` and the result still returned.  This is
-        the hook :mod:`repro.serve` dispatches through — one call per
-        queue slot, each slot owning its own :class:`Executor` so
-        counters need no locks.  When the platform has no
-        multiprocessing start method the job runs in-process: crashes
-        then take the whole process (nothing to isolate) and the timeout
-        cannot be enforced.
+        populated exactly as in :meth:`run_jobs`, and a store failing
+        with ``OSError`` (disk full) is counted as ``cache_store_errors``
+        there too.  This is the hook :mod:`repro.serve` dispatches
+        through — one call per queue slot, each slot owning its own
+        :class:`Executor` so counters need no locks.
 
         ``cache`` overrides the executor's own cache for this one call —
         anything with ``ResultCache``'s ``load``/``store`` shape works
@@ -787,28 +782,41 @@ class Executor:
         if cache is Executor._CACHE_DEFAULT:
             cache = self.cache
         self.stats.add("jobs")
-        if cache is not None and not self.check and job.cacheable:
-            hit = cache.load(job)
-            if hit is not None:
-                self.stats.add("cache_hits")
-                return hit
-            self.stats.add("cache_misses")
-        elif cache is not None:
-            self.stats.add("cache_skipped")
+        hit = self._probe(cache, job)
+        if hit is not None:
+            return hit
 
         runner = execute_job_checked if self.check else execute_job
         start = time.perf_counter()
         try:
-            if _pool_context() is None:  # pragma: no cover - platform dependent
-                try:
-                    result: Union[SimResult, JobFailure] = runner(job)
-                except Exception as exc:
-                    result = JobFailure.from_exception(job, exc)
-            else:
-                result = self._run_on_worker(runner, job, timeout)
+            result = self._run_on_worker(runner, job, timeout)
         finally:
             self.stats.add("run_seconds", time.perf_counter() - start)
         self.stats.add("executed")
+        self._settle(cache, job, result)
+        return result
+
+    def _probe(self, cache, job: SimJob) -> Optional[SimResult]:
+        """``job``'s cached result, or ``None``; counts the lookup."""
+        if cache is None:
+            return None
+        if self.check or not job.cacheable:
+            # Side-effecting jobs (event tracing) must run for real: a
+            # cached result cannot rewrite the trace.  Checked jobs
+            # likewise: the invariant checker only sees events from an
+            # actual execution.
+            self.stats.add("cache_skipped")
+            return None
+        hit = cache.load(job)
+        self.stats.add("cache_hits" if hit is not None else "cache_misses")
+        return hit
+
+    def _settle(
+        self, cache, job: SimJob, result: Union[SimResult, JobFailure]
+    ) -> None:
+        """Count an executed job's outcome and store a cacheable result.
+        A store failing with ``OSError`` (disk full) costs the entry,
+        not the result."""
         if isinstance(result, JobFailure):
             self.stats.add("failures")
             if result.kind == "worker-crash":
@@ -820,7 +828,6 @@ class Executor:
                 cache.store(job, result)
             except OSError:
                 self.stats.add("cache_store_errors")
-        return result
 
     def _run_on_worker(
         self, runner, job: SimJob, timeout: Optional[float]
@@ -828,98 +835,64 @@ class Executor:
         self.start_worker()
         process, conn = self._worker
         try:
-            conn.send((runner, job))
+            _send_job(conn, runner, job)
             if not conn.poll(timeout):
                 self.close()
                 return JobFailure.timeout(job, timeout or 0.0)
-            status, payload = conn.recv()
-        except (EOFError, OSError):
-            self.close()
-            return JobFailure.crash(
-                job,
-                f"worker process died mid-job (exit code {process.exitcode})",
-            )
+            outcome = _receive(process, conn, job, collect=True)
         except BaseException:
             # KeyboardInterrupt/SystemExit: leave no orphaned worker or
             # half-written cache entry behind (stores are atomic, and
             # nothing reaches the cache from here).
             self.close()
             raise
-        if status == "ok":
-            return payload
-        return JobFailure.error(job, payload)
+        if conn.closed:  # the worker died holding the job
+            self.close()
+        return outcome
 
     def _execute(
         self, jobs: List[SimJob], collect: bool = False
     ) -> List[Union[SimResult, JobFailure]]:
         runner = execute_job_checked if self.check else execute_job
-        context = _pool_context() if self.workers > 1 else None
-        if context is None or len(jobs) == 1:
-            results: List[Union[SimResult, JobFailure]] = []
-            for job in jobs:
-                try:
-                    results.append(runner(job))
-                except Exception as exc:
-                    if not collect:
-                        raise
-                    results.append(JobFailure.from_exception(job, exc))
-            return results
-        return self._execute_pooled(runner, jobs, context, collect)
-
-    def _execute_pooled(
-        self, runner, jobs: List[SimJob], context, collect: bool
-    ) -> List[Union[SimResult, JobFailure]]:
-        """Pool fan-out with worker-crash isolation.
-
-        Round 1 runs the whole batch across ``self.workers`` processes.
-        If the pool breaks (a worker died), every *unfinished* job is a
-        suspect — the pool API cannot say which one was on the dying
-        worker — so suspects are replayed one per fresh single-process
-        pool: a replay that breaks *its* pool convicts exactly that job
-        (``JobFailure.crash``), and innocent bystanders complete.
-        Crashes are rare, so the serialised replay tail is a price paid
-        only on the broken path.
-        """
-        slots: List[Optional[Union[SimResult, JobFailure]]] = [None] * len(jobs)
-        suspects: List[int] = []
-        workers = min(self.workers, len(jobs))
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-        try:
-            futures = [(i, pool.submit(runner, job)) for i, job in enumerate(jobs)]
-            for i, future in futures:
-                try:
-                    slots[i] = future.result()
-                except BrokenExecutor:
-                    suspects.append(i)
-                except Exception as exc:
-                    if not collect:
-                        raise
-                    slots[i] = JobFailure.from_exception(jobs[i], exc)
-        except BaseException:
-            _terminate_pool(pool)
-            raise
-        finally:
-            pool.shutdown(wait=True)
-
-        for i in suspects:
-            job = jobs[i]
-            replay_pool = ProcessPoolExecutor(max_workers=1, mp_context=context)
+        if self.workers > 1 and len(jobs) > 1:
+            return self._fan_out(runner, jobs, collect)
+        results: List[Union[SimResult, JobFailure]] = []
+        for job in jobs:
             try:
-                future = replay_pool.submit(runner, job)
-                try:
-                    slots[i] = future.result()
-                except BrokenExecutor:
-                    self.stats.add("worker_crashes")
-                    slots[i] = JobFailure.crash(
-                        job, "worker process died mid-job; batch respawned"
-                    )
-                except Exception as exc:
-                    if not collect:
-                        raise
-                    slots[i] = JobFailure.from_exception(job, exc)
-            except BaseException:
-                _terminate_pool(replay_pool)
-                raise
-            finally:
-                replay_pool.shutdown(wait=True)
-        return slots  # type: ignore[return-value]
+                results.append(runner(job))
+            except Exception as exc:
+                if not collect:
+                    raise
+                results.append(JobFailure.from_exception(job, exc))
+        return results
+
+    def _fan_out(
+        self, runner, jobs: List[SimJob], collect: bool
+    ) -> List[Union[SimResult, JobFailure]]:
+        """Run ``jobs`` on up to ``self.workers`` warm workers, each
+        holding one job at a time; results come back in input order."""
+        results: List[Optional[Union[SimResult, JobFailure]]] = [None] * len(jobs)
+        todo = list(range(len(jobs)))[::-1]  # popped from the end
+        forked = []
+        # pipe end of each worker holding a job -> (process, job index)
+        held: Dict[Connection, Tuple[object, int]] = {}
+
+        def hand_out(process, conn: Connection) -> None:
+            index = todo.pop()
+            held[conn] = (process, index)
+            _send_job(conn, runner, jobs[index])
+
+        try:
+            while todo or held:
+                while todo and len(held) < self.workers:
+                    forked.append(_new_worker())
+                    hand_out(*forked[-1])
+                for conn in wait(list(held)):
+                    process, index = held.pop(conn)
+                    results[index] = _receive(process, conn, jobs[index], collect)
+                    if todo and not conn.closed:  # closed: it died
+                        hand_out(process, conn)
+        finally:
+            for process, conn in forked:
+                _stop_worker(process, conn, os.getpid())
+        return results  # type: ignore[return-value]

@@ -89,7 +89,7 @@ def run_simulation(
 
 
 def compare_prefetchers(
-    workload: Union[str, Workload],
+    workload: str,
     prefetchers: Sequence[str],
     system: Optional[SystemConfig] = None,
     instructions_per_core: int = 100_000,
@@ -111,46 +111,23 @@ def compare_prefetchers(
     is included under ``"none"`` unless disabled.  ``prefetcher_kwargs``
     maps prefetcher name to its keyword overrides.
 
-    The per-prefetcher runs are independent, so named workloads route
-    through a :class:`repro.sim.executor.Executor` — pass ``workers``
-    (and optionally a ``repro.sim.executor.ResultCache`` as ``cache``) or
-    a pre-built ``executor`` to fan out / memoise.  A ``Workload``
-    *instance* pins the comparison to the in-process serial path.
+    ``workload`` is a registered workload name.  The per-prefetcher runs
+    are independent, so they run as one batch of
+    :class:`repro.sim.executor.SimJob`\\ s — pass ``workers`` (and
+    optionally a ``repro.sim.executor.ResultCache`` as ``cache``) or a
+    pre-built ``executor`` to fan out / memoise.
 
     ``compile`` (default on) replays each run from a packed compiled
     trace — built once and shared by every prefetcher in the comparison
     — instead of re-draining the workload generators per run; results
     are identical either way.
     """
+    from repro.sim.executor import Executor, SimJob
+
     names = list(prefetchers)
     if include_baseline and "none" not in names:
         names.insert(0, "none")
     kwargs_by_name = prefetcher_kwargs or {}
-    results: Dict[str, SimResult] = {}
-
-    if not isinstance(workload, str):
-        if compile:
-            from repro.sim.compile import compile_workload
-
-            workload = compile_workload(
-                workload, records_per_core=instructions_per_core
-            )
-        for name in names:
-            results[name] = run_simulation(
-                workload,
-                prefetcher=name,
-                system=system,
-                instructions_per_core=instructions_per_core,
-                warmup_instructions=warmup_instructions,
-                seed=seed,
-                prefetcher_kwargs=kwargs_by_name.get(name),
-                vectorized=vectorized,
-                replacement=replacement,
-            )
-        return results
-
-    from repro.sim.executor import Executor, SimJob
-
     jobs = [
         SimJob.build(
             workload,

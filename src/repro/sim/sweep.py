@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.common.config import SystemConfig
 from repro.sim.executor import Executor, ResultCache, SimJob
 from repro.sim.results import SimResult
-from repro.sim.runner import run_simulation
-from repro.workloads.base import Workload
 
 
 def expand_grid(
@@ -37,7 +35,7 @@ def expand_grid(
 
 
 def sweep_prefetcher_parameter(
-    workload: Union[str, Workload],
+    workload: str,
     prefetcher: str,
     parameter: str,
     values: Iterable,
@@ -60,44 +58,18 @@ def sweep_prefetcher_parameter(
     (``parameter="history_entries"``) and the vote-threshold / region-size
     ablations.  Returns ``{value: SimResult}`` in input order.
 
-    The sweep points are independent, so they route through a
-    :class:`repro.sim.executor.Executor`: pass ``workers`` (and optionally
-    ``cache``) or a pre-built ``executor`` to fan out / memoise.  A
-    ``Workload`` *instance* pins the sweep to the in-process serial path
-    (instances are not portable across worker processes); pass the
-    workload name to parallelise.
+    ``workload`` is a registered workload name.  The sweep points are
+    independent, so they run as one batch of
+    :class:`repro.sim.executor.SimJob`\\ s: pass ``workers`` (and
+    optionally ``cache``) or a pre-built ``executor`` to fan out /
+    memoise.
 
     All sweep points share one workload trace, so with ``compile`` on
-    (the default) it is packed once — via the on-disk compiled-trace
-    cache for named workloads, in-memory for instances — and every
-    point replays the arena instead of re-draining the generators.
+    (the default) it is packed once, through the on-disk compiled-trace
+    cache, and every point replays the arena instead of re-draining the
+    generators.
     """
     values = list(values)
-    if not isinstance(workload, str):
-        if compile:
-            from repro.sim.compile import compile_workload
-
-            workload = compile_workload(
-                workload, records_per_core=instructions_per_core
-            )
-        results: Dict[object, SimResult] = {}
-        for value in values:
-            kwargs = dict(base_kwargs or {})
-            kwargs[parameter] = value
-            results[value] = run_simulation(
-                workload,
-                prefetcher=prefetcher,
-                system=system,
-                instructions_per_core=instructions_per_core,
-                warmup_instructions=warmup_instructions,
-                seed=seed,
-                scale=scale,
-                prefetcher_kwargs=kwargs,
-                vectorized=vectorized,
-                replacement=replacement,
-            )
-        return results
-
     jobs = []
     for value in values:
         kwargs = dict(base_kwargs or {})

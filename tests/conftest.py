@@ -123,6 +123,22 @@ def tiny_system():
 # ---------------------------------------------------------------------------
 
 
+class TwoArgError(Exception):
+    """Pickles, but does not unpickle: ``args`` holds one value while
+    ``__init__`` wants two."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+class CountedError(Exception):
+    """Unpickles with a garbled message: unpickling passes the formatted
+    message back through ``__init__``, which counts its characters."""
+
+    def __init__(self, problems):
+        super().__init__(f"{len(problems)} problem(s): " + ", ".join(problems))
+
+
 def _register_fault_workloads() -> None:
     """Register single-core workloads that misbehave on purpose.
 
@@ -174,6 +190,27 @@ def _register_fault_workloads() -> None:
 
         return homogeneous("raise_always", stream, num_cores=1)
 
+    def raise_unpicklable(scale: float = 1.0):
+        class LocalError(Exception):
+            """Defined in a function, so pickle cannot find it by name."""
+
+        def stream(rng, core_id):
+            raise LocalError("not importable")
+
+        return homogeneous("raise_unpicklable", stream, num_cores=1)
+
+    def raise_unloadable(scale: float = 1.0):
+        def stream(rng, core_id):
+            raise TwoArgError("config", "bad")
+
+        return homogeneous("raise_unloadable", stream, num_cores=1)
+
+    def raise_garbled(scale: float = 1.0):
+        def stream(rng, core_id):
+            raise CountedError(["late", "lost"])
+
+        return homogeneous("raise_garbled", stream, num_cores=1)
+
     def sleep_forever(scale: float = 1.0):
         def stream(rng, core_id):
             def gen():
@@ -194,6 +231,7 @@ def _register_fault_workloads() -> None:
         return homogeneous("slow_ok", stream, num_cores=1)
 
     for factory in (crash_once, crash_always, raise_always,
+                    raise_unpicklable, raise_unloadable, raise_garbled,
                     sleep_forever, slow_ok):
         register_workload(factory.__name__, factory, replace=True)
 

@@ -158,7 +158,11 @@ def test_experiment_space_against_a_live_service(capsys, tmp_path):
     ).start()
     server = make_server(service, host="127.0.0.1", port=0)
     host, port = server.server_address[:2]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever,
+        kwargs={"poll_interval": 0.05},
+        daemon=True,
+    )
     thread.start()
     space = tmp_path / "space.json"
     space.write_text(json.dumps({

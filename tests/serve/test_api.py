@@ -9,6 +9,7 @@ error paths need the queue, not simulations.  End-to-end behaviour
 import dataclasses
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -21,6 +22,7 @@ from repro.serve import (
     SimulationService,
     make_server,
 )
+from repro.serve.api import MAX_BODY_BYTES
 
 
 def wire_spec(seed: int = 7, **overrides):
@@ -46,7 +48,11 @@ def api():
     )
     server = make_server(service, host="127.0.0.1", port=0)
     host, port = server.server_address[:2]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever,
+        kwargs={"poll_interval": 0.05},
+        daemon=True,
+    )
     thread.start()
     client = ServiceClient(f"http://{host}:{port}", timeout=5.0)
     try:
@@ -72,6 +78,29 @@ def raw_post(host, port, path, body: bytes, content_length=None):
         return response.status, json.loads(response.read().decode("utf-8"))
     finally:
         conn.close()
+
+
+def pipelined_post(host, port, content_length, body: bytes) -> bytes:
+    """Everything the server sends back for a ``POST /jobs`` with
+    ``content_length`` and ``body``, pipelined with ``GET /healthz`` on
+    one connection, read until the server closes that connection."""
+    request = (
+        f"POST /jobs HTTP/1.1\r\nHost: {host}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    ).encode() + body + f"GET /healthz HTTP/1.1\r\nHost: {host}\r\n\r\n".encode()
+    received = b""
+    with socket.create_connection((host, port), timeout=5.0) as sock:
+        sock.sendall(request)
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                received += chunk
+        except ConnectionResetError:
+            pass  # closing with bytes unread may send a reset after the reply
+    return received
 
 
 class TestRoutes:
@@ -195,6 +224,23 @@ class TestBadRequests:
             assert status == 400
             assert body["error"] == "bad Content-Length"
 
+    @pytest.mark.parametrize(
+        "length, status", [(-5, 400), (MAX_BODY_BYTES + 1, 413)]
+    )
+    def test_rejected_length_closes_the_connection(self, api, length, status):
+        # regression: the unread body was parsed as the next request and
+        # answered with an HTML "400 Bad request syntax"
+        _, _, host, port = api
+        body = json.dumps({"job": wire_spec()}).encode()
+        reply = pipelined_post(host, port, length, body)
+        head, _, rest = reply.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        assert status_line.split()[1] == str(status)
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        size = int(headers["Content-Length"])
+        assert "error" in json.loads(rest[:size])
+        assert rest[size:] == b"", "a second answer followed the rejection"
+
 
 class TestDraining:
     def test_submit_while_draining_503(self, api):
@@ -236,7 +282,11 @@ def cluster_api(tmp_path):
     )
     server = make_server(service, host="127.0.0.1", port=0)
     host, port = server.server_address[:2]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever,
+        kwargs={"poll_interval": 0.05},
+        daemon=True,
+    )
     thread.start()
     client = ServiceClient(
         f"http://{host}:{port}", timeout=5.0, backpressure_retries=0

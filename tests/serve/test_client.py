@@ -33,7 +33,11 @@ class NonJsonHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def non_json_server():
     server = HTTPServer(("127.0.0.1", 0), NonJsonHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever,
+        kwargs={"poll_interval": 0.05},
+        daemon=True,
+    )
     thread.start()
     try:
         yield server.server_address
@@ -200,7 +204,7 @@ class TestServiceUnavailable:
             time.sleep(0.3)
             server = HTTPServer(("127.0.0.1", port), HealthHandler)
             server_box["server"] = server
-            server.serve_forever()
+            server.serve_forever(poll_interval=0.05)
 
         import time
 

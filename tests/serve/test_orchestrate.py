@@ -181,7 +181,11 @@ def serve_http(service):
     """
     server = make_server(service, host="127.0.0.1", port=0)
     host, port = server.server_address[:2]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever,
+        kwargs={"poll_interval": 0.05},
+        daemon=True,
+    )
     thread.start()
 
     def stop():

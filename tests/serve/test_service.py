@@ -134,7 +134,9 @@ class TestHttpDedupAcceptance:
         server = make_server(service, host="127.0.0.1", port=0)
         host, port = server.server_address[:2]
         http_thread = threading.Thread(
-            target=server.serve_forever, daemon=True
+            target=server.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            daemon=True,
         )
         http_thread.start()
         client = ServiceClient(f"http://{host}:{port}", timeout=10.0)

@@ -4,15 +4,16 @@ These tests drive the failure machinery the ``repro.serve`` supervisor
 builds on: a worker process dying mid-job must cost exactly that job
 (typed :class:`JobFailure`), never the batch; overdue guarded jobs must
 have their workers *killed*, not abandoned; and interrupting a batch
-must leave no orphaned pool processes and no half-written cache
-entries.  Guarded jobs run job after job on one warm worker per
-executor, whose lifetime is bounded by the executor's (``close``,
-garbage collection) and by its parent's (a SIGKILLed owner leaves no
-orphan).
+must leave no orphaned worker processes and no half-written cache
+entries.  Batches fan out over warm workers forked for the batch;
+guarded jobs run job after job on one warm worker per executor, whose
+lifetime is bounded by the executor's (``close``, garbage collection)
+and by its parent's (a SIGKILLed owner leaves no orphan).
 """
 
 import gc
 import multiprocessing
+import multiprocessing.util
 import os
 import signal
 import threading
@@ -44,6 +45,10 @@ needs_fork = pytest.mark.skipif(
     reason="fault workloads are registered in-process; workers must fork",
 )
 
+needs_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="reads process state from /proc"
+)
+
 
 def fault_job(workload: str, seed: int = 3, **overrides) -> SimJob:
     spec = dict(
@@ -69,6 +74,13 @@ def ok_job(seed: int = 3, **overrides) -> SimJob:
     )
     spec.update(overrides)
     return SimJob.build("streaming", prefetcher="none", **spec)
+
+
+class FullDisk(ResultCache):
+    """A result cache whose every write fails as on a full disk."""
+
+    def put(self, digest, result):
+        raise OSError(28, "No space left on device")
 
 
 class TestJobFailure:
@@ -141,9 +153,66 @@ class TestCrashIsolation:
         assert "deterministic workload bug" in results[0].message
         assert not isinstance(results[1], JobFailure)
 
-    def test_ordinary_exception_still_raises_by_default(self, fault_dir):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ordinary_exception_still_raises_by_default(
+        self, fault_dir, workers
+    ):
         with pytest.raises(RuntimeError, match="deterministic workload bug"):
-            Executor(workers=1).run_jobs([fault_job("raise_always")])
+            Executor(workers=workers).run_jobs(
+                [fault_job("raise_always"), ok_job(seed=52)]
+            )
+
+
+@needs_fork
+class TestFanOut:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_store_error_keeps_every_result(self, tmp_path, workers):
+        jobs = [ok_job(seed=seed) for seed in (111, 112, 113)]
+        executor = Executor(workers=workers, cache=FullDisk(tmp_path))
+        results = executor.run_jobs(jobs)
+        assert [result.to_dict() for result in results] == [
+            execute_job(job).to_dict() for job in jobs
+        ]
+        assert executor.stats.get("cache_store_errors") == 3
+
+    def test_two_crashes_cost_exactly_their_two_jobs(self, fault_dir):
+        jobs = [
+            ok_job(seed=121),
+            fault_job("crash_always", seed=4),
+            ok_job(seed=122),
+            fault_job("crash_always", seed=5),
+            ok_job(seed=123),
+        ]
+        executor = Executor(workers=2)
+        results = executor.run_jobs(jobs, return_failures=True)
+        for index in (1, 3):
+            assert isinstance(results[index], JobFailure)
+            assert results[index].kind == "worker-crash"
+            assert "exit code -9" in results[index].message
+        for index in (0, 2, 4):
+            assert results[index].to_dict() == execute_job(jobs[index]).to_dict()
+        assert executor.stats.get("worker_crashes") == 2
+
+    @pytest.mark.parametrize(
+        "workload, message",
+        [
+            ("raise_unpicklable", "LocalError: not importable"),
+            ("raise_unloadable", "TwoArgError: config: bad"),
+            ("raise_garbled", "CountedError: 2 problem(s): late, lost"),
+        ],
+    )
+    def test_exception_that_cannot_cross_the_pipe_arrives_as_runtime_error(
+        self, fault_dir, workload, message
+    ):
+        with pytest.raises(RuntimeError) as excinfo:
+            Executor(workers=2).run_jobs([fault_job(workload), ok_job(seed=131)])
+        assert type(excinfo.value) is RuntimeError
+        assert str(excinfo.value) == message
+        executor = Executor(workers=1)
+        outcome = executor.run_job_guarded(fault_job(workload))
+        assert isinstance(outcome, JobFailure) and outcome.kind == "error"
+        assert outcome.message == f"RuntimeError: {message}"
+        executor.close()
 
 
 @needs_fork
@@ -199,8 +268,8 @@ class TestInterruption:
     def test_interrupt_leaves_no_orphans_or_torn_cache(
         self, fault_dir, tmp_path, monkeypatch
     ):
-        """KeyboardInterrupt mid-batch: pool processes die with us and
-        the cache directory holds no half-written entries."""
+        """KeyboardInterrupt mid-batch: the batch's workers die with us
+        and the cache directory holds no half-written entries."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         cache = ResultCache(tmp_path)
         executor = Executor(workers=2, cache=cache)
@@ -209,8 +278,8 @@ class TestInterruption:
         import signal
 
         # A real SIGINT (what Ctrl-C sends): _thread.interrupt_main only
-        # sets the pending flag, which never wakes a blocking
-        # future.result() wait.
+        # sets the pending flag, which never wakes a blocking wait on
+        # the workers' pipes.
         timer = threading.Timer(
             0.8, os.kill, (os.getpid(), signal.SIGINT)
         )
@@ -224,7 +293,7 @@ class TestInterruption:
         deadline = time.monotonic() + 5
         while multiprocessing.active_children() and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert not multiprocessing.active_children(), "orphaned pool workers"
+        assert not multiprocessing.active_children(), "orphaned batch workers"
 
         leftovers = [
             path
@@ -253,11 +322,17 @@ def pid_alive(pid: int) -> bool:
     return state not in ("Z", "X")
 
 
-def _own_a_warm_worker(conn) -> None:
+def _own_a_warm_worker(conn, worker_starts_late: bool = False) -> None:
     """Helper process body: fork a warm worker, then a bystander that
     inherits this process's end of the worker's pipe — so the worker
-    sees no EOF when this process dies — report both pids, and idle."""
+    sees no EOF when this process dies — report both pids, and idle.
+    ``worker_starts_late`` holds the worker in its bootstrap for 1 s,
+    so this process dies before the worker's loop begins."""
     executor = Executor(workers=1)
+    if worker_starts_late:
+        multiprocessing.util.register_after_fork(
+            executor, lambda _: time.sleep(1.0)
+        )
     executor.start_worker()
     bystander = os.fork()
     if bystander == 0:
@@ -394,10 +469,6 @@ class TestWarmWorker:
         second.close()
 
     def test_store_error_still_returns_the_result(self, tmp_path):
-        class FullDisk(ResultCache):
-            def put(self, digest, result):
-                raise OSError(28, "No space left on device")
-
         job = ok_job(seed=106)
         executor = Executor(workers=1, cache=FullDisk(tmp_path))
         result = executor.run_job_guarded(job)
@@ -407,14 +478,12 @@ class TestWarmWorker:
         executor.close()
 
 
-@needs_fork
-@pytest.mark.skipif(
-    not os.path.isdir("/proc/self"), reason="reads process state from /proc"
-)
-def test_worker_exits_when_its_owner_is_sigkilled():
+def _kill_owner_and_await_its_worker(worker_starts_late: bool) -> None:
     context = multiprocessing.get_context("fork")
     parent_end, child_end = context.Pipe()
-    owner = context.Process(target=_own_a_warm_worker, args=(child_end,))
+    owner = context.Process(
+        target=_own_a_warm_worker, args=(child_end, worker_starts_late)
+    )
     owner.start()
     child_end.close()
     orphans = []
@@ -423,8 +492,9 @@ def test_worker_exits_when_its_owner_is_sigkilled():
         orphans = list(parent_end.recv())
         worker_pid, bystander = orphans
         assert pid_alive(worker_pid)
+        # no join here: the orphans hold the owner's sentinel pipe, so a
+        # join would wait out its whole timeout
         owner.kill()
-        owner.join(10.0)
         deadline = time.monotonic() + 5.0
         while pid_alive(worker_pid) and time.monotonic() < deadline:
             time.sleep(0.05)
@@ -433,12 +503,25 @@ def test_worker_exits_when_its_owner_is_sigkilled():
     finally:
         parent_end.close()
         owner.kill()
-        owner.join(10.0)
         for pid in orphans:
             try:
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+        owner.join(10.0)
+
+
+@needs_fork
+@needs_proc
+def test_worker_exits_when_its_owner_is_sigkilled():
+    _kill_owner_and_await_its_worker(worker_starts_late=False)
+
+
+@needs_fork
+@needs_proc
+def test_worker_exits_when_its_owner_dies_before_its_loop_starts():
+    _kill_owner_and_await_its_worker(worker_starts_late=True)
+
 
 class TestCorruptCacheEviction:
     def test_truncated_entry_is_deleted_and_misses(self, tmp_path):
