@@ -1,6 +1,8 @@
 # Convenience targets for the Bingo reproduction.
 
 PYTHON ?= python
+# every target runs from a plain checkout: import the package from src/
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: install test test-replacement bench bench-quick bench-report bench-vector bench-misspath experiments serve-smoke cluster-smoke clean
 
@@ -52,14 +54,14 @@ bench-output:
 # --space` against it (12 points, two halving rounds to a full-length
 # winner that re-submits as a cache hit), SIGTERM, assert a clean drain
 serve-smoke:
-	PYTHONPATH=src $(PYTHON) tools/serve_smoke.py
+	$(PYTHON) tools/serve_smoke.py
 
 # Black-box smoke of the multi-node cluster: frontend-only daemon +
 # two worker agents, saturate the queue (429 + Retry-After), SIGKILL
 # one worker mid-run, assert the sweep completes bit-identical to
 # in-process runs and both survivors drain cleanly
 cluster-smoke:
-	PYTHONPATH=src $(PYTHON) tools/cluster_smoke.py
+	$(PYTHON) tools/cluster_smoke.py
 
 # Regenerate a single paper figure, e.g. `make fig8`
 table1 table2 fig2 fig3 fig4 fig6 fig7 fig8 fig9 fig10:

@@ -40,6 +40,11 @@ class InvariantViolation(AssertionError):
         )
         self.violations = violations
 
+    def __reduce__(self):
+        # Rebuild from the list, not the formatted message, so the error
+        # crosses a worker's pipe with its type, text and violations.
+        return (InvariantViolation, (self.violations,))
+
 
 class InvariantChecker(TraceSink):
     """Checks conservation laws against a live hierarchy while tracing."""

@@ -45,27 +45,25 @@ class AddressMap:
     page_size: int = 4096
 
     def __post_init__(self) -> None:
-        _log2_exact(self.block_size, "block_size")
-        _log2_exact(self.region_size, "region_size")
-        _log2_exact(self.page_size, "page_size")
+        block_bits = _log2_exact(self.block_size, "block_size")
+        region_bits = _log2_exact(self.region_size, "region_size")
+        page_bits = _log2_exact(self.page_size, "page_size")
         if self.region_size < self.block_size:
             raise ValueError("region_size must be >= block_size")
         if self.page_size < self.block_size:
             raise ValueError("page_size must be >= block_size")
+        # Derived geometry, computed once: the prefetchers decompose a
+        # block on every training call.  Plain attributes rather than
+        # fields, so equality, hashing, ``repr`` and ``asdict`` (and with
+        # them every job digest) see only the three sizes.
+        _set = object.__setattr__
+        _set(self, "block_bits", block_bits)
+        _set(self, "region_bits", region_bits)
+        _set(self, "page_bits", page_bits)
+        _set(self, "_region_shift", region_bits - block_bits)
+        _set(self, "_offset_mask", (1 << (region_bits - block_bits)) - 1)
 
     # -- derived geometry -------------------------------------------------
-    @property
-    def block_bits(self) -> int:
-        return _log2_exact(self.block_size, "block_size")
-
-    @property
-    def region_bits(self) -> int:
-        return _log2_exact(self.region_size, "region_size")
-
-    @property
-    def page_bits(self) -> int:
-        return _log2_exact(self.page_size, "page_size")
-
     @property
     def blocks_per_region(self) -> int:
         """Number of cache blocks in a region — the footprint width."""
@@ -99,11 +97,11 @@ class AddressMap:
 
     def region_of_block(self, block: int) -> int:
         """Region number of a *block number* (not a byte address)."""
-        return block >> (self.region_bits - self.block_bits)
+        return block >> self._region_shift
 
     def offset_of_block(self, block: int) -> int:
         """Offset within its region of a *block number*."""
-        return block & (self.blocks_per_region - 1)
+        return block & self._offset_mask
 
     def block_of(self, region_number: int, offset: int) -> int:
         """Block number of block ``offset`` inside region ``region_number``."""

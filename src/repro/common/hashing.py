@@ -11,6 +11,7 @@ experiment reproducible.
 from __future__ import annotations
 
 _MASK64 = (1 << 64) - 1
+_COMBINE_INIT = 0x9E3779B97F4A7C15
 
 
 def mix64(value: int) -> int:
@@ -23,19 +24,34 @@ def mix64(value: int) -> int:
 
 def combine(*values: int) -> int:
     """Hash-combine several ints into one 64-bit value, order-sensitive."""
-    acc = 0x9E3779B97F4A7C15
+    return combine_from(_COMBINE_INIT, *values)
+
+
+def combine_from(digest: int, *values: int) -> int:
+    """Continue :func:`combine` from the digest of a prefix.
+
+    ``combine`` is a left fold, so ``combine(*a, *b) ==
+    combine_from(combine(*a), *b)``: a constant prefix (an event kind's
+    tag) is hashed once, not on every call.
+    """
     for value in values:
-        acc = mix64(acc ^ mix64(value))
-    return acc
+        digest = mix64(digest ^ mix64(value))
+    return digest
 
 
 def fold(value: int, bits: int) -> int:
-    """XOR-fold a hashed value down to ``bits`` bits (table index width)."""
+    """XOR-fold a hashed value down to ``bits`` bits (table index width).
+
+    The result is the XOR of the 64-bit hash's ``bits``-wide chunks.
+    XOR is associative, so instead of walking the chunks one by one the
+    value is halved at chunk-aligned widths (``bits`` times a power of
+    two): at most 6 steps, against ``ceil(64 / bits)``.
+    """
     if bits <= 0:
         raise ValueError(f"bits must be positive, got {bits}")
     value = mix64(value)
-    result = 0
-    while value:
-        result ^= value & ((1 << bits) - 1)
-        value >>= bits
-    return result
+    width = bits << (-(-64 // bits) - 1).bit_length()
+    while width > bits:
+        width >>= 1
+        value = (value >> width) ^ (value & ((1 << width) - 1))
+    return value

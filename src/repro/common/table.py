@@ -59,15 +59,15 @@ class SetAssociativeTable(Generic[P]):
         self.ways = ways
         self.index_bits = sets.bit_length() - 1
         self.on_evict = on_evict
-        self._entries: List[List[Optional[Entry[P]]]] = [
-            [None] * ways for _ in range(sets)
-        ]
-        # Per-set LRU order over way indices, most recent first.  A fill
-        # or a touching hit moves the way to the front; an invalidation
-        # leaves it in place (the victim scan prefers invalid ways).
-        self._recency: List[List[int]] = [
-            list(range(ways)) for _ in range(sets)
-        ]
+        # A set's ways, and its LRU order over way indices (most recent
+        # first), are allocated on the set's first fill: None until then.
+        # Bingo and SMS keep 16 K-entry history tables on every core, and
+        # a short run fills a fraction of their sets.  A fill or a
+        # touching hit moves the way to the front of the order; an
+        # invalidation leaves it in place (the victim scan prefers
+        # invalid ways).
+        self._entries: List[Optional[List[Optional[Entry[P]]]]] = [None] * sets
+        self._recency: List[Optional[List[int]]] = [None] * sets
         # Location index over the valid entries: (set, tag) -> way.  The
         # tables sit on the simulator's miss path (every LLC eviction
         # probes Bingo's filter *and* accumulation tables per core), so
@@ -75,9 +75,9 @@ class SetAssociativeTable(Generic[P]):
         # as tag because split index/tag schemes (the history table) can
         # legally hold the same tag in several sets.
         self._where: dict = {}
-        # fold() walks the 64-bit hash in index_bits-wide steps — ~20
-        # Python-loop iterations for a small table.  Keys recur heavily
-        # (spatial locality), so memoise the fold per table.
+        # fold() costs a SplitMix64 round plus up to 6 halving steps.
+        # Keys recur heavily (spatial locality), so memoise the fold per
+        # table.
         self._fold_memo: dict = {}
 
     # -- geometry -------------------------------------------------------------
@@ -126,15 +126,19 @@ class SetAssociativeTable(Generic[P]):
         Order is physical way order; combine with :meth:`recency_rank` to
         sort by recency (Bingo's most-recent-match heuristic).
         """
+        ways = self._entries[index]
+        if ways is None:
+            return []
         return [
             (way, entry.tag, entry.payload)
-            for way, entry in enumerate(self._entries[index])
+            for way, entry in enumerate(ways)
             if entry is not None
         ]
 
     def recency_rank(self, index: int, way: int) -> int:
         """Recency of a way within its set (0 = MRU, ``ways - 1`` = LRU)."""
-        return self._recency[index].index(way)
+        order = self._recency[index]
+        return way if order is None else order.index(way)
 
     # -- updates ----------------------------------------------------------------
     def insert(self, key: int, payload: P, index: Optional[int] = None) -> None:
@@ -147,6 +151,9 @@ class SetAssociativeTable(Generic[P]):
         """
         set_idx = self.set_index(key) if index is None else index
         ways = self._entries[set_idx]
+        if ways is None:
+            ways = self._entries[set_idx] = [None] * self.ways
+            self._recency[set_idx] = list(range(self.ways))
         order = self._recency[set_idx]
         where = self._where
         way = where.get((set_idx, key))
@@ -200,12 +207,18 @@ class SetAssociativeTable(Generic[P]):
         return [
             (entry.tag, entry.payload)
             for ways in self._entries
+            if ways is not None
             for entry in ways
             if entry is not None
         ]
 
     def clear(self) -> None:
-        """Drop all entries without firing eviction callbacks."""
+        """Drop all entries without firing eviction callbacks.
+
+        Filled sets keep their recency order; a never-filled set stays
+        unallocated.
+        """
         for ways in self._entries:
-            ways[:] = [None] * self.ways
+            if ways is not None:
+                ways[:] = [None] * self.ways
         self._where.clear()

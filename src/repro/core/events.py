@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.common.hashing import combine
+from repro.common.hashing import combine, combine_from
 
 
 class EventKind(enum.Enum):
@@ -90,17 +90,33 @@ class Event:
         offset:
             Trigger block's index within its region.
         """
-        if kind is EventKind.PC_ADDRESS:
-            key = combine(1, pc, block)
-        elif kind is EventKind.PC_OFFSET:
-            key = combine(2, pc, offset)
-        elif kind is EventKind.PC:
-            key = combine(3, pc)
-        elif kind is EventKind.ADDRESS:
-            key = combine(4, block)
-        else:  # EventKind.OFFSET
-            key = combine(5, offset)
-        return Event(kind=kind, key=key)
+        return Event(kind=kind, key=event_key(kind, pc, block, offset))
+
+
+# Every key is ``combine(tag, *components)`` with a constant per-kind tag;
+# its first round is hashed here once instead of on every extraction.
+_PC_ADDRESS_SEED = combine(1)
+_PC_OFFSET_SEED = combine(2)
+_PC_SEED = combine(3)
+_ADDRESS_SEED = combine(4)
+_OFFSET_SEED = combine(5)
+
+
+def event_key(kind: EventKind, pc: int, block: int, offset: int) -> int:
+    """``Event.from_trigger(kind, pc, block, offset).key``, without the Event.
+
+    The history tables only need the key; they call this on every
+    trigger and every commit.
+    """
+    if kind is EventKind.PC_ADDRESS:
+        return combine_from(_PC_ADDRESS_SEED, pc, block)
+    if kind is EventKind.PC_OFFSET:
+        return combine_from(_PC_OFFSET_SEED, pc, offset)
+    if kind is EventKind.PC:
+        return combine_from(_PC_SEED, pc)
+    if kind is EventKind.ADDRESS:
+        return combine_from(_ADDRESS_SEED, block)
+    return combine_from(_OFFSET_SEED, offset)  # EventKind.OFFSET
 
 
 def extract_all(pc: int, block: int, offset: int) -> Tuple[Event, ...]:

@@ -243,15 +243,7 @@ class MemoryHierarchy:
         if self.prefetchers and self.train_at == "l1":
             self._now = max(self._now, now)
             pf = self.prefetchers[core_id]
-            info = AccessInfo(
-                pc=pc,
-                address=paddr,
-                block=block,
-                hit=l1_hit,
-                time=now,
-                core_id=core_id,
-                is_write=is_write,
-            )
+            info = AccessInfo(pc, paddr, block, l1_hit, now, core_id, is_write)
             requests = pf.clamp_degree(pf.on_access(info))
             if requests:
                 self._issue_prefetches(pf, core_id, block, requests, now)
@@ -298,7 +290,8 @@ class MemoryHierarchy:
         :meth:`access` here, and the fast loop (:mod:`repro.sim.vector`)
         with its own list L1s.  It builds no ``AccessResult``; besides the
         returned tuple it allocates only an LLC fill's block state and
-        the prefetcher's ``AccessInfo``.
+        the prefetcher's ``AccessInfo``, a named tuple built from
+        positional arguments.
         """
         l1_hit_latency = self._l1_hit_latency
         mshr = self.l1_mshrs[core_id]
@@ -374,13 +367,7 @@ class MemoryHierarchy:
         if self.prefetchers and self.train_at == "llc":
             pf = self.prefetchers[core_id]
             info = AccessInfo(
-                pc=pc,
-                address=paddr,
-                block=block,
-                hit=state is not None,
-                time=issue,
-                core_id=core_id,
-                is_write=is_write,
+                pc, paddr, block, state is not None, issue, core_id, is_write
             )
             requests = pf.clamp_degree(pf.on_access(info))
             if requests:

@@ -21,43 +21,28 @@ The contract mirrors what a ChampSim LLC prefetcher sees:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.common.addresses import AddressMap
 from repro.common.stats import StatGroup
 from repro.obs.sinks import NULL_SINK, TraceSink
 
 
-class AccessInfo:
+class AccessInfo(NamedTuple):
     """One LLC demand access as seen by a prefetcher.
 
-    A frozen ``__slots__`` class (not a dataclass): one instance is built
-    per LLC access, on the simulator's hot path.
+    An immutable named tuple: one instance is built per training call,
+    on the simulator's hot path, and a tuple is built in one step where
+    a frozen class pays an ``object.__setattr__`` per field.
     """
 
-    __slots__ = ("pc", "address", "block", "hit", "time", "core_id", "is_write")
-
-    def __init__(
-        self,
-        pc: int,
-        address: int,  # physical byte address
-        block: int,  # physical block number (address >> block_bits)
-        hit: bool,
-        time: float,  # core cycles
-        core_id: int = 0,
-        is_write: bool = False,
-    ) -> None:
-        _set = object.__setattr__
-        _set(self, "pc", pc)
-        _set(self, "address", address)
-        _set(self, "block", block)
-        _set(self, "hit", hit)
-        _set(self, "time", time)
-        _set(self, "core_id", core_id)
-        _set(self, "is_write", is_write)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"AccessInfo is immutable; cannot set {name!r}")
+    pc: int
+    address: int  # physical byte address
+    block: int  # physical block number (address >> block_bits)
+    hit: bool
+    time: float  # core cycles
+    core_id: int = 0
+    is_write: bool = False
 
     def __repr__(self) -> str:
         return (

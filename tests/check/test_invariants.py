@@ -1,5 +1,7 @@
 """The runtime invariant checker, fed fabricated hierarchies and events."""
 
+import pickle
+
 import pytest
 
 from repro.check import InvariantChecker, InvariantViolation
@@ -126,6 +128,24 @@ class TestStrictness:
         checker.emit(miss())
         assert checker.finalize() is None
         assert checker.checks_run == 0
+
+
+class TestPickling:
+    """A ``check=True`` job that fails in a fanned-out worker sends its
+    exception back through a pipe."""
+
+    def test_round_trip_keeps_type_message_and_violations(self):
+        exc = InvariantViolation(["llc counters drifted", "mshr over-full"])
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is InvariantViolation
+        assert str(back) == str(exc)
+        assert back.violations == exc.violations
+
+    def test_crosses_a_worker_pipe_as_itself(self):
+        from repro.sim.executor import _portable
+
+        exc = InvariantViolation(["llc counters drifted"])
+        assert _portable(exc) is exc
 
 
 def _oscillate_run(checker=None):

@@ -1,5 +1,8 @@
 """Address arithmetic: decomposition, reconstruction, validation."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,6 +36,43 @@ class TestConstruction:
         assert amap.block_bits == 6
         assert amap.region_bits == 11
         assert amap.page_bits == 12
+
+    @pytest.mark.parametrize("block, region, page", [
+        (64, 2048, 4096), (32, 32, 8192), (128, 16384, 4096), (1, 1, 1),
+    ])
+    def test_derived_geometry(self, block, region, page):
+        amap = AddressMap(block_size=block, region_size=region, page_size=page)
+        assert amap.block_bits == block.bit_length() - 1
+        assert amap.region_bits == region.bit_length() - 1
+        assert amap.page_bits == page.bit_length() - 1
+        assert amap.region_of_block(12345) == 12345 // (region // block)
+        assert amap.offset_of_block(12345) == 12345 % (region // block)
+
+
+class TestIdentity:
+    """Job digests hash the map through ``asdict``: the cached geometry
+    must stay invisible to it, to equality and to pickling."""
+
+    def test_asdict_has_exactly_the_three_sizes(self):
+        assert dataclasses.asdict(AddressMap()) == {
+            "block_size": 64, "region_size": 2048, "page_size": 4096,
+        }
+
+    def test_equality_and_hash_by_sizes(self):
+        assert AddressMap() == AddressMap(64, 2048, 4096)
+        assert hash(AddressMap()) == hash(AddressMap(64, 2048, 4096))
+        assert AddressMap() != AddressMap(region_size=4096)
+
+    def test_pickle_round_trip(self):
+        amap = AddressMap(region_size=4096)
+        back = pickle.loads(pickle.dumps(amap))
+        assert back == amap
+        assert back.region_bits == 12
+        assert back.offset_of_block(65) == 1
+
+    def test_stays_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            AddressMap().block_bits = 7
 
 
 class TestBlockDecomposition:

@@ -149,6 +149,75 @@ class TestItemsAndClear:
         assert table.lookup(1) == "b"
 
 
+class TestLazySets:
+    """A set's storage is allocated on its first fill."""
+
+    def test_never_filled_set_scans_empty(self):
+        table = SetAssociativeTable(sets=8, ways=4)
+        table.insert(1, "a", index=3)
+        assert table.scan_set(0) == []
+        assert table.scan_set(7) == []
+        assert [tag for _w, tag, _p in table.scan_set(3)] == [1]
+
+    def test_items_and_clear_skip_never_filled_sets(self):
+        table = SetAssociativeTable(sets=8, ways=2)
+        assert table.items() == []
+        table.clear()
+        table.insert(5, "a", index=6)
+        assert table.items() == [(5, "a")]
+        table.clear()
+        assert table.items() == []
+        assert table.scan_set(6) == []
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "lookup", "invalidate", "pop"]),
+        st.integers(min_value=0, max_value=24),
+    ),
+    max_size=60,
+)
+
+
+def _apply(table, op, key, step):
+    if op == "insert":
+        return table.insert(key, step)
+    return getattr(table, op)(key)
+
+
+def _state(table):
+    """Every valid entry with its way and recency rank, set by set."""
+    return [
+        [(way, tag, payload, table.recency_rank(index, way))
+         for way, tag, payload in table.scan_set(index)]
+        for index in range(table.sets)
+    ]
+
+
+@given(before=_OPS, after=_OPS, sets=st.sampled_from([1, 2, 4]),
+       ways=st.integers(min_value=1, max_value=4))
+def test_cleared_table_refills_like_a_fresh_one(before, after, sets, ways):
+    """``clear`` keeps filled sets' recency lists, yet no victim or rank
+    of a valid way can tell the table from a new one."""
+    def build():
+        log = []
+        table = SetAssociativeTable(
+            sets=sets, ways=ways, on_evict=lambda t, p: log.append((t, p))
+        )
+        return table, log
+
+    cleared, cleared_log = build()
+    for step, (op, key) in enumerate(before):
+        _apply(cleared, op, key, -1 - step)
+    cleared.clear()
+    cleared_log.clear()
+    fresh, fresh_log = build()
+    for step, (op, key) in enumerate(after):
+        assert _apply(cleared, op, key, step) == _apply(fresh, op, key, step)
+        assert cleared_log == fresh_log
+        assert _state(cleared) == _state(fresh)
+
+
 @given(
     keys=st.lists(st.integers(min_value=0, max_value=1000), max_size=100),
     sets=st.sampled_from([1, 2, 4, 8]),

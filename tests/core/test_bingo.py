@@ -1,5 +1,6 @@
 """The Bingo prefetcher: trigger behaviour, training, dual-event priority."""
 
+import tracemalloc
 from typing import List
 
 import pytest
@@ -155,6 +156,18 @@ class TestConfiguration:
         amap = AddressMap(region_size=4096)
         pf = BingoPrefetcher(address_map=amap)
         assert pf.blocks_per_region == 64
+
+    def test_four_cores_build_in_under_256_kb(self):
+        """Table sets are allocated on first fill, not at construction:
+        an engine builds one Bingo per core before the first access."""
+        tracemalloc.start()
+        try:
+            prefetchers = [BingoPrefetcher() for _ in range(4)]
+            allocated, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(prefetchers) == 4
+        assert allocated < 256 * 1024
 
     def test_most_recent_policy_plumbs_through(self):
         pf = BingoPrefetcher(short_match_policy="most_recent")

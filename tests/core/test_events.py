@@ -9,6 +9,7 @@ from repro.core.events import (
     LONGEST_TO_SHORTEST,
     extract_all,
 )
+from repro.core.history import BingoHistoryTable
 
 
 class TestOrdering:
@@ -73,3 +74,37 @@ def test_extraction_is_deterministic(pc, block, offset):
         a = Event.from_trigger(kind, pc, block, offset)
         b = Event.from_trigger(kind, pc, block, offset)
         assert a == b
+
+
+class TestPinnedKeys:
+    """Event keys are table tags and set indices: a faster extraction
+    must give the same values."""
+
+    @pytest.mark.parametrize("kind, trigger_key, zero_key", [
+        (EventKind.PC_ADDRESS, 0xACA248F85D73C35F, 0xB2A1C2FAA15AF59D),
+        (EventKind.PC_OFFSET, 0x9E6C2B7BC574E197, 0xCC6693E2D1BC0FDB),
+        (EventKind.PC, 0xB4C6542395EDAF5D, 0x69224172B415AEE9),
+        (EventKind.ADDRESS, 0x98F3541FC4825784, 0x1598D843F1305142),
+        (EventKind.OFFSET, 0x56F44548F1A5D47D, 0xDF6E3E6056A6B243),
+    ])
+    def test_from_trigger(self, kind, trigger_key, zero_key):
+        assert Event.from_trigger(kind, 0x401A2C, 0x12345, 5).key == trigger_key
+        assert Event.from_trigger(kind, 0, 0, 0).key == zero_key
+
+    @pytest.mark.parametrize("pc, block, offset, set_index, long_key", [
+        (0x401A2C, 0x12345, 5, 209, 0xACA248F85D73C35F),
+        (0, 0, 0, 567, 0xB2A1C2FAA15AF59D),
+        (0x7FFF1234, 2**40 + 31, 31, 293, 0x64C3939BEF3638BE),
+        (1, 64, 0, 187, 0x1C2796282C578835),
+    ])
+    def test_history_table_index_and_tag(self, pc, block, offset, set_index,
+                                         long_key):
+        table = BingoHistoryTable()  # 16 K entries, 16 ways: 1,024 sets
+        for _ in range(2):  # computed, then memoised
+            assert table._set_index(pc, offset) == set_index
+            assert table._long_key(pc, block, offset) == long_key
+
+    def test_small_history_table_index(self):
+        table = BingoHistoryTable(entries=64, ways=4)  # 16 sets
+        assert table._set_index(0x401A2C, 5) == 3
+        assert table._set_index(0, 0) == 12
