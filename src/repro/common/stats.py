@@ -27,7 +27,7 @@ class StatCounter:
     Obtained via :meth:`StatGroup.counter`; the owning group stores the
     cell itself, so ``handle.add()`` (or a bare ``handle.value += n`` in
     the hottest loops) is immediately visible to every reader of the
-    group.  ``reset`` zeroes the cell in place — handles stay valid.
+    group.
     """
 
     __slots__ = ("value",)
@@ -137,18 +137,6 @@ class StatGroup:
         for group in self._children.values():
             yield from group.walk(base)
 
-    def reset(self) -> None:
-        # Zero StatCounter cells in place (components hold references to
-        # them); plain entries are simply dropped.
-        for name in list(self._counters):
-            cell = self._counters[name]
-            if type(cell) is StatCounter:
-                cell.value = 0
-            else:
-                del self._counters[name]
-        for group in self._children.values():
-            group.reset()
-
     def __repr__(self) -> str:
         return f"StatGroup({self.name!r}, {len(self._counters)} counters)"
 
@@ -160,6 +148,6 @@ def snapshot_delta(
 
     Counters absent from ``before`` are treated as zero (counters
     auto-create, so a later snapshot may contain paths an earlier one
-    does not; the reverse never happens without a ``reset``).
+    does not; counters are never removed, so the reverse never happens).
     """
     return {path: value - before.get(path, 0) for path, value in after.items()}

@@ -211,14 +211,3 @@ class SetAssociativeTable(Generic[P]):
             for entry in ways
             if entry is not None
         ]
-
-    def clear(self) -> None:
-        """Drop all entries without firing eviction callbacks.
-
-        Filled sets keep their recency order; a never-filled set stays
-        unallocated.
-        """
-        for ways in self._entries:
-            if ways is not None:
-                ways[:] = [None] * self.ways
-        self._where.clear()

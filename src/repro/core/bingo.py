@@ -11,6 +11,10 @@ Putting the pieces together:
    accumulation table recycles the entry — the footprint is committed to
    the history table under its trigger's events.
 
+Steps 1–3's region tracking is the front end Bingo shares with SMS
+(:class:`repro.core.regions.RegionPrefetcher`); this module adds the
+unified history table and its voted prediction.
+
 Configuration defaults follow Section V/VI-A: 2 KB regions (32 blocks of
 64 B), a 16 K-entry 16-way history table (~119 KB), and the 20 % voting
 threshold for multi-match short-event lookups.
@@ -18,32 +22,19 @@ threshold for multi-match short-event lookups.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.common.addresses import AddressMap
-from repro.common.bitvec import Footprint
 from repro.core.history import BingoHistoryTable
-from repro.core.regions import AccumulationTable, FilterTable, RegionRecord
-from repro.obs.events import HistoryEvict, RegionCommit, RegionDrop, VoteDecision
-from repro.prefetchers.base import AccessInfo, Prefetcher, PrefetchRequest
+from repro.core.regions import RegionPrefetcher
+from repro.obs.events import HistoryEvict, VoteDecision
+from repro.prefetchers.base import PrefetchRequest
 
 
-class BingoPrefetcher(Prefetcher):
+class BingoPrefetcher(RegionPrefetcher):
     """Dual-event PPH spatial prefetcher with a unified history table."""
 
     name = "bingo"
-
-    #: modelled bits per filter/accumulation entry beyond the footprint:
-    #: region tag + trigger PC + trigger offset + valid/recency.
-    _AUX_ENTRY_OVERHEAD_BITS = 48
-
-    #: feedback-throttle tuning (active only with ``throttle=True``)
-    _THROTTLE_WINDOW = 256  # judged prefetches per accuracy estimate
-    _THROTTLE_LOW = 0.40  # below this, switch to the conservative vote
-    _CONSERVATIVE_VOTE = 0.60
-    #: bound on prefetches awaiting judgement; overflow retires the oldest
-    #: as unused so the set cannot grow with the footprint of the run
-    _INFLIGHT_CAP = 4096
 
     def __init__(
         self,
@@ -56,19 +47,14 @@ class BingoPrefetcher(Prefetcher):
         filter_ways: int = 8,
         accumulation_sets: int = 4,
         accumulation_ways: int = 8,
-        throttle: bool = False,
     ) -> None:
-        """``throttle=True`` enables accuracy feedback (an extension).
-
-        The paper motivates Bingo with the bandwidth wall — "prefetchers
-        should be highly accurate" (Section I) — but ships no dynamic
-        throttle.  This optional FDP-style mechanism watches the measured
-        accuracy of recently-judged prefetches (used vs evicted-unused)
-        and, while it sits below 40 %, raises the short-event vote to a
-        conservative 60 %; long-event matches are never throttled.
-        """
-        super().__init__(address_map)
-        self.blocks_per_region = self.address_map.blocks_per_region
+        super().__init__(
+            address_map,
+            filter_sets=filter_sets,
+            filter_ways=filter_ways,
+            accumulation_sets=accumulation_sets,
+            accumulation_ways=accumulation_ways,
+        )
         self.history = BingoHistoryTable(
             entries=history_entries,
             ways=history_ways,
@@ -77,93 +63,11 @@ class BingoPrefetcher(Prefetcher):
             short_match_policy=short_match_policy,
             on_evict=self._history_evicted,
         )
-        self.filter_table = FilterTable(
-            sets=filter_sets, ways=filter_ways, on_drop=self._filter_dropped
-        )
-        self.accumulation_table = AccumulationTable(
-            on_commit=self._commit_region,
-            sets=accumulation_sets,
-            ways=accumulation_ways,
-        )
-        self._region_shift = self.blocks_per_region.bit_length() - 1
-        self.throttle = throttle
-        self.base_vote_threshold = vote_threshold
-        # Ordered dict used as a FIFO set: insertion order = fill order,
-        # so overflow retires the *oldest* unjudged prefetch.
-        self._inflight_prefetches: Dict[int, None] = {}
-        self._judged_used = 0
-        self._judged_total = 0
-        # Why the next commit happened; on_eviction flips this to
-        # "residency" around the explicit evict so traced RegionCommits
-        # carry their cause (capacity commits come from table pressure).
-        self._commit_cause = "capacity"
-
-    # -- training plumbing --------------------------------------------------
-    def _commit_region(self, region: int, record: RegionRecord) -> None:
-        """End of residency: move the footprint into the history table."""
-        if self.sink.enabled:
-            self.sink.emit(
-                RegionCommit(
-                    region=region,
-                    pc=record.trigger_pc,
-                    offset=record.trigger_offset,
-                    trigger_block=record.trigger_block,
-                    footprint=record.footprint.bits,
-                    cause=self._commit_cause,
-                )
-            )
-        self.history.insert(
-            record.trigger_pc,
-            record.trigger_block,
-            record.trigger_offset,
-            record.footprint,
-        )
-        self.stats.add("commits")
-
-    def _filter_dropped(self, region: int, record: RegionRecord) -> None:
-        """Filter-table capacity displaced a single-access region."""
-        if self.sink.enabled:
-            self.sink.emit(RegionDrop(region=region))
 
     def _history_evicted(self, key: int, pc: int, offset: int) -> None:
         """History-table capacity displaced a stored footprint."""
         if self.sink.enabled:
             self.sink.emit(HistoryEvict(key=key, pc=pc, offset=offset))
-
-    # -- the access path -----------------------------------------------------
-    def on_access(self, info: AccessInfo) -> List[PrefetchRequest]:
-        amap = self.address_map
-        region = amap.region_of_block(info.block)
-        offset = amap.offset_of_block(info.block)
-
-        # Region already accumulating: just record the access.
-        if self.accumulation_table.record_access(region, offset):
-            return []
-
-        # Region in the filter table: second access graduates it.
-        record = self.filter_table.lookup(region)
-        if record is not None:
-            if record.trigger_offset == offset:
-                return []  # re-touching the trigger block: still one block
-            self.filter_table.remove(region)
-            record.footprint.set(offset)
-            self.accumulation_table.insert(region, record)
-            return []
-
-        # Trigger access: start tracking and consult the history.
-        footprint = Footprint(self.blocks_per_region)
-        footprint.set(offset)
-        self.filter_table.insert(
-            region,
-            RegionRecord(
-                trigger_pc=info.pc,
-                trigger_offset=offset,
-                trigger_block=info.block,
-                footprint=footprint,
-            ),
-        )
-        self.stats.add("triggers")
-        return self._predict(info.pc, info.block, region, offset)
 
     def _predict(
         self, pc: int, block: int, region: int, offset: int
@@ -188,12 +92,7 @@ class BingoPrefetcher(Prefetcher):
             return []
         self.stats.add("lookup_hits")
         self.stats.add(f"matched_{match.matched.name.lower()}")
-        region_base_block = region << self._region_shift
-        requests = [
-            PrefetchRequest(block=region_base_block + o)
-            for o in match.footprint.offsets()
-            if o != offset
-        ]
+        requests = self._requests(region, offset, match.footprint)
         if sink.enabled:
             sink.emit(
                 VoteDecision(
@@ -208,100 +107,3 @@ class BingoPrefetcher(Prefetcher):
                 )
             )
         return requests
-
-    # -- feedback throttle (optional extension) --------------------------------
-    def on_prefetch_fill(self, block: int, time: float) -> None:
-        if not self.throttle:
-            return
-        if block in self._inflight_prefetches:
-            self._inflight_prefetches.pop(block)  # re-filled: refresh order
-        elif len(self._inflight_prefetches) >= self._INFLIGHT_CAP:
-            # A block prefetched long ago and never demanded nor evicted
-            # (e.g. still resident at run end) must not pin the set
-            # forever: retire the oldest as unused.
-            self._inflight_prefetches.pop(next(iter(self._inflight_prefetches)))
-            self._record_outcome(False)
-            self.stats.add("inflight_overflow")
-        self._inflight_prefetches[block] = None
-
-    def on_prefetch_used(self, block: int) -> None:
-        """A demand hit consumed one of our prefetches: judge it *now*.
-
-        Waiting for the block's eviction (the old behaviour) both delayed
-        the accuracy estimate and — for blocks that are never evicted —
-        leaked ``_inflight_prefetches`` entries without bound.
-        """
-        if self.throttle:
-            self._judge(block, True)
-
-    def _judge(self, block: int, was_used: bool) -> None:
-        """Record the outcome of one of our own prefetches."""
-        if block not in self._inflight_prefetches:
-            return
-        del self._inflight_prefetches[block]
-        self._record_outcome(was_used)
-
-    def _record_outcome(self, was_used: bool) -> None:
-        self._judged_total += 1
-        if was_used:
-            self._judged_used += 1
-        if self._judged_total >= self._THROTTLE_WINDOW:
-            accuracy = self._judged_used / self._judged_total
-            if accuracy < self._THROTTLE_LOW:
-                self.history.vote_threshold = self._CONSERVATIVE_VOTE
-                self.stats.add("throttle_engaged")
-            else:
-                self.history.vote_threshold = self.base_vote_threshold
-            self._judged_total = 0
-            self._judged_used = 0
-
-    # -- residency tracking ---------------------------------------------------
-    def on_eviction(self, block: int, was_used: bool) -> None:
-        """A block left the LLC: close its region's residency if tracked.
-
-        Only an eviction of a block the region actually *recorded* ends
-        the residency: an unrelated region block (never accessed, or a
-        rejected prefetch) leaving the cache says nothing about the live
-        blocks, and closing on it would commit truncated footprints.
-        """
-        if self.throttle:
-            self._judge(block, was_used)
-        region = self.address_map.region_of_block(block)
-        offset = self.address_map.offset_of_block(block)
-        record = self.accumulation_table.peek(region)
-        if record is not None:
-            if record.footprint.test(offset):
-                self._commit_cause = "residency"
-                try:
-                    self.accumulation_table.evict(region)  # commits via callback
-                finally:
-                    self._commit_cause = "capacity"
-            else:
-                self.stats.add("residency_early_close")
-            return
-        record = self.filter_table.peek(region)
-        if record is not None:
-            if record.trigger_offset == offset:
-                self.filter_table.remove(region)
-            else:
-                self.stats.add("residency_early_close")
-
-    def reset(self) -> None:
-        """Drop all learned state: history, filter, accumulation, feedback."""
-        super().reset()
-        self.history.clear()
-        self.filter_table.clear()
-        self.accumulation_table.clear()
-        self.history.vote_threshold = self.base_vote_threshold
-        self._inflight_prefetches.clear()
-        self._judged_used = 0
-        self._judged_total = 0
-
-    # -- reporting ----------------------------------------------------------------
-    @property
-    def storage_bits(self) -> int:
-        aux_entries = self.filter_table.capacity + self.accumulation_table.capacity
-        aux_bits = aux_entries * (
-            self.blocks_per_region + self._AUX_ENTRY_OVERHEAD_BITS
-        )
-        return self.history.storage_bits + aux_bits

@@ -157,10 +157,6 @@ class BingoHistoryTable:
             footprint=voted, matched=EventKind.PC_OFFSET, num_matches=len(matches)
         )
 
-    def clear(self) -> None:
-        """Forget all stored footprints."""
-        self._table.clear()
-
     # -- reporting ---------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._table)

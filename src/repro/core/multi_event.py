@@ -11,7 +11,8 @@ Bingo's two events:
 
 :class:`MultiEventSpatialPrefetcher` implements both: give it any subset
 of :data:`repro.core.events.LONGEST_TO_SHORTEST` and it trains/predicts
-with naive cascaded tables (Fig. 1-(b)), recording per-event match
+with naive cascaded tables (Fig. 1-(b)) behind the region front end of
+:class:`repro.core.regions.RegionPrefetcher`, recording per-event match
 statistics.  With ``kinds=LONGEST_TO_SHORTEST[:2]`` it is functionally a
 dual-table Bingo — the unified-table :class:`repro.core.bingo.
 BingoPrefetcher` must produce the same predictions, which the test suite
@@ -23,15 +24,13 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.common.addresses import AddressMap
-from repro.common.bitvec import Footprint
 from repro.core.events import EventKind, LONGEST_TO_SHORTEST
 from repro.core.multi_history import CascadedHistoryTables
-from repro.core.regions import AccumulationTable, FilterTable, RegionRecord
-from repro.obs.events import RegionCommit, RegionDrop
-from repro.prefetchers.base import AccessInfo, Prefetcher, PrefetchRequest
+from repro.core.regions import RegionPrefetcher
+from repro.prefetchers.base import PrefetchRequest
 
 
-class MultiEventSpatialPrefetcher(Prefetcher):
+class MultiEventSpatialPrefetcher(RegionPrefetcher):
     """PPH spatial prefetcher over an arbitrary event cascade."""
 
     name = "multi-event"
@@ -48,100 +47,34 @@ class MultiEventSpatialPrefetcher(Prefetcher):
         accumulation_ways: int = 8,
         measure_redundancy: bool = False,
     ) -> None:
-        super().__init__(address_map)
+        super().__init__(
+            address_map,
+            filter_sets=filter_sets,
+            filter_ways=filter_ways,
+            accumulation_sets=accumulation_sets,
+            accumulation_ways=accumulation_ways,
+        )
         self.kinds = tuple(kinds)
-        self.blocks_per_region = self.address_map.blocks_per_region
-        self.tables = CascadedHistoryTables(
+        self.history = CascadedHistoryTables(
             kinds=self.kinds,
             entries=entries_per_table,
             ways=ways,
             blocks_per_region=self.blocks_per_region,
         )
-        self.filter_table = FilterTable(
-            sets=filter_sets, ways=filter_ways, on_drop=self._filter_dropped
-        )
-        self.accumulation_table = AccumulationTable(
-            on_commit=self._commit_region,
-            sets=accumulation_sets,
-            ways=accumulation_ways,
-        )
         self.measure_redundancy = measure_redundancy
-        self._region_shift = self.blocks_per_region.bit_length() - 1
-        self._commit_cause = "capacity"
-
-    def _commit_region(self, region: int, record: RegionRecord) -> None:
-        if self.sink.enabled:
-            self.sink.emit(
-                RegionCommit(
-                    region=region,
-                    pc=record.trigger_pc,
-                    offset=record.trigger_offset,
-                    trigger_block=record.trigger_block,
-                    footprint=record.footprint.bits,
-                    cause=self._commit_cause,
-                )
-            )
-        self.tables.insert(
-            record.trigger_pc,
-            record.trigger_block,
-            record.trigger_offset,
-            record.footprint,
-        )
-        self.stats.add("commits")
-
-    def _filter_dropped(self, region: int, record: RegionRecord) -> None:
-        if self.sink.enabled:
-            self.sink.emit(RegionDrop(region=region))
-
-    # -- the access path ------------------------------------------------------
-    def on_access(self, info: AccessInfo) -> List[PrefetchRequest]:
-        amap = self.address_map
-        region = amap.region_of_block(info.block)
-        offset = amap.offset_of_block(info.block)
-
-        if self.accumulation_table.record_access(region, offset):
-            return []
-
-        record = self.filter_table.lookup(region)
-        if record is not None:
-            if record.trigger_offset == offset:
-                return []
-            self.filter_table.remove(region)
-            record.footprint.set(offset)
-            self.accumulation_table.insert(region, record)
-            return []
-
-        footprint = Footprint(self.blocks_per_region)
-        footprint.set(offset)
-        self.filter_table.insert(
-            region,
-            RegionRecord(
-                trigger_pc=info.pc,
-                trigger_offset=offset,
-                trigger_block=info.block,
-                footprint=footprint,
-            ),
-        )
-        self.stats.add("triggers")
-        return self._predict(info.pc, info.block, region, offset)
 
     def _predict(
         self, pc: int, block: int, region: int, offset: int
     ) -> List[PrefetchRequest]:
         if self.measure_redundancy:
             self._record_redundancy(pc, block, offset)
-        match = self.tables.lookup(pc, block, offset)
+        match = self.history.lookup(pc, block, offset)
         if match is None:
             self.stats.add("lookup_misses")
             return []
         self.stats.add("lookup_hits")
         self.stats.add(f"matched_{match.matched.name.lower()}")
-        region_base_block = region << self._region_shift
-        return [
-            PrefetchRequest(block=region_base_block + o)
-            for o in match.footprint.offsets()
-            if o != offset
-        ]
+        return self._requests(region, offset, match.footprint)
 
     def _record_redundancy(self, pc: int, block: int, offset: int) -> None:
         """Fig. 4 instrumentation: do long & short tables agree?
@@ -152,7 +85,7 @@ class MultiEventSpatialPrefetcher(Prefetcher):
         """
         if len(self.kinds) < 2:
             return
-        predictions = self.tables.lookup_all(pc, block, offset)
+        predictions = self.history.lookup_all(pc, block, offset)
         longest = predictions[self.kinds[0]]
         shortest = predictions[self.kinds[-1]]
         if longest is None and shortest is None:
@@ -165,43 +98,6 @@ class MultiEventSpatialPrefetcher(Prefetcher):
         ):
             self.stats.add("redundant_lookups")
 
-    # -- residency tracking --------------------------------------------------------
-    def on_eviction(self, block: int, was_used: bool) -> None:
-        """Close the residency only if the evicted block was recorded."""
-        region = self.address_map.region_of_block(block)
-        offset = self.address_map.offset_of_block(block)
-        record = self.accumulation_table.peek(region)
-        if record is not None:
-            if record.footprint.test(offset):
-                self._commit_cause = "residency"
-                try:
-                    self.accumulation_table.evict(region)
-                finally:
-                    self._commit_cause = "capacity"
-            else:
-                self.stats.add("residency_early_close")
-            return
-        record = self.filter_table.peek(region)
-        if record is not None:
-            if record.trigger_offset == offset:
-                self.filter_table.remove(region)
-            else:
-                self.stats.add("residency_early_close")
-
-    def reset(self) -> None:
-        """Drop all learned state: cascaded tables, filter, accumulation."""
-        super().reset()
-        self.tables.clear()
-        self.filter_table.clear()
-        self.accumulation_table.clear()
-
-    # -- reporting ---------------------------------------------------------------------
     def match_probability(self) -> float:
         """Fraction of trigger lookups that found any event (Fig. 2)."""
         return self.stats.ratio("lookup_hits", "triggers")
-
-    @property
-    def storage_bits(self) -> int:
-        aux_entries = self.filter_table.capacity + self.accumulation_table.capacity
-        aux_bits = aux_entries * (self.blocks_per_region + 48)
-        return self.tables.storage_bits + aux_bits

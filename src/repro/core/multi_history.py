@@ -115,11 +115,6 @@ class CascadedHistoryTables:
             kind: self._match(kind, pc, block, offset) for kind in self.kinds
         }
 
-    def clear(self) -> None:
-        """Forget all stored footprints in every table."""
-        for table in self._tables.values():
-            table.clear()
-
     # -- reporting -------------------------------------------------------------
     @property
     def storage_bits(self) -> int:

@@ -1,8 +1,10 @@
-"""Region-residency tracking: the filter and accumulation tables.
+"""The region front end of the per-page-history prefetchers.
 
 Section IV: "Bingo uses a small auxiliary storage to record spatial
-patterns while the processor accesses spatial regions."  Following the
-public Bingo implementation, that storage is split in two:
+patterns while the processor accesses spatial regions."  SMS, SFP and
+the multi-event motivation prefetcher record footprints the same way;
+they differ only in the history table behind it.  Following the public
+Bingo implementation, the auxiliary storage is split in two:
 
 * the **filter table** holds regions that have seen exactly *one* access
   (the trigger).  Regions touched once and abandoned never pollute the
@@ -15,6 +17,12 @@ access, and leaves the accumulation table — committing its footprint to
 the history table — either when a block of the region is evicted from the
 cache (end of residency, Section IV) or when the accumulation table
 itself needs the entry back (capacity eviction).
+
+:class:`RegionPrefetcher` is that front end, written once: the trigger
+→ filter → accumulate access path, the residency-closing eviction path,
+the commit into ``self.history`` and the storage model of the two
+auxiliary tables.  A subclass supplies the history table and its
+``_predict``.
 """
 
 from __future__ import annotations
@@ -22,8 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
+from repro.common.addresses import AddressMap
 from repro.common.bitvec import Footprint
 from repro.common.table import SetAssociativeTable
+from repro.obs.events import RegionCommit, RegionDrop
+from repro.prefetchers.base import AccessInfo, Prefetcher, PrefetchRequest
 
 
 @dataclass
@@ -80,9 +91,6 @@ class FilterTable:
     def items(self) -> List[Tuple[int, RegionRecord]]:
         return self._table.items()
 
-    def clear(self) -> None:
-        self._table.clear()
-
     def __len__(self) -> int:
         return len(self._table)
 
@@ -138,13 +146,164 @@ class AccumulationTable:
     def items(self) -> List[Tuple[int, RegionRecord]]:
         return self._table.items()
 
-    def clear(self) -> None:
-        """Drop all tracked regions *without* committing them."""
-        self._table.clear()
-
     def __len__(self) -> int:
         return len(self._table)
 
     @property
     def capacity(self) -> int:
         return self._table.capacity
+
+
+class RegionPrefetcher(Prefetcher):
+    """A per-page-history prefetcher: region front end over a history.
+
+    A subclass builds ``self.history`` — anything with ``insert(pc,
+    block, offset, footprint)`` and ``storage_bits`` — after calling
+    this constructor, and implements :meth:`_predict`, which consults
+    the history at a trigger access.
+    """
+
+    #: modelled bits per filter/accumulation entry beyond the footprint:
+    #: region tag + trigger PC + trigger offset + valid/recency.
+    _AUX_ENTRY_OVERHEAD_BITS = 48
+
+    def __init__(
+        self,
+        address_map: Optional[AddressMap] = None,
+        filter_sets: int = 8,
+        filter_ways: int = 8,
+        accumulation_sets: int = 4,
+        accumulation_ways: int = 8,
+    ) -> None:
+        super().__init__(address_map)
+        self.blocks_per_region = self.address_map.blocks_per_region
+        self.filter_table = FilterTable(
+            sets=filter_sets, ways=filter_ways, on_drop=self._filter_dropped
+        )
+        self.accumulation_table = AccumulationTable(
+            on_commit=self._commit_region,
+            sets=accumulation_sets,
+            ways=accumulation_ways,
+        )
+        self._region_shift = self.blocks_per_region.bit_length() - 1
+        # Why the next commit happened; on_eviction flips this to
+        # "residency" around the explicit evict so traced RegionCommits
+        # carry their cause (capacity commits come from table pressure).
+        self._commit_cause = "capacity"
+
+    # -- training plumbing --------------------------------------------------
+    def _commit_region(self, region: int, record: RegionRecord) -> None:
+        """End of residency: move the footprint into the history table."""
+        if self.sink.enabled:
+            self.sink.emit(
+                RegionCommit(
+                    region=region,
+                    pc=record.trigger_pc,
+                    offset=record.trigger_offset,
+                    trigger_block=record.trigger_block,
+                    footprint=record.footprint.bits,
+                    cause=self._commit_cause,
+                )
+            )
+        self.history.insert(
+            record.trigger_pc,
+            record.trigger_block,
+            record.trigger_offset,
+            record.footprint,
+        )
+        self.stats.add("commits")
+
+    def _filter_dropped(self, region: int, record: RegionRecord) -> None:
+        """Filter-table capacity displaced a single-access region."""
+        if self.sink.enabled:
+            self.sink.emit(RegionDrop(region=region))
+
+    # -- the access path -----------------------------------------------------
+    def on_access(self, info: AccessInfo) -> List[PrefetchRequest]:
+        amap = self.address_map
+        region = amap.region_of_block(info.block)
+        offset = amap.offset_of_block(info.block)
+
+        # Region already accumulating: just record the access.
+        if self.accumulation_table.record_access(region, offset):
+            return []
+
+        # Region in the filter table: second access graduates it.
+        record = self.filter_table.lookup(region)
+        if record is not None:
+            if record.trigger_offset == offset:
+                return []  # re-touching the trigger block: still one block
+            self.filter_table.remove(region)
+            record.footprint.set(offset)
+            self.accumulation_table.insert(region, record)
+            return []
+
+        # Trigger access: start tracking and consult the history.
+        footprint = Footprint(self.blocks_per_region)
+        footprint.set(offset)
+        self.filter_table.insert(
+            region,
+            RegionRecord(
+                trigger_pc=info.pc,
+                trigger_offset=offset,
+                trigger_block=info.block,
+                footprint=footprint,
+            ),
+        )
+        self.stats.add("triggers")
+        return self._predict(info.pc, info.block, region, offset)
+
+    def _predict(
+        self, pc: int, block: int, region: int, offset: int
+    ) -> List[PrefetchRequest]:
+        """Consult the history at a trigger access; return the prefetches."""
+        raise NotImplementedError
+
+    def _requests(
+        self, region: int, offset: int, footprint: Footprint
+    ) -> List[PrefetchRequest]:
+        """Every block of ``footprint`` in ``region`` except the trigger."""
+        region_base_block = region << self._region_shift
+        return [
+            PrefetchRequest(block=region_base_block + o)
+            for o in footprint.offsets()
+            if o != offset
+        ]
+
+    # -- residency tracking ---------------------------------------------------
+    def on_eviction(self, block: int, was_used: bool) -> None:
+        """A block left the cache: close its region's residency if tracked.
+
+        Only an eviction of a block the region actually *recorded* ends
+        the residency: an unrelated region block (never accessed, or a
+        rejected prefetch) leaving the cache says nothing about the live
+        blocks, and closing on it would commit truncated footprints.
+        """
+        region = self.address_map.region_of_block(block)
+        offset = self.address_map.offset_of_block(block)
+        record = self.accumulation_table.peek(region)
+        if record is not None:
+            if record.footprint.test(offset):
+                self._commit_cause = "residency"
+                try:
+                    self.accumulation_table.evict(region)  # commits via callback
+                finally:
+                    self._commit_cause = "capacity"
+            else:
+                self.stats.add("residency_early_close")
+            return
+        record = self.filter_table.peek(region)
+        if record is not None:
+            if record.trigger_offset == offset:
+                self.filter_table.remove(region)
+            else:
+                self.stats.add("residency_early_close")
+
+    # -- reporting ----------------------------------------------------------------
+    @property
+    def storage_bits(self) -> int:
+        aux_entries = self.filter_table.capacity + self.accumulation_table.capacity
+        aux_bits = aux_entries * (
+            self.blocks_per_region + self._AUX_ENTRY_OVERHEAD_BITS
+        )
+        return self.history.storage_bits + aux_bits

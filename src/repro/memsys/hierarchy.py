@@ -244,9 +244,9 @@ class MemoryHierarchy:
             self._now = max(self._now, now)
             pf = self.prefetchers[core_id]
             info = AccessInfo(pc, paddr, block, l1_hit, now, core_id, is_write)
-            requests = pf.clamp_degree(pf.on_access(info))
+            requests = pf.on_access(info)
             if requests:
-                self._issue_prefetches(pf, core_id, block, requests, now)
+                self._issue_prefetches(core_id, block, requests, now)
 
         if l1_hit:
             self._l1_hits[core_id].value += 1
@@ -327,11 +327,6 @@ class MemoryHierarchy:
                 if wait > 0:
                     self._c_late_covered.value += 1
                     outcome = LATE
-                if self.prefetchers:
-                    # Tell the issuing prefetcher its prefetch was
-                    # consumed: accuracy feedback must not wait for the
-                    # block's eviction (which may never be observed).
-                    self.prefetchers[state.core_id].on_prefetch_used(block)
             else:
                 self._c_demand_hits.value += 1
             latency = llc_hit_latency + wait
@@ -369,10 +364,10 @@ class MemoryHierarchy:
             info = AccessInfo(
                 pc, paddr, block, state is not None, issue, core_id, is_write
             )
-            requests = pf.clamp_degree(pf.on_access(info))
+            requests = pf.on_access(info)
             if requests:
                 self._issue_prefetches(
-                    pf, core_id, block, requests, issue + llc_hit_latency
+                    core_id, block, requests, issue + llc_hit_latency
                 )
 
         total = (issue - now) + l1_hit_latency + latency
@@ -382,7 +377,6 @@ class MemoryHierarchy:
     # -- the prefetch path ----------------------------------------------------
     def _issue_prefetches(
         self,
-        pf: Prefetcher,
         core_id: int,
         trigger_block: int,
         requests,
@@ -406,7 +400,6 @@ class MemoryHierarchy:
             self.llc.fill(
                 block, BlockState(prefetched=True, ready_time=ready, core_id=core_id)
             )
-            pf.on_prefetch_fill(block, ready)
             self._c_prefetches_issued.value += 1
             if sink.enabled:
                 # The latency model materialises the fill at issue, so

@@ -4,6 +4,11 @@ All prefetchers implement :class:`repro.prefetchers.base.Prefetcher` and
 attach to the shared LLC (one private instance per core, as in Section V).
 Bingo itself lives in :mod:`repro.core` because it is the paper's primary
 contribution; it registers here alongside the baselines.
+
+SMS (:mod:`repro.prefetchers.sms`) and SFP are built on Bingo's region
+front end in :mod:`repro.core`, which imports this package's base
+class, so this package does not import them eagerly: ``make_prefetcher``
+loads them on first use.
 """
 
 from repro.prefetchers.ampm import AmpmPrefetcher
@@ -12,7 +17,6 @@ from repro.prefetchers.bop import BestOffsetPrefetcher
 from repro.prefetchers.nextline import NextLinePrefetcher
 from repro.prefetchers.registry import available_prefetchers, make_prefetcher
 from repro.prefetchers.sandbox import SandboxPrefetcher
-from repro.prefetchers.sms import SmsPrefetcher
 from repro.prefetchers.spp import SppPrefetcher
 from repro.prefetchers.stride import StridePrefetcher
 from repro.prefetchers.vldp import VldpPrefetcher
@@ -25,7 +29,6 @@ __all__ = [
     "BestOffsetPrefetcher",
     "NextLinePrefetcher",
     "SandboxPrefetcher",
-    "SmsPrefetcher",
     "SppPrefetcher",
     "StridePrefetcher",
     "VldpPrefetcher",

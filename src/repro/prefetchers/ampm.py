@@ -105,10 +105,6 @@ class AmpmPrefetcher(Prefetcher):
             self.stats.add("predictions")
         return requests
 
-    def reset(self) -> None:
-        super().reset()
-        self._maps.clear()
-
     @property
     def storage_bits(self) -> int:
         # 2 bits per block per zone + zone tag (~36 bits).

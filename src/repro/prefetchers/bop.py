@@ -137,15 +137,6 @@ class BestOffsetPrefetcher(Prefetcher):
             for k in range(1, self.degree + 1)
         ]
 
-    def reset(self) -> None:
-        super().reset()
-        self._rr = _RecentRequests(self.rr_entries)
-        self._scores = [0] * len(self.offsets)
-        self._test_index = 0
-        self._round = 0
-        self.best_offset = 1
-        self._prefetch_enabled = True
-
     @property
     def storage_bits(self) -> int:
         # RR table of block addresses + per-offset score counters

@@ -113,13 +113,6 @@ class GhbPrefetcher(Prefetcher):
                 return requests
         return []
 
-    def reset(self) -> None:
-        super().reset()
-        self._blocks.clear()
-        self._links.clear()
-        self._index.clear()
-        self._head = 0
-
     @property
     def storage_bits(self) -> int:
         # GHB entries (block address + link) + index table (pc tag + ptr).

@@ -81,11 +81,6 @@ class MarkovPrefetcher(Prefetcher):
             self.stats.add("predictions")
         return requests
 
-    def reset(self) -> None:
-        super().reset()
-        self._table.clear()
-        self._last_block = None
-
     @property
     def storage_bits(self) -> int:
         # Temporal metadata stores full block addresses: orders of

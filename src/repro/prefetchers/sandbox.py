@@ -112,13 +112,6 @@ class SandboxPrefetcher(Prefetcher):
             if score >= self.score_threshold
         ]
 
-    def reset(self) -> None:
-        super().reset()
-        self._sandbox.clear()
-        self._scores = {offset: 0 for offset in self.candidates}
-        self._current = 0
-        self._accesses_in_period = 0
-
     @property
     def storage_bits(self) -> int:
         # sandbox (block addresses) + per-candidate score counters

@@ -185,12 +185,6 @@ class SppPrefetcher(Prefetcher):
             self.stats.add("predictions")
         return requests
 
-    def reset(self) -> None:
-        super().reset()
-        self._signatures.clear()
-        self._patterns.clear()
-        self._filter = _PrefetchFilter(self._filter.entries)
-
     @property
     def storage_bits(self) -> int:
         st = self.signature_entries * (16 + 6 + _SIG_BITS)  # tag+offset+sig

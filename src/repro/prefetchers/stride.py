@@ -73,10 +73,6 @@ class StridePrefetcher(Prefetcher):
             for k in range(1, self.degree + 1)
         ]
 
-    def reset(self) -> None:
-        super().reset()
-        self._table.clear()
-
     @property
     def storage_bits(self) -> int:
         # last block address (~42b) + stride (12b) + confidence (2b) + tag (16b)

@@ -154,13 +154,6 @@ class VldpPrefetcher(Prefetcher):
             self.stats.add("predictions")
         return requests
 
-    def reset(self) -> None:
-        super().reset()
-        self._dhb.clear()
-        self._opt.clear()
-        for table in self._dpts:
-            table.clear()
-
     @property
     def storage_bits(self) -> int:
         dhb = self.dhb_entries * (36 + 6 + 3 * 7)  # page tag + offset + 3 deltas

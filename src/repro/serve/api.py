@@ -275,9 +275,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # -- cluster ------------------------------------------------------------
     def _cluster_payload(self) -> Optional[Dict[str, Any]]:
         """Read + version-check a cluster call body; None = already
-        answered.  An absent ``wire_version`` is accepted (version 1 is
-        wire-compatible with the unversioned format); a *different* one
-        is a 409 — mixed-version clusters must fail fast and loudly."""
+        answered.  An absent ``wire_version`` is read as the current
+        one; a *different* one is a 409 — mixed-version clusters must
+        fail fast and loudly."""
         payload = self._read_body()
         if payload is None:
             return None

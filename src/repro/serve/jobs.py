@@ -32,8 +32,10 @@ from repro.sim.results import SimResult
 #: an older peer would misinterpret (renamed fields, changed units, new
 #: required keys).  Mismatched peers are rejected with a 409 at the API
 #: layer — a mixed-version cluster must fail fast and loudly, not
-#: corrupt results quietly.
-WIRE_VERSION = 1
+#: corrupt results quietly.  Version 2 carries ``vectorized``: a
+#: version-1 peer would drop it, turning a general-loop job into a
+#: fast-loop one with a different digest.
+WIRE_VERSION = 2
 
 
 class WireVersionMismatch(ValueError):
@@ -179,6 +181,7 @@ def job_to_wire(job: SimJob) -> Dict[str, Any]:
         "scale": job.scale,
         "train_at": job.train_at,
         "compile": job.compile,
+        "vectorized": job.vectorized,
         "replacement": job.replacement,
         "system": dataclasses.asdict(job.system),
         "obs": {"timeline_interval": job.obs.timeline_interval},
@@ -201,13 +204,13 @@ def job_from_wire(payload: Dict[str, Any]) -> SimJob:
     known = {
         "wire_version", "workload", "prefetcher", "prefetcher_kwargs",
         "instructions", "warmup", "seed", "scale", "train_at", "compile",
-        "replacement", "system", "obs",
+        "vectorized", "replacement", "system", "obs",
     }
     unknown = set(payload) - known
     if unknown:
         raise ValueError(f"unknown job field(s): {sorted(unknown)}")
-    # absent = a pre-versioning peer (or a hand-written spec): accepted,
-    # since version 1 is wire-compatible with the unversioned format
+    # absent = a hand-written spec: read as the current version, with
+    # every omitted field at its SimJob.build default
     theirs = payload.get("wire_version", WIRE_VERSION)
     if theirs != WIRE_VERSION:
         raise WireVersionMismatch(theirs)
@@ -247,6 +250,12 @@ def job_from_wire(payload: Dict[str, Any]) -> SimJob:
     if not isinstance(kwargs, dict):
         raise ValueError("'prefetcher_kwargs' must be an object")
 
+    # bool("false") is True: a flag must arrive as a JSON boolean
+    flags = {name: payload.get(name, True) for name in ("compile", "vectorized")}
+    for name, value in flags.items():
+        if not isinstance(value, bool):
+            raise ValueError(f"'{name}' must be true or false")
+
     return SimJob.build(
         workload=workload,
         prefetcher=str(payload.get("prefetcher", "none")),
@@ -258,6 +267,6 @@ def job_from_wire(payload: Dict[str, Any]) -> SimJob:
         prefetcher_kwargs=kwargs,
         train_at=str(payload.get("train_at", "llc")),
         obs=obs,
-        compile=bool(payload.get("compile", True)),
         replacement=str(payload.get("replacement", "lru")),
+        **flags,
     )

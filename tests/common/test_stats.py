@@ -1,4 +1,4 @@
-"""Stat groups: counters, children, ratios, walking, reset."""
+"""Stat groups: counters, children, ratios, walking."""
 
 from repro.common.stats import StatGroup
 
@@ -47,14 +47,6 @@ class TestChildren:
         group.child("sub").add("m", 2)
         assert dict(group.walk()) == {"root.n": 1, "root.sub.m": 2}
 
-    def test_reset_recurses(self):
-        group = StatGroup("root")
-        group.add("n", 1)
-        group.child("sub").add("m", 2)
-        group.reset()
-        assert group.get("n") == 0
-        assert group.child("sub").get("m") == 0
-
 
 class TestStatCounterHandles:
     def test_handle_writes_are_visible_through_string_api(self):
@@ -81,18 +73,6 @@ class TestStatCounterHandles:
         assert cell.value == 2
         group.set("n", 10)
         assert cell.value == 10
-
-    def test_reset_zeroes_handles_in_place(self):
-        group = StatGroup("x")
-        cell = group.counter("n")
-        cell.add(5)
-        group.add("plain", 1)
-        group.reset()
-        assert cell.value == 0
-        assert group.get("n") == 0
-        assert group.get("plain") == 0
-        cell.add(2)  # handle must still be live after reset
-        assert group.get("n") == 2
 
     def test_counters_snapshot_unwraps_handles(self):
         group = StatGroup("x")

@@ -129,24 +129,12 @@ class TestSplitIndexTag:
         assert ranks[1] < ranks[2]
 
 
-class TestItemsAndClear:
+class TestItems:
     def test_items(self):
         table = SetAssociativeTable(sets=4, ways=2)
         table.insert(1, "a")
         table.insert(2, "b")
         assert dict(table.items()) == {1: "a", 2: "b"}
-
-    def test_clear_is_silent(self):
-        evicted = []
-        table = SetAssociativeTable(
-            sets=2, ways=2, on_evict=lambda t, p: evicted.append(t)
-        )
-        table.insert(1, "a")
-        table.clear()
-        assert len(table) == 0
-        assert evicted == []
-        table.insert(1, "b")  # still usable
-        assert table.lookup(1) == "b"
 
 
 class TestLazySets:
@@ -159,63 +147,11 @@ class TestLazySets:
         assert table.scan_set(7) == []
         assert [tag for _w, tag, _p in table.scan_set(3)] == [1]
 
-    def test_items_and_clear_skip_never_filled_sets(self):
+    def test_items_skip_never_filled_sets(self):
         table = SetAssociativeTable(sets=8, ways=2)
         assert table.items() == []
-        table.clear()
         table.insert(5, "a", index=6)
         assert table.items() == [(5, "a")]
-        table.clear()
-        assert table.items() == []
-        assert table.scan_set(6) == []
-
-
-_OPS = st.lists(
-    st.tuples(
-        st.sampled_from(["insert", "lookup", "invalidate", "pop"]),
-        st.integers(min_value=0, max_value=24),
-    ),
-    max_size=60,
-)
-
-
-def _apply(table, op, key, step):
-    if op == "insert":
-        return table.insert(key, step)
-    return getattr(table, op)(key)
-
-
-def _state(table):
-    """Every valid entry with its way and recency rank, set by set."""
-    return [
-        [(way, tag, payload, table.recency_rank(index, way))
-         for way, tag, payload in table.scan_set(index)]
-        for index in range(table.sets)
-    ]
-
-
-@given(before=_OPS, after=_OPS, sets=st.sampled_from([1, 2, 4]),
-       ways=st.integers(min_value=1, max_value=4))
-def test_cleared_table_refills_like_a_fresh_one(before, after, sets, ways):
-    """``clear`` keeps filled sets' recency lists, yet no victim or rank
-    of a valid way can tell the table from a new one."""
-    def build():
-        log = []
-        table = SetAssociativeTable(
-            sets=sets, ways=ways, on_evict=lambda t, p: log.append((t, p))
-        )
-        return table, log
-
-    cleared, cleared_log = build()
-    for step, (op, key) in enumerate(before):
-        _apply(cleared, op, key, -1 - step)
-    cleared.clear()
-    cleared_log.clear()
-    fresh, fresh_log = build()
-    for step, (op, key) in enumerate(after):
-        assert _apply(cleared, op, key, step) == _apply(fresh, op, key, step)
-        assert cleared_log == fresh_log
-        assert _state(cleared) == _state(fresh)
 
 
 @given(

@@ -126,7 +126,7 @@ def test_unified_table_agrees_with_dual_cascade(
 
     probe_block = probe_region * 32 + probe_offset
     bingo_match = bingo.history.lookup(probe_pc, probe_block, probe_offset)
-    cascade_match = cascade.tables.lookup(probe_pc, probe_block, probe_offset)
+    cascade_match = cascade.history.lookup(probe_pc, probe_block, probe_offset)
 
     # Existence agrees (tables are large enough that nothing was evicted).
     assert (bingo_match is None) == (cascade_match is None)

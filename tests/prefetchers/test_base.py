@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.common.config import small_system
 from repro.prefetchers.base import (
     AccessInfo,
     NullPrefetcher,
     Prefetcher,
     PrefetchRequest,
 )
+from repro.sim.runner import run_simulation
 
 
 def test_access_info_is_frozen():
@@ -35,26 +37,41 @@ def test_base_on_access_is_abstract():
         pf.on_access(info)
 
 
-def test_storage_kib_conversion():
-    class Fixed(Prefetcher):
-        name = "fixed"
-
-        def on_access(self, info):
-            return []
-
-        @property
-        def storage_bits(self):
-            return 8 * 1024 * 10  # 10 KiB
-
-    assert Fixed().storage_kib == pytest.approx(10.0)
-
-
-def test_clamp_degree_without_limit_passes_through():
-    pf = NullPrefetcher()
-    requests = [PrefetchRequest(block=i) for i in range(5)]
-    assert pf.clamp_degree(requests) == requests
-
-
 def test_default_address_map_is_paper_geometry():
     pf = NullPrefetcher()
     assert pf.address_map.region_size == 2048
+
+
+class _PlainNextLine:
+    """A next-line prefetcher that is not a :class:`Prefetcher`: it has
+    only the attributes the hierarchy and the engine use."""
+
+    name = "plain"
+    storage_bits = 0
+
+    def on_access(self, info):
+        return [PrefetchRequest(block=info.block + 1)]
+
+    def on_eviction(self, block, was_used):
+        pass
+
+
+@pytest.mark.parametrize(
+    "train_at, compile", [("llc", False), ("llc", True), ("l1", False)]
+)
+def test_simulator_needs_only_the_contract_hooks(train_at, compile):
+    """The whole prefetcher contract is on_access, on_eviction and
+    storage_bits: a run over plain objects completes and prefetches."""
+    result = run_simulation(
+        "streaming",
+        prefetchers=[_PlainNextLine() for _ in range(4)],
+        system=small_system(num_cores=4),
+        instructions_per_core=3000,
+        warmup_instructions=500,
+        seed=7,
+        scale=0.02,
+        train_at=train_at,
+        compile=compile,
+    )
+    assert result.prefetches_issued > 0
+    assert result.prefetcher_storage_bits == 0

@@ -44,24 +44,12 @@ class TestContract:
         pf = make_prefetcher(name)
         pf.on_eviction(123456, was_used=False)  # must not raise
 
-    def test_prefetch_fill_hook_tolerates_any_block(self, name):
-        pf = make_prefetcher(name)
-        pf.on_prefetch_fill(42, time=10.0)  # must not raise
-
     def test_storage_bits_nonnegative_and_stable(self, name):
         pf = make_prefetcher(name)
         before = pf.storage_bits
         for block in range(128):
             pf.on_access(make_info(block))
         assert pf.storage_bits == before >= 0
-
-    def test_reset_then_reuse(self, name):
-        pf = make_prefetcher(name)
-        for block in range(64):
-            pf.on_access(make_info(block))
-        pf.reset()
-        out = pf.on_access(make_info(5000))
-        assert isinstance(out, list)
 
 
 @settings(deadline=None, max_examples=10)

@@ -56,12 +56,5 @@ def test_validation(kwargs):
         GhbPrefetcher(**kwargs)
 
 
-def test_reset():
-    pf = GhbPrefetcher()
-    feed(pf, [0, 7, 14, 21])
-    pf.reset()
-    assert pf._blocks == [] and pf._index == {}
-
-
 def test_storage_positive():
     assert GhbPrefetcher().storage_bits > 0

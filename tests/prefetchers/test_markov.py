@@ -30,12 +30,6 @@ class TestMechanics:
         feed(pf, list(range(100)))
         assert len(pf._table) <= 4
 
-    def test_reset(self):
-        pf = MarkovPrefetcher()
-        feed(pf, [1, 2, 3])
-        pf.reset()
-        assert len(pf._table) == 0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MarkovPrefetcher(entries=0)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.prefetchers.base import AccessInfo
 from repro.prefetchers.nextline import NextLinePrefetcher
 
 from tests.prefetchers.helpers import feed_one
@@ -25,10 +24,3 @@ def test_rejects_bad_degree():
 
 def test_stateless_storage():
     assert NextLinePrefetcher().storage_bits == 0
-
-
-def test_degree_limit_clamps():
-    pf = NextLinePrefetcher(degree=4)
-    pf.degree_limit = 2
-    info = AccessInfo(pc=1, address=0, block=0, hit=False, time=0.0)
-    assert len(pf.clamp_degree(pf.on_access(info))) == 2

@@ -40,5 +40,5 @@ def test_requires_same_pc():
 def test_storage_is_paper_sized():
     # Section V: 16 K-entry, 16-way history table.
     pf = SmsPrefetcher()
-    assert pf.tables.entries == 16 * 1024
-    assert pf.tables.ways == 16
+    assert pf.history.entries == 16 * 1024
+    assert pf.history.ways == 16

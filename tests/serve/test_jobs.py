@@ -1,10 +1,12 @@
 """Wire format and job records: the JSON boundary of the service."""
 
 import dataclasses
+import json
 
 import pytest
 
 from repro.common.config import SystemConfig, small_system
+from repro.obs.config import ObservabilityConfig
 from repro.sim.executor import SimJob, execute_job
 from repro.serve.jobs import (
     JobRecord,
@@ -36,6 +38,47 @@ class TestWireFormat:
         again = job_from_wire(job_to_wire(job))
         assert again.digest() == job.digest()
         assert again == job
+
+    def test_every_field_off_its_default_round_trips(self):
+        """Wire and drain/restore give back the same job, digest and all.
+
+        ``vectorized=False`` once came back True: the wire format did
+        not carry it, so a restored record or a leased job ran (and was
+        keyed as) a different job than the one queued.
+        """
+        job = SimJob.build(
+            "em3d",
+            prefetcher="bingo",
+            system=small_system(num_cores=2),
+            instructions_per_core=3000,
+            warmup_instructions=500,
+            seed=5,
+            scale=0.05,
+            prefetcher_kwargs={"short_match_policy": "most_recent"},
+            train_at="l1",
+            obs=ObservabilityConfig(timeline_interval=500),
+            compile=False,
+            vectorized=False,
+            replacement="fifo",
+        )
+        defaults = SimJob.build("streaming")
+        for name in ("compile", "vectorized", "train_at", "replacement",
+                     "prefetcher_kwargs", "obs", "system"):
+            assert getattr(job, name) != getattr(defaults, name), name
+        wired = job_from_wire(json.loads(json.dumps(job_to_wire(job))))
+        assert wired == job
+        assert wired.digest() == job.digest()
+        record = JobRecord(job=job)
+        restored = JobRecord.from_dict(
+            json.loads(json.dumps(record.to_dict()))
+        )
+        assert restored.job == job
+        assert restored.digest == record.digest == job.digest()
+
+    @pytest.mark.parametrize("flag", ["compile", "vectorized"])
+    def test_flags_must_be_booleans(self, flag):
+        with pytest.raises(ValueError, match=f"'{flag}' must be true or false"):
+            job_from_wire(wire_spec(**{flag: "false"}))
 
     def test_custom_system_round_trips(self):
         system = dataclasses.asdict(small_system(num_cores=2))

@@ -1,8 +1,13 @@
-"""Import-surface contract: the simulator needs no numpy.
+"""Import-surface contract: the simulator needs no numpy, and the
+package imports in any order.
 
 No module under ``src/`` imports numpy and ``pyproject.toml`` declares
 no dependency on it, so a numpy-free install runs both engine loops —
 the fast loop included.
+
+``repro.core.regions`` imports the prefetcher base class while
+``repro.prefetchers.sms`` builds on ``repro.core``, so whichever of them
+a program imports first must not meet the other half-initialised.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -56,20 +63,51 @@ print("ok")
 '''
 
 
-def test_fast_loop_runs_without_numpy():
-    """With every numpy import raising, a compiled run still takes the
-    fast loop and equals the general loop."""
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
     src = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    done = subprocess.run(
-        [sys.executable, "-c", _NUMPY_FREE_RUN],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
+    )
+
+
+def test_fast_loop_runs_without_numpy():
+    """With every numpy import raising, a compiled run still takes the
+    fast loop and equals the general loop."""
+    done = _run_fresh(_NUMPY_FREE_RUN)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        "repro",
+        "repro.core.regions",
+        "repro.core.bingo",
+        "repro.core.multi_event",
+        "repro.prefetchers",
+        "repro.prefetchers.sms",
+        "repro.prefetchers.registry",
+    ],
+)
+def test_region_prefetchers_import_in_any_order(first):
+    """Import ``first`` before anything else, then build every
+    prefetcher on the region front end by name."""
+    done = _run_fresh(
+        f"import {first}\n"
+        "from repro.prefetchers.registry import make_prefetcher\n"
+        "for name in ('bingo', 'sms', 'sfp', 'multi-event'):\n"
+        "    assert make_prefetcher(name).name == name, name\n"
+        "print('ok')\n"
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
