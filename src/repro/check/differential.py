@@ -97,7 +97,6 @@ class DifferentialChecker(TraceSink):
         )
         self.divergences: List[Divergence] = []
         self.explained: Counter = Counter()
-        self.demand_events = 0
         self._events = 0
         self._ring: Deque[dict] = deque(maxlen=CONTEXT_EVENTS)
         # per-access protocol state
@@ -140,7 +139,6 @@ class DifferentialChecker(TraceSink):
     # -- demand classification ---------------------------------------------
     def _on_demand_hit(self, event) -> None:
         self._finish_access()
-        self.demand_events += 1
         self._current_core = event.core_id
         state = self.llc.lookup(event.block)
         if state is None:
@@ -164,7 +162,6 @@ class DifferentialChecker(TraceSink):
 
     def _on_demand_miss(self, event) -> None:
         self._finish_access()
-        self.demand_events += 1
         self._current_core = event.core_id
         if self.llc.resident(event.block):
             self._diverge(
@@ -514,7 +511,10 @@ def run_check(
     invariant checker; ``hierarchy.access`` is wrapped so every demand
     access also diffs the L1 hit/miss classification against
     :class:`~repro.check.reference.ReferenceL1` (the L1 emits no events,
-    so the wrapper is the only place that decision is observable).
+    so the wrapper is the only place that decision is observable).  The
+    harnessed engine therefore runs the general loop
+    (``vectorized=False``): the fast loop walks L1 hits itself and never
+    calls ``hierarchy.access``.
 
     ``compile=True`` replays the workload from a packed compiled trace
     (:mod:`repro.sim.compile`) instead of the live generators — the full
@@ -527,9 +527,9 @@ def run_check(
     harnessed run against the unobserved general loop (an ``observer``
     divergence: the harness changed the run it vouched for) and the fast
     loop against it (a ``vector-replay`` divergence).  The fast loop
-    cannot host the event-level harness directly (it replays L1 hits
-    without emitting events), so the result-level diffs chain the
-    harness's verdict to it: byte-identical ``SimResult`` objects.
+    cannot host the L1 diff (it replays L1 hits without calling
+    ``hierarchy.access``), so the result-level diffs chain the harness's
+    verdict to it: byte-identical ``SimResult`` objects.
 
     ``replacement`` selects the LLC policy for every engine built here.
     The reference LLC is replacement-agnostic — it mirrors residency
@@ -539,6 +539,7 @@ def run_check(
     ``compile`` (the Belady oracle pre-scans the packed arenas).
     """
     from repro.common.config import small_system
+    from repro.memsys.hierarchy import L1_HIT, MERGED
     from repro.obs.sinks import TeeSink
     from repro.sim.engine import SimulationEngine, SimulationParams
     from repro.workloads.registry import make_workload
@@ -571,6 +572,7 @@ def run_check(
             warmup_instructions=warmup_instructions,
         ),
         sink=TeeSink([checker, invariants]),
+        vectorized=False,
         replacement=replacement,
     )
     hierarchy = engine.hierarchy
@@ -591,19 +593,14 @@ def run_check(
         # block early performs exactly the allocation the access would.
         block = translator.translate(core_id, vaddr) >> block_bits
         ref_hit = ref_l1s[core_id].lookup(block)
-        demand_before = checker.demand_events
-        result = real_access(core_id, pc, vaddr, now, is_write)
-        if result.l1_hit != ref_hit:
+        latency, outcome = real_access(core_id, pc, vaddr, now, is_write)
+        if (outcome == L1_HIT) != ref_hit:
             state["l1_divergences"] += 1
-        if not result.l1_hit:
-            # An access merged into an in-flight L1 miss does not fill
-            # the L1; it is recognisable by producing no LLC demand
-            # event while still reporting llc_hit.
-            merged = result.llc_hit and checker.demand_events == demand_before
-            if not merged:
-                ref_l1s[core_id].fill(block)
+        # an access merged into an in-flight L1 miss does not fill the L1
+        if outcome != L1_HIT and outcome != MERGED:
+            ref_l1s[core_id].fill(block)
         checker.access_complete()
-        return result
+        return latency, outcome
 
     hierarchy.access = checked_access
     try:

@@ -2,11 +2,13 @@
 
 * :mod:`repro.core.events` — the event taxonomy of Section III
   (``PC+Address`` … ``Offset``) and key extraction from trigger accesses.
-* :mod:`repro.core.regions` — the region front end: the filter and
-  accumulation tables that record footprints during a region's
-  residency (Section IV), and :class:`RegionPrefetcher`, the one
-  access/eviction path that Bingo, SMS, SFP and the multi-event
-  prefetcher share in front of their history tables.
+* :mod:`repro.core.regions` — the region front end:
+  :class:`RegionPrefetcher`, the one access/eviction path that Bingo,
+  SMS, SFP and the multi-event prefetcher share in front of their
+  history tables, recording footprints during a region's residency
+  (Section IV) in a filter table and an accumulation table, each a
+  plain :class:`~repro.common.table.SetAssociativeTable` of
+  :class:`RegionRecord` entries.
 * :mod:`repro.core.history` — the storage-efficient *unified* history
   table: indexed by the short event, tagged by the long event (Fig. 5).
 * :mod:`repro.core.multi_history` — the naive cascaded TAGE-like tables
@@ -23,7 +25,7 @@ from repro.core.events import Event, EventKind, LONGEST_TO_SHORTEST
 from repro.core.history import BingoHistoryTable, HistoryMatch
 from repro.core.multi_event import MultiEventSpatialPrefetcher
 from repro.core.multi_history import CascadedHistoryTables
-from repro.core.regions import AccumulationTable, FilterTable, RegionRecord
+from repro.core.regions import RegionRecord
 
 __all__ = [
     "BingoPrefetcher",
@@ -34,7 +36,5 @@ __all__ = [
     "HistoryMatch",
     "MultiEventSpatialPrefetcher",
     "CascadedHistoryTables",
-    "AccumulationTable",
-    "FilterTable",
     "RegionRecord",
 ]

@@ -28,7 +28,6 @@ from repro.common.addresses import AddressMap
 from repro.core.history import BingoHistoryTable
 from repro.core.regions import RegionPrefetcher
 from repro.obs.events import HistoryEvict, VoteDecision
-from repro.prefetchers.base import PrefetchRequest
 
 
 class BingoPrefetcher(RegionPrefetcher):
@@ -71,7 +70,7 @@ class BingoPrefetcher(RegionPrefetcher):
 
     def _predict(
         self, pc: int, block: int, region: int, offset: int
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         match = self.history.lookup(pc, block, offset)
         sink = self.sink
         if match is None:

@@ -27,7 +27,6 @@ from repro.common.addresses import AddressMap
 from repro.core.events import EventKind, LONGEST_TO_SHORTEST
 from repro.core.multi_history import CascadedHistoryTables
 from repro.core.regions import RegionPrefetcher
-from repro.prefetchers.base import PrefetchRequest
 
 
 class MultiEventSpatialPrefetcher(RegionPrefetcher):
@@ -65,7 +64,7 @@ class MultiEventSpatialPrefetcher(RegionPrefetcher):
 
     def _predict(
         self, pc: int, block: int, region: int, offset: int
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         if self.measure_redundancy:
             self._record_redundancy(pc, block, offset)
         match = self.history.lookup(pc, block, offset)

@@ -21,20 +21,27 @@ itself needs the entry back (capacity eviction).
 :class:`RegionPrefetcher` is that front end, written once: the trigger
 → filter → accumulate access path, the residency-closing eviction path,
 the commit into ``self.history`` and the storage model of the two
-auxiliary tables.  A subclass supplies the history table and its
-``_predict``.
+auxiliary tables.  Each table is a plain
+:class:`~repro.common.table.SetAssociativeTable` of
+:class:`RegionRecord` entries keyed by region number.  Their ``on_evict``
+callbacks carry the asymmetry: a filter entry displaced by capacity is
+traced as a :class:`~repro.obs.events.RegionDrop` and trains nothing
+(graduation and end of residency remove it silently with ``pop``),
+while an accumulation entry commits its footprint whether capacity
+displaces it or ``invalidate`` ends its residency.  A subclass supplies
+the history table and its ``_predict``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.common.addresses import AddressMap
 from repro.common.bitvec import Footprint
 from repro.common.table import SetAssociativeTable
 from repro.obs.events import RegionCommit, RegionDrop
-from repro.prefetchers.base import AccessInfo, Prefetcher, PrefetchRequest
+from repro.prefetchers.base import AccessInfo, Prefetcher
 
 
 @dataclass
@@ -49,109 +56,6 @@ class RegionRecord:
     trigger_offset: int
     trigger_block: int
     footprint: Footprint
-
-
-CommitCallback = Callable[[int, RegionRecord], None]
-
-
-class FilterTable:
-    """Regions with exactly one access so far (trigger only).
-
-    ``on_drop(region, record)`` fires only on *capacity* replacement —
-    explicit :meth:`remove` (graduation, end of residency) is silent,
-    because a single-access region trains nothing.  The observability
-    layer uses the callback to trace forgotten triggers so the unbounded
-    reference models of :mod:`repro.check` can stay in sync.
-    """
-
-    def __init__(
-        self,
-        sets: int = 8,
-        ways: int = 8,
-        on_drop: Optional[CommitCallback] = None,
-    ) -> None:
-        self._table: SetAssociativeTable[RegionRecord] = SetAssociativeTable(
-            sets=sets, ways=ways, on_evict=on_drop
-        )
-
-    def lookup(self, region: int) -> Optional[RegionRecord]:
-        return self._table.lookup(region)
-
-    def peek(self, region: int) -> Optional[RegionRecord]:
-        """Lookup without touching recency (eviction-path inspection)."""
-        return self._table.lookup(region, touch=False)
-
-    def insert(self, region: int, record: RegionRecord) -> None:
-        self._table.insert(region, record)
-
-    def remove(self, region: int) -> Optional[RegionRecord]:
-        """Remove silently (single-access regions train nothing)."""
-        return self._table.pop(region)
-
-    def items(self) -> List[Tuple[int, RegionRecord]]:
-        return self._table.items()
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    @property
-    def capacity(self) -> int:
-        return self._table.capacity
-
-
-class AccumulationTable:
-    """Regions actively accumulating a footprint (two or more accesses).
-
-    ``on_commit(region, record)`` fires whenever a region's residency ends
-    — on explicit :meth:`evict` (cache told us a block left) and on
-    capacity replacement inside the table — so the owner can transfer the
-    footprint to the history table, exactly as Section IV describes.
-    """
-
-    def __init__(
-        self, on_commit: CommitCallback, sets: int = 16, ways: int = 8
-    ) -> None:
-        self._on_commit = on_commit
-        self._table: SetAssociativeTable[RegionRecord] = SetAssociativeTable(
-            sets=sets,
-            ways=ways,
-            on_evict=self._handle_evict,
-        )
-
-    def _handle_evict(self, region: int, record: RegionRecord) -> None:
-        self._on_commit(region, record)
-
-    def lookup(self, region: int) -> Optional[RegionRecord]:
-        return self._table.lookup(region)
-
-    def peek(self, region: int) -> Optional[RegionRecord]:
-        """Lookup without touching recency (eviction-path inspection)."""
-        return self._table.lookup(region, touch=False)
-
-    def insert(self, region: int, record: RegionRecord) -> None:
-        self._table.insert(region, record)
-
-    def record_access(self, region: int, offset: int) -> bool:
-        """Mark block ``offset`` used; True if the region is tracked here."""
-        record = self._table.lookup(region)
-        if record is None:
-            return False
-        record.footprint.set(offset)
-        return True
-
-    def evict(self, region: int) -> Optional[RegionRecord]:
-        """End the region's residency; commits via the callback."""
-        return self._table.invalidate(region)
-
-    def items(self) -> List[Tuple[int, RegionRecord]]:
-        return self._table.items()
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    @property
-    def capacity(self) -> int:
-        return self._table.capacity
 
 
 class RegionPrefetcher(Prefetcher):
@@ -177,17 +81,18 @@ class RegionPrefetcher(Prefetcher):
     ) -> None:
         super().__init__(address_map)
         self.blocks_per_region = self.address_map.blocks_per_region
-        self.filter_table = FilterTable(
-            sets=filter_sets, ways=filter_ways, on_drop=self._filter_dropped
+        # both map a region number to its RegionRecord
+        self.filter_table = SetAssociativeTable(
+            sets=filter_sets, ways=filter_ways, on_evict=self._filter_dropped
         )
-        self.accumulation_table = AccumulationTable(
-            on_commit=self._commit_region,
+        self.accumulation_table = SetAssociativeTable(
             sets=accumulation_sets,
             ways=accumulation_ways,
+            on_evict=self._commit_region,
         )
         self._region_shift = self.blocks_per_region.bit_length() - 1
         # Why the next commit happened; on_eviction flips this to
-        # "residency" around the explicit evict so traced RegionCommits
+        # "residency" around the explicit invalidate so traced RegionCommits
         # carry their cause (capacity commits come from table pressure).
         self._commit_cause = "capacity"
 
@@ -219,13 +124,15 @@ class RegionPrefetcher(Prefetcher):
             self.sink.emit(RegionDrop(region=region))
 
     # -- the access path -----------------------------------------------------
-    def on_access(self, info: AccessInfo) -> List[PrefetchRequest]:
+    def on_access(self, info: AccessInfo) -> List[int]:
         amap = self.address_map
         region = amap.region_of_block(info.block)
         offset = amap.offset_of_block(info.block)
 
         # Region already accumulating: just record the access.
-        if self.accumulation_table.record_access(region, offset):
+        record = self.accumulation_table.lookup(region)
+        if record is not None:
+            record.footprint.set(offset)
             return []
 
         # Region in the filter table: second access graduates it.
@@ -233,7 +140,7 @@ class RegionPrefetcher(Prefetcher):
         if record is not None:
             if record.trigger_offset == offset:
                 return []  # re-touching the trigger block: still one block
-            self.filter_table.remove(region)
+            self.filter_table.pop(region)
             record.footprint.set(offset)
             self.accumulation_table.insert(region, record)
             return []
@@ -255,20 +162,16 @@ class RegionPrefetcher(Prefetcher):
 
     def _predict(
         self, pc: int, block: int, region: int, offset: int
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         """Consult the history at a trigger access; return the prefetches."""
         raise NotImplementedError
 
     def _requests(
         self, region: int, offset: int, footprint: Footprint
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         """Every block of ``footprint`` in ``region`` except the trigger."""
         region_base_block = region << self._region_shift
-        return [
-            PrefetchRequest(block=region_base_block + o)
-            for o in footprint.offsets()
-            if o != offset
-        ]
+        return [region_base_block + o for o in footprint.offsets() if o != offset]
 
     # -- residency tracking ---------------------------------------------------
     def on_eviction(self, block: int, was_used: bool) -> None:
@@ -281,21 +184,22 @@ class RegionPrefetcher(Prefetcher):
         """
         region = self.address_map.region_of_block(block)
         offset = self.address_map.offset_of_block(block)
-        record = self.accumulation_table.peek(region)
+        record = self.accumulation_table.lookup(region, touch=False)
         if record is not None:
             if record.footprint.test(offset):
                 self._commit_cause = "residency"
                 try:
-                    self.accumulation_table.evict(region)  # commits via callback
+                    # commits via the on_evict callback
+                    self.accumulation_table.invalidate(region)
                 finally:
                     self._commit_cause = "capacity"
             else:
                 self.stats.add("residency_early_close")
             return
-        record = self.filter_table.peek(region)
+        record = self.filter_table.lookup(region, touch=False)
         if record is not None:
             if record.trigger_offset == offset:
-                self.filter_table.remove(region)
+                self.filter_table.pop(region)
             else:
                 self.stats.add("residency_early_close")
 

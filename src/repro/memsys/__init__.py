@@ -8,7 +8,7 @@ LLC exactly as in Section V of the paper.
 
 from repro.memsys.cache import BlockState, Cache
 from repro.memsys.dram import DramModel
-from repro.memsys.hierarchy import AccessResult, MemoryHierarchy
+from repro.memsys.hierarchy import MemoryHierarchy
 from repro.memsys.mshr import MshrFile
 from repro.memsys.replacement import (
     ReplacementError,
@@ -23,7 +23,6 @@ __all__ = [
     "BlockState",
     "Cache",
     "DramModel",
-    "AccessResult",
     "MemoryHierarchy",
     "MshrFile",
     "RandomFirstTouchTranslator",

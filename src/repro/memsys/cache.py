@@ -30,18 +30,12 @@ from repro.obs.sinks import NULL_SINK, TraceSink
 class BlockState:
     """Metadata of one resident cache block."""
 
-    __slots__ = ("prefetched", "used", "ready_time", "core_id", "dirty")
+    __slots__ = ("prefetched", "used", "ready_time", "dirty")
 
-    def __init__(
-        self,
-        prefetched: bool = False,
-        ready_time: float = 0.0,
-        core_id: int = 0,
-    ) -> None:
+    def __init__(self, prefetched: bool = False, ready_time: float = 0.0) -> None:
         self.prefetched = prefetched
         self.used = False
         self.ready_time = ready_time
-        self.core_id = core_id
         self.dirty = False
 
     def __repr__(self) -> str:

@@ -11,9 +11,12 @@ This module wires the substrate together exactly as Section V describes:
   schemes can close region residencies.
 
 The model is latency-based rather than cycle-by-cycle: each access returns
-its end-to-end latency, in-flight prefetches are materialised in the LLC
-with a ``ready_time``, and DRAM channel occupancy provides bandwidth
-back-pressure.  DESIGN.md §6 documents the fidelity trade-offs.
+its end-to-end latency and an outcome code (``L1_HIT``, ``MERGED``,
+``LLC_MISS``, ``LLC_HIT``, ``COVERED`` or ``LATE``), in-flight prefetches
+are materialised in the LLC with a ``ready_time``, and DRAM channel
+occupancy provides bandwidth back-pressure.  A prefetcher trains on an
+``AccessInfo(pc, block)`` and answers with block numbers.  DESIGN.md §6
+documents the fidelity trade-offs.
 """
 
 from __future__ import annotations
@@ -32,43 +35,12 @@ from repro.obs.sinks import NULL_SINK, TraceSink
 from repro.prefetchers.base import AccessInfo, Prefetcher
 
 
-class AccessResult:
-    """Outcome of one demand access through the hierarchy.
-
-    A plain ``__slots__`` class rather than a dataclass: one instance is
-    allocated per :meth:`MemoryHierarchy.access` call, squarely on the
-    general loop's hot path.
-    """
-
-    __slots__ = ("latency", "l1_hit", "llc_hit", "llc_miss", "covered", "late")
-
-    def __init__(
-        self,
-        latency: float,
-        l1_hit: bool = False,
-        llc_hit: bool = False,
-        llc_miss: bool = False,
-        covered: bool = False,  # hit on a not-yet-used prefetched block
-        late: bool = False,  # ...whose fill had not completed yet
-    ) -> None:
-        self.latency = latency
-        self.l1_hit = l1_hit
-        self.llc_hit = llc_hit
-        self.llc_miss = llc_miss
-        self.covered = covered
-        self.late = late
-
-    def __repr__(self) -> str:
-        return (
-            f"AccessResult(latency={self.latency!r}, l1_hit={self.l1_hit!r}, "
-            f"llc_hit={self.llc_hit!r}, llc_miss={self.llc_miss!r}, "
-            f"covered={self.covered!r}, late={self.late!r})"
-        )
-
-
-#: Outcomes of :meth:`MemoryHierarchy.l1_miss`.  ``MERGED`` is 0, so the
-#: outcome's truth value says whether the caller must fill its L1.
-MERGED, LLC_MISS, LLC_HIT, COVERED, LATE = range(5)
+#: Outcomes of :meth:`MemoryHierarchy.access` and
+#: :meth:`MemoryHierarchy.l1_miss`.  ``MERGED`` is 0, so a miss outcome's
+#: truth value says whether the caller must fill its L1; ``COVERED`` and
+#: ``LATE`` are LLC hits on a not-yet-used prefetched block (``LATE``:
+#: its fill had not completed).  Only ``access`` answers ``L1_HIT``.
+MERGED, LLC_MISS, LLC_HIT, COVERED, LATE, L1_HIT = range(6)
 
 
 class MemoryHierarchy:
@@ -229,10 +201,13 @@ class MemoryHierarchy:
         vaddr: int,
         now: float,
         is_write: bool = False,
-    ) -> AccessResult:
-        """One demand load/store from ``core_id`` at cycle ``now``."""
-        paddr = self.translator.translate(core_id, vaddr)
-        block = paddr >> self._block_bits
+    ) -> Tuple[float, int]:
+        """One demand load/store from ``core_id`` at cycle ``now``.
+
+        Returns ``(latency, outcome)``: ``L1_HIT``, or the outcome of
+        :meth:`l1_miss`.
+        """
+        block = self.translator.translate(core_id, vaddr) >> self._block_bits
 
         # ---- L1D ----
         l1 = self.l1ds[core_id]
@@ -242,36 +217,25 @@ class MemoryHierarchy:
         # L1-training mode: the prefetcher sees every L1 access.
         if self.prefetchers and self.train_at == "l1":
             self._now = max(self._now, now)
-            pf = self.prefetchers[core_id]
-            info = AccessInfo(pc, paddr, block, l1_hit, now, core_id, is_write)
-            requests = pf.on_access(info)
+            requests = self.prefetchers[core_id].on_access(AccessInfo(pc, block))
             if requests:
                 self._issue_prefetches(core_id, block, requests, now)
 
         if l1_hit:
             self._l1_hits[core_id].value += 1
-            return AccessResult(latency=self._l1_hit_latency, l1_hit=True)
+            return self._l1_hit_latency, L1_HIT
         self._l1_misses[core_id].value += 1
 
-        latency, outcome = self.l1_miss(core_id, pc, paddr, block, now, is_write)
-        if outcome == MERGED:  # rides an in-flight miss: no L1 fill
-            return AccessResult(latency=latency, llc_hit=True)
-        # Fill the L1 (non-inclusive victim handling: L1 victims vanish).
-        l1.fill(block, BlockState(core_id=core_id))
-        if outcome == LLC_MISS:
-            return AccessResult(latency=latency, llc_miss=True)
-        return AccessResult(
-            latency=latency,
-            llc_hit=True,
-            covered=outcome >= COVERED,
-            late=outcome == LATE,
-        )
+        latency, outcome = self.l1_miss(core_id, pc, block, now, is_write)
+        if outcome:  # not merged into an in-flight miss
+            # Fill the L1 (non-inclusive victim handling: L1 victims vanish).
+            l1.fill(block, BlockState())
+        return latency, outcome
 
     def l1_miss(
         self,
         core_id: int,
         pc: int,
-        paddr: int,
         block: int,
         now: float,
         is_write: bool,
@@ -288,10 +252,10 @@ class MemoryHierarchy:
 
         Both engine loops call this method once per L1D miss:
         :meth:`access` here, and the fast loop (:mod:`repro.sim.vector`)
-        with its own list L1s.  It builds no ``AccessResult``; besides the
-        returned tuple it allocates only an LLC fill's block state and
-        the prefetcher's ``AccessInfo``, a named tuple built from
-        positional arguments.
+        with its own list L1s.  Besides the returned tuple it allocates
+        only an LLC fill's block state and the prefetcher's
+        ``AccessInfo(pc, block)``, a named tuple built from positional
+        arguments.
         """
         l1_hit_latency = self._l1_hit_latency
         mshr = self.l1_mshrs[core_id]
@@ -353,18 +317,14 @@ class MemoryHierarchy:
             latency = llc_hit_latency + self.dram.access(
                 issue + llc_hit_latency, block << self._block_bits
             )
-            fill_state = BlockState(core_id=core_id, ready_time=issue + latency)
+            fill_state = BlockState(ready_time=issue + latency)
             fill_state.used = True
             fill_state.dirty = is_write
             self.llc.fill(block, fill_state)
 
         # ---- train / trigger the prefetcher (LLC placement) ----
         if self.prefetchers and self.train_at == "llc":
-            pf = self.prefetchers[core_id]
-            info = AccessInfo(
-                pc, paddr, block, state is not None, issue, core_id, is_write
-            )
-            requests = pf.on_access(info)
+            requests = self.prefetchers[core_id].on_access(AccessInfo(pc, block))
             if requests:
                 self._issue_prefetches(
                     core_id, block, requests, issue + llc_hit_latency
@@ -383,8 +343,7 @@ class MemoryHierarchy:
         issue_time: float,
     ) -> None:
         sink = self.sink
-        for req in requests:
-            block = req.block
+        for block in requests:
             if block < 0:
                 # A delta/stride prefetcher extrapolated below address
                 # zero; real hardware would squash the request.
@@ -397,9 +356,7 @@ class MemoryHierarchy:
                 issue_time, block << self._block_bits, is_prefetch=True
             )
             ready = issue_time + latency
-            self.llc.fill(
-                block, BlockState(prefetched=True, ready_time=ready, core_id=core_id)
-            )
+            self.llc.fill(block, BlockState(prefetched=True, ready_time=ready))
             self._c_prefetches_issued.value += 1
             if sink.enabled:
                 # The latency model materialises the fill at issue, so

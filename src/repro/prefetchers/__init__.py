@@ -12,7 +12,7 @@ loads them on first use.
 """
 
 from repro.prefetchers.ampm import AmpmPrefetcher
-from repro.prefetchers.base import AccessInfo, Prefetcher, PrefetchRequest
+from repro.prefetchers.base import AccessInfo, Prefetcher
 from repro.prefetchers.bop import BestOffsetPrefetcher
 from repro.prefetchers.nextline import NextLinePrefetcher
 from repro.prefetchers.registry import available_prefetchers, make_prefetcher
@@ -24,7 +24,6 @@ from repro.prefetchers.vldp import VldpPrefetcher
 __all__ = [
     "AccessInfo",
     "Prefetcher",
-    "PrefetchRequest",
     "AmpmPrefetcher",
     "BestOffsetPrefetcher",
     "NextLinePrefetcher",

@@ -19,7 +19,7 @@ from collections import OrderedDict
 from typing import List, Optional
 
 from repro.common.addresses import AddressMap
-from repro.prefetchers.base import AccessInfo, Prefetcher, PrefetchRequest
+from repro.prefetchers.base import AccessInfo, Prefetcher
 
 
 class AmpmPrefetcher(Prefetcher):
@@ -55,16 +55,16 @@ class AmpmPrefetcher(Prefetcher):
         return entry
 
     # -- the access path ---------------------------------------------------------
-    def on_access(self, info: AccessInfo) -> List[PrefetchRequest]:
+    def on_access(self, info: AccessInfo) -> List[int]:
         self.stats.add("accesses")
         amap = self.address_map
-        zone = amap.page_number(info.address)
-        t = (info.address >> amap.block_bits) & (self._blocks_per_zone - 1)
+        zone = info.block >> (amap.page_bits - amap.block_bits)
+        t = info.block & (self._blocks_per_zone - 1)
         zone_base_block = zone << (amap.page_bits - amap.block_bits)
 
         entry = self._zone_map(zone)
         accessed, prefetched = entry
-        requests: List[PrefetchRequest] = []
+        requests: List[int] = []
         limit = self.max_prefetches_per_access
 
         n = self._blocks_per_zone
@@ -82,7 +82,7 @@ class AmpmPrefetcher(Prefetcher):
                 and not (accessed | prefetched) >> target & 1
             ):
                 prefetched |= 1 << target
-                requests.append(PrefetchRequest(block=zone_base_block + target))
+                requests.append(zone_base_block + target)
                 if len(requests) >= limit:
                     break
             # Backward: t+k and t+2k accessed => prefetch t-k.
@@ -96,7 +96,7 @@ class AmpmPrefetcher(Prefetcher):
                 and not (accessed | prefetched) >> target & 1
             ):
                 prefetched |= 1 << target
-                requests.append(PrefetchRequest(block=zone_base_block + target))
+                requests.append(zone_base_block + target)
 
         accessed |= 1 << t
         entry[0] = accessed

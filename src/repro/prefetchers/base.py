@@ -1,12 +1,12 @@
 """The prefetcher interface.
 
-A prefetcher observes LLC traffic and proposes block addresses to fetch.
-The contract is exactly what :class:`repro.memsys.hierarchy.MemoryHierarchy`
+A prefetcher observes LLC traffic and proposes blocks to fetch.  The
+contract is exactly what :class:`repro.memsys.hierarchy.MemoryHierarchy`
 and the engine call, and mirrors what a ChampSim LLC prefetcher sees:
 
 * :meth:`Prefetcher.on_access` — every demand access (hit or miss) at the
-  LLC, carrying the PC, the physical address and hit/miss status.  It
-  returns the prefetch candidates for this trigger.
+  LLC, carrying the trigger PC and the physical block number.  It
+  returns the prefetch candidates for this trigger as block numbers.
 * :meth:`Prefetcher.on_eviction` — a block left the LLC.  Per-page-history
   prefetchers (Bingo, SMS) treat the first eviction of a tracked region's
   block as end-of-residency and commit the footprint to history.
@@ -18,7 +18,6 @@ Every run builds fresh prefetchers, so none carries a reset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
 from repro.common.addresses import AddressMap
@@ -27,7 +26,8 @@ from repro.obs.sinks import NULL_SINK, TraceSink
 
 
 class AccessInfo(NamedTuple):
-    """One LLC demand access as seen by a prefetcher.
+    """One LLC demand access as seen by a prefetcher: the trigger PC and
+    the block it touched, the two facts every prefetcher here learns from.
 
     An immutable named tuple: one instance is built per training call,
     on the simulator's hot path, and a tuple is built in one step where
@@ -35,27 +35,10 @@ class AccessInfo(NamedTuple):
     """
 
     pc: int
-    address: int  # physical byte address
-    block: int  # physical block number (address >> block_bits)
-    hit: bool
-    time: float  # core cycles
-    core_id: int = 0
-    is_write: bool = False
+    block: int  # physical block number (byte address >> block_bits)
 
     def __repr__(self) -> str:
-        return (
-            f"AccessInfo(pc={self.pc:#x}, address={self.address:#x}, "
-            f"block={self.block:#x}, hit={self.hit!r}, time={self.time!r}, "
-            f"core_id={self.core_id!r}, is_write={self.is_write!r})"
-        )
-
-
-@dataclass(frozen=True)
-class PrefetchRequest:
-    """A prefetch candidate: a block number plus bookkeeping."""
-
-    block: int
-    confidence: float = 1.0
+        return f"AccessInfo(pc={self.pc:#x}, block={self.block:#x})"
 
 
 class Prefetcher:
@@ -79,8 +62,8 @@ class Prefetcher:
         self.sink: TraceSink = NULL_SINK
 
     # -- mandatory hook ----------------------------------------------------
-    def on_access(self, info: AccessInfo) -> List[PrefetchRequest]:
-        """Observe one LLC access; return prefetch candidates."""
+    def on_access(self, info: AccessInfo) -> List[int]:
+        """Observe one LLC access; return the block numbers to prefetch."""
         raise NotImplementedError
 
     # -- optional hook ----------------------------------------------------
@@ -99,5 +82,5 @@ class NullPrefetcher(Prefetcher):
 
     name = "none"
 
-    def on_access(self, info: AccessInfo) -> List[PrefetchRequest]:
+    def on_access(self, info: AccessInfo) -> List[int]:
         return []

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.common.addresses import AddressMap
-from repro.prefetchers.base import AccessInfo, Prefetcher, PrefetchRequest
+from repro.prefetchers.base import AccessInfo, Prefetcher
 
 
 def _low_prime_offsets(limit: int = 256) -> tuple:
@@ -121,7 +121,7 @@ class BestOffsetPrefetcher(Prefetcher):
                 self._end_learning_phase()
 
     # -- the access path ----------------------------------------------------------
-    def on_access(self, info: AccessInfo) -> List[PrefetchRequest]:
+    def on_access(self, info: AccessInfo) -> List[int]:
         self.stats.add("accesses")
         # BOP trains on misses and prefetched hits; with the LLC dropping
         # resident-duplicate prefetches, training on every access is the
@@ -133,8 +133,7 @@ class BestOffsetPrefetcher(Prefetcher):
             return []
         self.stats.add("predictions")
         return [
-            PrefetchRequest(block=info.block + k * self.best_offset)
-            for k in range(1, self.degree + 1)
+            info.block + k * self.best_offset for k in range(1, self.degree + 1)
         ]
 
     @property

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.common.addresses import AddressMap
-from repro.prefetchers.base import AccessInfo, Prefetcher, PrefetchRequest
+from repro.prefetchers.base import AccessInfo, Prefetcher
 
 
 class GhbPrefetcher(Prefetcher):
@@ -82,7 +82,7 @@ class GhbPrefetcher(Prefetcher):
         return out
 
     # -- the access path -------------------------------------------------------
-    def on_access(self, info: AccessInfo) -> List[PrefetchRequest]:
+    def on_access(self, info: AccessInfo) -> List[int]:
         self.stats.add("accesses")
         chain = self._chain(info.pc)
         self._push(info.pc, info.block)
@@ -107,7 +107,7 @@ class GhbPrefetcher(Prefetcher):
                 requests = []
                 for delta in reversed(followed):
                     block += delta
-                    requests.append(PrefetchRequest(block=block))
+                    requests.append(block)
                 if requests:
                     self.stats.add("predictions")
                 return requests

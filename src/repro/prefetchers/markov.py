@@ -21,7 +21,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional
 
 from repro.common.addresses import AddressMap
-from repro.prefetchers.base import AccessInfo, Prefetcher, PrefetchRequest
+from repro.prefetchers.base import AccessInfo, Prefetcher
 
 
 class MarkovPrefetcher(Prefetcher):
@@ -66,17 +66,17 @@ class MarkovPrefetcher(Prefetcher):
             del entry[weakest]
 
     # -- the access path ---------------------------------------------------------
-    def on_access(self, info: AccessInfo) -> List[PrefetchRequest]:
+    def on_access(self, info: AccessInfo) -> List[int]:
         self.stats.add("accesses")
         self._train(info.block)
-        requests: List[PrefetchRequest] = []
+        requests: List[int] = []
         block = info.block
         for _step in range(self.degree):
             entry = self._table.get(block)
             if not entry:
                 break
             block = max(entry, key=entry.get)
-            requests.append(PrefetchRequest(block=block))
+            requests.append(block)
         if requests:
             self.stats.add("predictions")
         return requests

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.common.addresses import AddressMap
-from repro.prefetchers.base import AccessInfo, Prefetcher, PrefetchRequest
+from repro.prefetchers.base import AccessInfo, Prefetcher
 
 
 class NextLinePrefetcher(Prefetcher):
@@ -26,11 +26,9 @@ class NextLinePrefetcher(Prefetcher):
             raise ValueError(f"degree must be positive, got {degree}")
         self.degree = degree
 
-    def on_access(self, info: AccessInfo) -> List[PrefetchRequest]:
+    def on_access(self, info: AccessInfo) -> List[int]:
         self.stats.add("accesses")
-        return [
-            PrefetchRequest(block=info.block + k) for k in range(1, self.degree + 1)
-        ]
+        return [info.block + k for k in range(1, self.degree + 1)]
 
     @property
     def storage_bits(self) -> int:

@@ -15,7 +15,7 @@ from collections import OrderedDict
 from typing import List, Optional
 
 from repro.common.addresses import AddressMap
-from repro.prefetchers.base import AccessInfo, Prefetcher, PrefetchRequest
+from repro.prefetchers.base import AccessInfo, Prefetcher
 
 #: candidate offsets, in blocks (±1 … ±8, the original design's set)
 _DEFAULT_CANDIDATES = tuple(
@@ -77,7 +77,7 @@ class SandboxPrefetcher(Prefetcher):
         self._accesses_in_period = 0
         self._sandbox.clear()
 
-    def on_access(self, info: AccessInfo) -> List[PrefetchRequest]:
+    def on_access(self, info: AccessInfo) -> List[int]:
         self.stats.add("accesses")
         candidate = self.candidates[self._current]
 
@@ -99,10 +99,7 @@ class SandboxPrefetcher(Prefetcher):
                 self.max_degree,
                 1 + self._scores[offset] // self.score_threshold,
             )
-            requests.extend(
-                PrefetchRequest(block=info.block + k * offset)
-                for k in range(1, depth + 1)
-            )
+            requests.extend(info.block + k * offset for k in range(1, depth + 1))
         return requests
 
     def _qualified_offsets(self) -> List[int]:

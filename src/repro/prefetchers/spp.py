@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 from repro.common.addresses import AddressMap
 from repro.common.table import SetAssociativeTable
-from repro.prefetchers.base import AccessInfo, Prefetcher, PrefetchRequest
+from repro.prefetchers.base import AccessInfo, Prefetcher
 
 _SIG_BITS = 12
 _SIG_MASK = (1 << _SIG_BITS) - 1
@@ -133,11 +133,11 @@ class SppPrefetcher(Prefetcher):
             self._patterns.insert(signature, entry)
         return entry
 
-    def on_access(self, info: AccessInfo) -> List[PrefetchRequest]:
+    def on_access(self, info: AccessInfo) -> List[int]:
         self.stats.add("accesses")
         amap = self.address_map
-        page = amap.page_number(info.address)
-        offset = (info.address >> amap.block_bits) & (self._blocks_per_page - 1)
+        page = info.block >> (amap.page_bits - amap.block_bits)
+        offset = info.block & (self._blocks_per_page - 1)
         page_base_block = page << (amap.page_bits - amap.block_bits)
 
         entry = self._signatures.lookup(page)
@@ -157,8 +157,8 @@ class SppPrefetcher(Prefetcher):
     # -- prediction -----------------------------------------------------------
     def _lookahead(
         self, signature: int, offset: int, page_base_block: int
-    ) -> List[PrefetchRequest]:
-        requests: List[PrefetchRequest] = []
+    ) -> List[int]:
+        requests: List[int] = []
         confidence = 1.0
         current_offset = offset
         for _depth in range(self.max_depth):
@@ -177,9 +177,7 @@ class SppPrefetcher(Prefetcher):
                 break  # SPP's page-boundary stop (no cross-page bootstrap here)
             block = page_base_block + current_offset
             if self._filter.admit(block):
-                requests.append(
-                    PrefetchRequest(block=block, confidence=confidence)
-                )
+                requests.append(block)
             signature = advance_signature(signature, delta)
         if requests:
             self.stats.add("predictions")

@@ -13,7 +13,7 @@ from typing import List, Optional
 
 from repro.common.addresses import AddressMap
 from repro.common.table import SetAssociativeTable
-from repro.prefetchers.base import AccessInfo, Prefetcher, PrefetchRequest
+from repro.prefetchers.base import AccessInfo, Prefetcher
 
 _CONF_MAX = 3
 _CONF_PREFETCH = 2
@@ -47,7 +47,7 @@ class StridePrefetcher(Prefetcher):
             sets=max(1, entries // ways), ways=ways
         )
 
-    def on_access(self, info: AccessInfo) -> List[PrefetchRequest]:
+    def on_access(self, info: AccessInfo) -> List[int]:
         self.stats.add("accesses")
         entry = self._table.lookup(info.pc)
         if entry is None:
@@ -68,10 +68,7 @@ class StridePrefetcher(Prefetcher):
         if entry.confidence < _CONF_PREFETCH or entry.stride == 0:
             return []
         self.stats.add("predictions")
-        return [
-            PrefetchRequest(block=info.block + k * entry.stride)
-            for k in range(1, self.degree + 1)
-        ]
+        return [info.block + k * entry.stride for k in range(1, self.degree + 1)]
 
     @property
     def storage_bits(self) -> int:

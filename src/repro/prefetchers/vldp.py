@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 from repro.common.addresses import AddressMap
 from repro.common.hashing import combine
 from repro.common.table import SetAssociativeTable
-from repro.prefetchers.base import AccessInfo, Prefetcher, PrefetchRequest
+from repro.prefetchers.base import AccessInfo, Prefetcher
 
 
 @dataclass
@@ -96,11 +96,11 @@ class VldpPrefetcher(Prefetcher):
         return None
 
     # -- the access path ---------------------------------------------------------
-    def on_access(self, info: AccessInfo) -> List[PrefetchRequest]:
+    def on_access(self, info: AccessInfo) -> List[int]:
         self.stats.add("accesses")
         amap = self.address_map
-        page = amap.page_number(info.address)
-        offset = (info.address >> amap.block_bits) & (self._blocks_per_page - 1)
+        page = info.block >> (amap.page_bits - amap.block_bits)
+        offset = info.block & (self._blocks_per_page - 1)
         page_base_block = page << (amap.page_bits - amap.block_bits)
 
         entry = self._dhb.lookup(page)
@@ -131,9 +131,9 @@ class VldpPrefetcher(Prefetcher):
         offset: int,
         deltas: List[int],
         seed_delta: Optional[int] = None,
-    ) -> List[PrefetchRequest]:
+    ) -> List[int]:
         """Multi-degree prediction: feed each prediction back as input."""
-        requests: List[PrefetchRequest] = []
+        requests: List[int] = []
         current_offset = offset
         history = list(deltas)
         next_delta = seed_delta
@@ -145,7 +145,7 @@ class VldpPrefetcher(Prefetcher):
             current_offset += next_delta
             if not 0 <= current_offset < self._blocks_per_page:
                 break
-            requests.append(PrefetchRequest(block=page_base_block + current_offset))
+            requests.append(page_base_block + current_offset)
             history.append(next_delta)
             if len(history) > 3:
                 history.pop(0)

@@ -24,9 +24,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, Optional, get_type_hints
 
+from repro.memsys.replacement import available_replacements
 from repro.obs.config import ObservabilityConfig
+from repro.prefetchers.registry import available_prefetchers
 from repro.sim.executor import SimJob
 from repro.sim.results import SimResult
+from repro.workloads.registry import workload_factory
 
 #: version of the job/lease JSON wire format.  Bump on any change that
 #: an older peer would misinterpret (renamed fields, changed units, new
@@ -197,6 +200,13 @@ def job_from_wire(payload: Dict[str, Any]) -> SimJob:
     rejected: a trace path is a *server-local* side effect that makes a
     job uncacheable and undeduplicatable, which is exactly what a shared
     daemon must not let one client impose on another.
+
+    A spec no worker could run is rejected here too, before anything
+    queues it.  Names resolve the way the run resolves them: the
+    workload as ``make_workload`` does (so workloads added with
+    ``register_workload`` pass), the prefetcher as ``make_prefetcher``
+    does, and the LLC policy, training level and scale as the engine,
+    the hierarchy and ``make_workload`` check them.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"job spec must be an object, got {type(payload).__name__}")
@@ -217,6 +227,25 @@ def job_from_wire(payload: Dict[str, Any]) -> SimJob:
     workload = payload.get("workload")
     if not workload or not isinstance(workload, str):
         raise ValueError("job spec needs a 'workload' name")
+    workload_factory(workload)  # raises on a name nothing registered
+    prefetcher = str(payload.get("prefetcher", "none"))
+    if prefetcher.lower() not in available_prefetchers():
+        raise ValueError(
+            f"unknown prefetcher {prefetcher!r}; "
+            f"available: {available_prefetchers()}"
+        )
+    replacement = str(payload.get("replacement", "lru"))
+    if replacement not in available_replacements():
+        raise ValueError(
+            f"unknown replacement policy {replacement!r}; "
+            f"available: {available_replacements()}"
+        )
+    train_at = str(payload.get("train_at", "llc"))
+    if train_at not in ("llc", "l1"):
+        raise ValueError(f"train_at must be 'llc' or 'l1', got {train_at!r}")
+    scale = float(payload.get("scale", 1.0))
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale}")
 
     system = payload.get("system")
     if system is None:
@@ -258,15 +287,15 @@ def job_from_wire(payload: Dict[str, Any]) -> SimJob:
 
     return SimJob.build(
         workload=workload,
-        prefetcher=str(payload.get("prefetcher", "none")),
+        prefetcher=prefetcher,
         system=system_cfg,
         instructions_per_core=int(payload.get("instructions", 100_000)),
         warmup_instructions=int(payload.get("warmup", 20_000)),
         seed=int(payload.get("seed", 1234)),
-        scale=float(payload.get("scale", 1.0)),
+        scale=scale,
         prefetcher_kwargs=kwargs,
-        train_at=str(payload.get("train_at", "llc")),
+        train_at=train_at,
         obs=obs,
-        replacement=str(payload.get("replacement", "lru")),
+        replacement=replacement,
         **flags,
     )

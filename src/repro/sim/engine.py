@@ -209,12 +209,10 @@ class SimulationEngine:
             record = next(streams[core_id])
             if record.is_mem:
                 issue = core.load_issue_time(record.depends_on_prev_load)
-                result = self.hierarchy.access(
+                latency, _ = self.hierarchy.access(
                     core_id, record.pc, record.address, issue, record.is_write
                 )
-                core.retire_memory(
-                    issue, result.latency, is_load=not record.is_write
-                )
+                core.retire_memory(issue, latency, is_load=not record.is_write)
             else:
                 core.retire_compute()
             if recorder is not None:
@@ -229,22 +227,24 @@ class SimulationEngine:
         """True when the fast loop (:mod:`repro.sim.vector`) may replace
         :meth:`_run_until`.
 
-        The fast loop replays packed compiled traces and skips per-record
-        sink guards and timeline bookkeeping, so it only engages when
-        both are provably inert: the sink is the module-level
-        ``NULL_SINK`` and the timeline recorder is off.  It walks L1
-        hits without calling the hierarchy, so prefetchers (if any) must
-        observe the **LLC**; ``train_at="l1"`` stays eligible only for
-        the no-prefetcher baseline, where the L1 eviction hook is inert.
-        The LLC replacement policy does not matter: both loops service
-        every L1 miss through ``MemoryHierarchy.l1_miss``.  Anything
-        else — ``vectorized=False``, or a trace compiled shorter than the
-        run — runs the general loop, byte-for-byte.
+        The fast loop replays packed compiled traces and skips timeline
+        bookkeeping, so it only engages when the timeline recorder is
+        off.  A trace sink does not matter: every event is emitted on the
+        L1-miss tail (``MemoryHierarchy.l1_miss``, the LLC and the
+        prefetchers behind it), which both loops call in the same global
+        order, so a traced run takes the fast loop and records the same
+        stream.  It walks L1 hits without calling the hierarchy, so
+        prefetchers (if any) must observe the **LLC**; ``train_at="l1"``
+        stays eligible only for the no-prefetcher baseline, where the L1
+        eviction hook is inert.  The LLC replacement policy does not
+        matter either: both loops service every L1 miss through
+        ``l1_miss``.  Anything else — ``vectorized=False``, or a trace
+        compiled shorter than the run — runs the general loop,
+        byte-for-byte.
         """
         return (
             self.vectorized
             and isinstance(self.workload, CompiledWorkload)
-            and self.sink is NULL_SINK
             and self.timeline is None
             and self.workload.records_per_core
             >= self.params.instructions_per_core

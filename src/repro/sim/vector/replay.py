@@ -115,7 +115,6 @@ class VectorReplay:
         # page -> block shift, and the in-page block-index mask
         self.frame_shift = amap.page_bits - amap.block_bits
         self.page_blocks = (1 << self.frame_shift) - 1
-        self.block_mask = amap.block_size - 1
         self.translator = h.translator
         self.mapping = h.translator.mapping_view()
         self.l1_miss = h.l1_miss
@@ -275,12 +274,7 @@ class VectorReplay:
         h._l1_accesses[core_id].value += 1
         h._l1_misses[core_id].value += 1
         latency, outcome = self.l1_miss(
-            core_id,
-            cs.pcs[index],
-            (block << self.block_bits) | (vaddr & self.block_mask),
-            block,
-            issue,
-            is_write,
+            core_id, cs.pcs[index], block, issue, is_write
         )
         if outcome:  # not merged into an in-flight miss
             self._fill(cs, block, index)

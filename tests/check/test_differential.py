@@ -17,6 +17,20 @@ def test_real_runs_have_no_divergences(prefetcher):
     assert report.l1_divergences == 0
 
 
+@pytest.mark.parametrize(
+    "mode",
+    [{}, {"compile": True}, {"vectorized": True}, {"replacement": "arc"}],
+    ids=["generators", "compiled", "vectorized", "arc"],
+)
+def test_every_mode_checks_accesses(mode):
+    """The L1 diff hangs off ``hierarchy.access``, which only the
+    general loop calls: every mode must run the harnessed engine there,
+    or it reports OK over zero checked accesses."""
+    report = run_check("streaming", "bingo", **QUICK, **mode)
+    assert report.ok, report.summary()
+    assert report.accesses > 0
+
+
 def test_report_summary_shape():
     report = run_check("em3d", "bingo", **QUICK)
     assert report.ok
@@ -31,16 +45,16 @@ def test_detects_planted_residency_bug(monkeypatch):
     def buggy_on_eviction(self, block, was_used):
         region = self.address_map.region_of_block(block)
         offset = self.address_map.offset_of_block(block)
-        if self.accumulation_table.peek(region) is not None:
+        if self.accumulation_table.lookup(region, touch=False) is not None:
             self._commit_cause = "residency"
             try:
-                self.accumulation_table.evict(region)
+                self.accumulation_table.invalidate(region)
             finally:
                 self._commit_cause = "capacity"
             return
-        record = self.filter_table.peek(region)
+        record = self.filter_table.lookup(region, touch=False)
         if record is not None and record.trigger_offset == offset:
-            self.filter_table.remove(region)
+            self.filter_table.pop(region)
 
     monkeypatch.setattr(BingoPrefetcher, "on_eviction", buggy_on_eviction)
     report = run_check(

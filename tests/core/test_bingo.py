@@ -10,9 +10,8 @@ from repro.core.bingo import BingoPrefetcher
 from repro.prefetchers.base import AccessInfo
 
 
-def access(pf, block, pc=0x400, hit=False) -> List[int]:
-    info = AccessInfo(pc=pc, address=block * 64, block=block, hit=hit, time=0.0)
-    return sorted(req.block for req in pf.on_access(info))
+def access(pf, block, pc=0x400) -> List[int]:
+    return sorted(pf.on_access(AccessInfo(pc=pc, block=block)))
 
 
 def visit_region(pf, region, offsets, pc=0x400) -> None:

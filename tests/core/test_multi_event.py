@@ -12,8 +12,7 @@ from repro.prefetchers.base import AccessInfo
 
 
 def access(pf, block, pc=0x400) -> List[int]:
-    info = AccessInfo(pc=pc, address=block * 64, block=block, hit=False, time=0.0)
-    return sorted(req.block for req in pf.on_access(info))
+    return sorted(pf.on_access(AccessInfo(pc=pc, block=block)))
 
 
 def visit_region(pf, region, offsets, pc=0x400) -> None:

@@ -1,9 +1,14 @@
-"""Filter and accumulation tables: graduation and residency commits."""
+"""Filter and accumulation tables: graduation and residency commits.
 
-import pytest
+Each is a plain :class:`SetAssociativeTable` of region records, built
+the way :class:`RegionPrefetcher` builds it: ``pop`` removes silently,
+``invalidate`` and capacity replacement fire ``on_evict``.
+"""
 
 from repro.common.bitvec import Footprint
-from repro.core.regions import AccumulationTable, FilterTable, RegionRecord
+from repro.common.table import SetAssociativeTable
+from repro.core.regions import RegionPrefetcher, RegionRecord
+from repro.prefetchers.base import AccessInfo
 
 
 def make_record(offset=0, pc=0x400) -> RegionRecord:
@@ -16,60 +21,61 @@ def make_record(offset=0, pc=0x400) -> RegionRecord:
 
 class TestFilterTable:
     def test_insert_lookup_remove(self):
-        table = FilterTable(sets=2, ways=2)
+        table = SetAssociativeTable(sets=2, ways=2)
         table.insert(7, make_record())
         assert table.lookup(7) is not None
-        assert table.remove(7) is not None
+        assert table.pop(7) is not None
         assert table.lookup(7) is None
         assert len(table) == 0
 
     def test_remove_missing(self):
-        assert FilterTable().remove(42) is None
+        assert SetAssociativeTable(sets=8, ways=8).pop(42) is None
 
     def test_capacity(self):
-        assert FilterTable(sets=8, ways=8).capacity == 64
+        assert RegionPrefetcher().filter_table.capacity == 64
 
 
 class TestAccumulationTable:
     def test_record_access_sets_bits(self):
-        commits = []
-        table = AccumulationTable(lambda r, rec: commits.append(r), sets=2, ways=2)
-        table.insert(5, make_record(offset=1))
-        assert table.record_access(5, 3)
-        assert table.lookup(5).footprint.offsets() == [1, 3]
-
-    def test_record_access_untracked_region(self):
-        table = AccumulationTable(lambda r, rec: None, sets=2, ways=2)
-        assert not table.record_access(99, 0)
+        pf = RegionPrefetcher()
+        pf.accumulation_table.insert(5, make_record(offset=1))
+        # block 3 of region 5: the region is accumulating, so the access
+        # only records its bit
+        assert pf.on_access(AccessInfo(pc=0x400, block=5 * 32 + 3)) == []
+        assert pf.accumulation_table.lookup(5).footprint.offsets() == [1, 3]
 
     def test_explicit_evict_commits(self):
         commits = []
-        table = AccumulationTable(
-            lambda r, rec: commits.append((r, rec.footprint.offsets())),
+        table = SetAssociativeTable(
             sets=2,
             ways=2,
+            on_evict=lambda r, rec: commits.append((r, rec.footprint.offsets())),
         )
         table.insert(5, make_record(offset=1))
-        table.record_access(5, 2)
-        table.evict(5)
+        table.lookup(5).footprint.set(2)
+        table.invalidate(5)
         assert commits == [(5, [1, 2])]
         assert table.lookup(5) is None
 
     def test_capacity_replacement_commits(self):
         commits = []
-        table = AccumulationTable(lambda r, rec: commits.append(r), sets=1, ways=2)
+        table = SetAssociativeTable(
+            sets=1, ways=2, on_evict=lambda r, rec: commits.append(r)
+        )
         for region in (1, 2, 3):
             table.insert(region, make_record())
         assert commits == [1]  # LRU displaced
 
     def test_evict_missing_is_noop(self):
         commits = []
-        table = AccumulationTable(lambda r, rec: commits.append(r), sets=1, ways=2)
-        assert table.evict(9) is None
+        table = SetAssociativeTable(
+            sets=1, ways=2, on_evict=lambda r, rec: commits.append(r)
+        )
+        assert table.invalidate(9) is None
         assert commits == []
 
     def test_items(self):
-        table = AccumulationTable(lambda r, rec: None, sets=2, ways=2)
+        table = SetAssociativeTable(sets=2, ways=2)
         table.insert(1, make_record())
         table.insert(2, make_record())
         assert {region for region, _rec in table.items()} == {1, 2}
@@ -78,10 +84,10 @@ class TestAccumulationTable:
 class TestCommitExactlyOnce:
     def test_capacity_and_explicit_evictions_never_double_commit(self):
         commits = []
-        table = AccumulationTable(
-            on_commit=lambda region, record: commits.append(region),
+        table = SetAssociativeTable(
             sets=1,
             ways=2,
+            on_evict=lambda region, record: commits.append(region),
         )
         for region in (1, 2, 3):
             footprint = Footprint(32)
@@ -97,23 +103,24 @@ class TestCommitExactlyOnce:
             )
         # inserting 3 into the full single set displaced exactly the LRU
         assert commits == [1]
-        table.evict(2)
-        table.evict(3)
+        table.invalidate(2)
+        table.invalidate(3)
         assert commits == [1, 2, 3]
         # regions already committed are gone: re-evicting is a no-op
-        table.evict(1)
-        table.evict(2)
+        table.invalidate(1)
+        table.invalidate(2)
         assert commits == [1, 2, 3]
 
     def test_peek_does_not_perturb_replacement(self):
         commits = []
-        table = AccumulationTable(
-            on_commit=lambda region, record: commits.append(region),
+        table = SetAssociativeTable(
             sets=1,
             ways=2,
+            on_evict=lambda region, record: commits.append(region),
         )
         table.insert(1, make_record(1))
         table.insert(2, make_record(2))
-        table.peek(1)  # eviction-path inspection must not refresh LRU
+        # eviction-path inspection must not refresh LRU
+        table.lookup(1, touch=False)
         table.insert(3, make_record(3))
         assert commits == [1]

@@ -16,13 +16,19 @@ from pathlib import Path
 
 import pytest
 
+from repro.common.config import small_system
 from repro.obs.golden import (
+    GOLDEN_EVENT_LIMIT,
     GOLDEN_PREFETCHERS,
     GOLDEN_SCHEMA,
     golden_spec,
     load_golden,
     record_golden,
 )
+from repro.obs.sinks import RecordingSink
+from repro.sim.compile import compile_workload
+from repro.sim.engine import SimulationEngine, SimulationParams
+from repro.workloads.registry import make_workload
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
@@ -66,6 +72,35 @@ def test_final_stats_replay_identically(golden_pair):
     # the same way before comparing (int/float and key-order neutral).
     normalised = json.loads(json.dumps(fresh["stats"], sort_keys=True))
     assert normalised == fixture["stats"]
+
+
+def test_fast_loop_replays_the_fixture(golden_pair):
+    """The spec on its compiled trace, through the fast loop, gives the
+    fixture's events and stats: a trace sink does not need the general
+    loop."""
+    fixture, _fresh = golden_pair
+    spec = fixture["spec"]
+    sink = RecordingSink(limit=GOLDEN_EVENT_LIMIT)
+    engine = SimulationEngine(
+        workload=compile_workload(
+            make_workload(spec["workload"], seed=spec["seed"], scale=spec["scale"]),
+            records_per_core=spec["instructions_per_core"],
+            scale=spec["scale"],
+        ),
+        prefetcher=spec["prefetcher"],
+        system=small_system(num_cores=spec["num_cores"]),
+        params=SimulationParams(
+            instructions_per_core=spec["instructions_per_core"],
+            warmup_instructions=spec["warmup_instructions"],
+        ),
+        sink=sink,
+    )
+    assert engine._fast_path_eligible()
+    engine._run_until = None  # the fast loop must never touch it
+    result = engine.run()
+    assert [event.to_dict() for event in sink.events] == fixture["events"]
+    stats = json.loads(json.dumps(result.raw_stats, sort_keys=True))
+    assert stats == fixture["stats"]
 
 
 def test_fixture_events_are_diverse(golden_pair):

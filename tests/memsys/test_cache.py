@@ -71,12 +71,11 @@ class TestEviction:
 class TestBlockState:
     def test_prefetch_metadata_roundtrip(self):
         cache = tiny_cache()
-        cache.fill(7, BlockState(prefetched=True, ready_time=100.0, core_id=2))
+        cache.fill(7, BlockState(prefetched=True, ready_time=100.0))
         state = cache.lookup(7)
         assert state.prefetched
         assert not state.used
         assert state.ready_time == 100.0
-        assert state.core_id == 2
 
     def test_resident_blocks(self):
         cache = tiny_cache()

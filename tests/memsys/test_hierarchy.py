@@ -5,8 +5,16 @@ from typing import List
 import pytest
 
 from repro.common.config import CacheConfig, SystemConfig
-from repro.memsys.hierarchy import MemoryHierarchy
-from repro.prefetchers.base import AccessInfo, Prefetcher, PrefetchRequest
+from repro.memsys.hierarchy import (
+    COVERED,
+    L1_HIT,
+    LATE,
+    LLC_HIT,
+    LLC_MISS,
+    MERGED,
+    MemoryHierarchy,
+)
+from repro.prefetchers.base import AccessInfo, Prefetcher
 
 
 def tiny_config(num_cores=1) -> SystemConfig:
@@ -29,9 +37,9 @@ class ScriptedPrefetcher(Prefetcher):
         self.seen: List[AccessInfo] = []
         self.evictions: List[int] = []
 
-    def on_access(self, info: AccessInfo) -> List[PrefetchRequest]:
+    def on_access(self, info: AccessInfo) -> List[int]:
         self.seen.append(info)
-        return [PrefetchRequest(block=info.block + d) for d in self.deltas]
+        return [info.block + d for d in self.deltas]
 
     def on_eviction(self, block: int, was_used: bool) -> None:
         self.evictions.append(block)
@@ -40,18 +48,17 @@ class ScriptedPrefetcher(Prefetcher):
 class TestDemandPath:
     def test_first_access_misses_everywhere(self):
         hierarchy = MemoryHierarchy(tiny_config())
-        result = hierarchy.access(0, pc=1, vaddr=0x1000, now=0.0)
-        assert result.llc_miss
-        assert not result.l1_hit
+        latency, outcome = hierarchy.access(0, pc=1, vaddr=0x1000, now=0.0)
+        assert outcome == LLC_MISS
         # L1 + LLC + DRAM zero-load.
-        assert result.latency >= 4 + 15 + 240
+        assert latency >= 4 + 15 + 240
 
     def test_repeat_hits_l1(self):
         hierarchy = MemoryHierarchy(tiny_config())
         hierarchy.access(0, pc=1, vaddr=0x1000, now=0.0)
-        result = hierarchy.access(0, pc=1, vaddr=0x1000, now=1000.0)
-        assert result.l1_hit
-        assert result.latency == 4
+        latency, outcome = hierarchy.access(0, pc=1, vaddr=0x1000, now=1000.0)
+        assert outcome == L1_HIT
+        assert latency == 4
 
     def test_llc_hit_after_l1_eviction(self):
         config = tiny_config()
@@ -61,14 +68,13 @@ class TestDemandPath:
         l1_sets = config.l1d.sets
         for i in range(1, 3):
             hierarchy.access(0, pc=1, vaddr=i * l1_sets * 64, now=float(i * 1000))
-        result = hierarchy.access(0, pc=1, vaddr=0x0, now=1e6)
-        assert result.llc_hit
-        assert not result.l1_hit
+        _, outcome = hierarchy.access(0, pc=1, vaddr=0x0, now=1e6)
+        assert outcome == LLC_HIT
 
     def test_mshr_back_pressure_stalls_fifth_miss(self):
         hierarchy = MemoryHierarchy(tiny_config())  # 4 L1 MSHRs
         latencies = [
-            hierarchy.access(0, pc=1, vaddr=i * 4096, now=0.0).latency
+            hierarchy.access(0, pc=1, vaddr=i * 4096, now=0.0)[0]
             for i in range(5)
         ]
         mshr = hierarchy.stats.child("l1d0").child("mshr")
@@ -83,7 +89,7 @@ class TestDemandPath:
         remainder, never reaches the LLC and does not refill the L1."""
         config = tiny_config()  # 2-way L1, 8 sets
         hierarchy = MemoryHierarchy(config)
-        first = hierarchy.access(0, pc=1, vaddr=0x0, now=0.0)
+        first_latency, _ = hierarchy.access(0, pc=1, vaddr=0x0, now=0.0)
         block = hierarchy.translator.translate(0, 0x0) >> 6
         # two more blocks of the same page and L1 set evict block 0
         for i in range(1, 3):
@@ -94,10 +100,10 @@ class TestDemandPath:
         demand_before = llc.get("demand_accesses")
         fills_before = l1.stats.get("fills")
 
-        result = hierarchy.access(0, pc=1, vaddr=0x0, now=3.0)
+        latency, outcome = hierarchy.access(0, pc=1, vaddr=0x0, now=3.0)
 
-        assert result.latency == (first.latency - 3.0) + config.l1d.hit_latency
-        assert result.llc_hit and not result.llc_miss and not result.l1_hit
+        assert latency == (first_latency - 3.0) + config.l1d.hit_latency
+        assert outcome == MERGED
         assert llc.get("demand_accesses") == demand_before
         assert l1.stats.get("fills") == fills_before
         assert not l1.contains(block)
@@ -117,18 +123,18 @@ class TestPrefetchAccounting:
         llc = hierarchy.stats.child("llc")
         assert llc.get("prefetches_issued") == 1
         # Demand the prefetched next block much later (fill completed).
-        result = hierarchy.access(0, pc=1, vaddr=0x1040, now=1e6)
-        assert result.covered and not result.late
+        _, outcome = hierarchy.access(0, pc=1, vaddr=0x1040, now=1e6)
+        assert outcome == COVERED
         assert llc.get("covered") == 1
 
     def test_late_prefetch_pays_partial_latency(self):
         pf = ScriptedPrefetcher([1])
         hierarchy = MemoryHierarchy(tiny_config(), prefetchers=[pf])
         hierarchy.access(0, pc=1, vaddr=0x1000, now=0.0)
-        result = hierarchy.access(0, pc=1, vaddr=0x1040, now=20.0)
-        assert result.covered and result.late
+        latency, outcome = hierarchy.access(0, pc=1, vaddr=0x1040, now=20.0)
+        assert outcome == LATE
         # Cheaper than a fresh DRAM access, dearer than an LLC hit.
-        assert 15 < result.latency - 4 < 15 + 240 + 100
+        assert 15 < latency - 4 < 15 + 240 + 100
 
     def test_second_use_is_plain_hit(self):
         pf = ScriptedPrefetcher([1])

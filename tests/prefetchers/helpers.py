@@ -8,11 +8,8 @@ from repro.prefetchers.base import AccessInfo, Prefetcher
 def feed(pf: Prefetcher, blocks: Iterable[int], pc: int = 0x400) -> List[int]:
     """Feed block accesses; returns every prefetched block, in order."""
     out: List[int] = []
-    for time, block in enumerate(blocks):
-        info = AccessInfo(
-            pc=pc, address=block * 64, block=block, hit=False, time=float(time)
-        )
-        out.extend(req.block for req in pf.on_access(info))
+    for block in blocks:
+        out.extend(pf.on_access(AccessInfo(pc=pc, block=block)))
     return out
 
 

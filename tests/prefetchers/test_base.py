@@ -3,36 +3,26 @@
 import pytest
 
 from repro.common.config import small_system
-from repro.prefetchers.base import (
-    AccessInfo,
-    NullPrefetcher,
-    Prefetcher,
-    PrefetchRequest,
-)
+from repro.prefetchers.base import AccessInfo, NullPrefetcher, Prefetcher
 from repro.sim.runner import run_simulation
 
 
 def test_access_info_is_frozen():
-    info = AccessInfo(pc=1, address=64, block=1, hit=False, time=0.0)
+    info = AccessInfo(pc=1, block=1)
     with pytest.raises(AttributeError):
         info.pc = 2  # type: ignore[misc]
 
 
-def test_prefetch_request_defaults():
-    req = PrefetchRequest(block=10)
-    assert req.confidence == 1.0
-
-
 def test_null_prefetcher_never_prefetches():
     pf = NullPrefetcher()
-    info = AccessInfo(pc=1, address=64, block=1, hit=False, time=0.0)
+    info = AccessInfo(pc=1, block=1)
     assert pf.on_access(info) == []
     assert pf.storage_bits == 0
 
 
 def test_base_on_access_is_abstract():
     pf = Prefetcher()
-    info = AccessInfo(pc=1, address=64, block=1, hit=False, time=0.0)
+    info = AccessInfo(pc=1, block=1)
     with pytest.raises(NotImplementedError):
         pf.on_access(info)
 
@@ -50,7 +40,7 @@ class _PlainNextLine:
     storage_bits = 0
 
     def on_access(self, info):
-        return [PrefetchRequest(block=info.block + 1)]
+        return [info.block + 1]
 
     def on_eviction(self, block, was_used):
         pass

@@ -9,16 +9,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.prefetchers.base import AccessInfo, PrefetchRequest
+from repro.prefetchers.base import AccessInfo
 from repro.prefetchers.registry import available_prefetchers, make_prefetcher
 
 ALL = sorted(available_prefetchers())
 
 
-def make_info(block: int, pc: int = 0x400, time: float = 0.0) -> AccessInfo:
-    return AccessInfo(
-        pc=pc, address=block * 64, block=block, hit=False, time=time
-    )
+def make_info(block: int, pc: int = 0x400) -> AccessInfo:
+    return AccessInfo(pc=pc, block=block)
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -28,16 +26,14 @@ class TestContract:
         for block in range(64):
             out = pf.on_access(make_info(block))
             assert isinstance(out, list)
-            assert all(isinstance(req, PrefetchRequest) for req in out)
+            assert all(isinstance(candidate, int) for candidate in out)
 
     def test_deterministic_given_same_stream(self, name):
         a = make_prefetcher(name)
         b = make_prefetcher(name)
         stream = [random.Random(7).randrange(4096) for _ in range(300)]
-        out_a = [tuple(r.block for r in a.on_access(make_info(x)))
-                 for x in stream]
-        out_b = [tuple(r.block for r in b.on_access(make_info(x)))
-                 for x in stream]
+        out_a = [tuple(a.on_access(make_info(x))) for x in stream]
+        out_b = [tuple(b.on_access(make_info(x))) for x in stream]
         assert out_a == out_b
 
     def test_eviction_hook_tolerates_unknown_blocks(self, name):
@@ -58,8 +54,8 @@ class TestContract:
 @pytest.mark.parametrize("name", ALL)
 def test_never_crashes_on_arbitrary_streams(name, blocks):
     pf = make_prefetcher(name)
-    for time, block in enumerate(blocks):
-        requests = pf.on_access(make_info(block, time=float(time)))
+    for block in blocks:
+        requests = pf.on_access(make_info(block))
         assert len(requests) < 1000  # no unbounded fan-out
 
 

@@ -177,6 +177,28 @@ class TestBadRequests:
         assert excinfo.value.status == 400
         assert "bogus_knob" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("workload", "nope"),
+            ("prefetcher", "nope"),
+            ("replacement", "nope"),
+            ("train_at", "l2"),
+            ("scale", 0),
+            ("scale", -0.5),
+        ],
+    )
+    def test_unrunnable_spec_400_and_nothing_queued(self, api, field, value):
+        """A spec no worker could run is refused at submission, not
+        queued to end as an error failure that counts toward its
+        circuit breaker."""
+        _, client, _, _ = api
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(wire_spec(**{field: value}))
+        assert excinfo.value.status == 400
+        assert "bad job spec" in str(excinfo.value)
+        assert client.jobs() == []
+
     def test_trace_path_rejected_400(self, api):
         _, client, _, _ = api
         with pytest.raises(ServiceError) as excinfo:

@@ -113,6 +113,15 @@ class TestWireFormat:
         with pytest.raises(ValueError, match="workload"):
             job_from_wire({"prefetcher": "bingo"})
 
+    def test_names_resolve_as_the_run_resolves_them(self, fault_workloads):
+        """Case-insensitive names and workloads added with
+        ``register_workload`` are runnable, so they parse."""
+        job = job_from_wire(
+            wire_spec(workload="raise_always", prefetcher="BINGO")
+        )
+        assert (job.workload, job.prefetcher) == ("raise_always", "BINGO")
+        assert job_from_wire(wire_spec(workload="EM3D")).workload == "EM3D"
+
     def test_non_object_spec_rejected(self):
         with pytest.raises(ValueError, match="must be an object"):
             job_from_wire(["streaming"])

@@ -439,6 +439,14 @@ class TestValidationBeforeSubmission:
             self.search(client, space_payload(bogus_knob=1))
         assert client.jobs() == []
 
+    def test_unrunnable_point_rejected(self, idle):
+        _, client = idle
+        payload = space_payload()
+        payload["prefetchers"] = ["none", "nope"]
+        with pytest.raises(ValueError, match="unknown prefetcher 'nope'"):
+            self.search(client, payload)
+        assert client.jobs() == []
+
 
 class TestScreenJobs:
     def test_with_instructions_scales_warmup_proportionally(self):

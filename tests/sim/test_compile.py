@@ -267,12 +267,13 @@ class TestFastPathEquivalence:
         engine._run_until = None  # the fast loop must never touch it
         engine.run()
 
-    def test_sink_disables_fast_path_but_replays_compiled_stream(self):
-        """With a sink attached the general loop must take over — and the
-        recorded event stream must match the generator path's exactly."""
+    def test_sink_keeps_fast_path_and_replays_compiled_stream(self):
+        """With a sink attached the compiled trace still takes the fast
+        loop — and the recorded event stream must match the generator
+        path's (general loop) exactly."""
         from repro.sim.engine import SimulationEngine, SimulationParams
 
-        def record(workload) -> list:
+        def record(workload, fast) -> list:
             sink = RecordingSink(limit=500)
             engine = SimulationEngine(
                 workload=workload,
@@ -283,13 +284,15 @@ class TestFastPathEquivalence:
                 ),
                 sink=sink,
             )
-            assert not engine._fast_path_eligible()
+            assert engine._fast_path_eligible() == fast
+            if fast:
+                engine._run_until = None  # the fast loop must never touch it
             engine.run()
             return [event.to_dict() for event in sink.events]
 
         source = make_workload("streaming", seed=7, scale=SCALE)
         compiled = compile_workload(source, records_per_core=800)
-        assert record(compiled) == record(source)
+        assert record(compiled, fast=True) == record(source, fast=False)
 
     def test_short_trace_falls_back_to_general_loop(self):
         from repro.sim.engine import SimulationEngine, SimulationParams

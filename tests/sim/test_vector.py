@@ -17,6 +17,9 @@ from hypothesis import strategies as st
 
 from repro.common.config import small_system
 from repro.experiments.common import PAPER_PREFETCHERS
+from repro.memsys.replacement import available_replacements
+from repro.obs.sinks import RecordingSink
+from repro.prefetchers.registry import available_prefetchers
 from repro.sim.compile import compile_workload
 from repro.sim.engine import (
     SimulationEngine,
@@ -150,6 +153,41 @@ def test_property_hazard_heavy_equality(
         replacement=replacement,
     )
     assert runs["fast"] == runs["general"] == runs["generator"]
+
+
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    workload=st.sampled_from(sorted(WORKLOAD_NAMES + STRESS_WORKLOAD_NAMES)),
+    prefetcher=st.sampled_from(available_prefetchers()),
+    replacement=st.sampled_from(available_replacements()),
+    seed=st.integers(min_value=1, max_value=2**16),
+)
+def test_property_traced_loops_emit_equal_streams(
+    workload, prefetcher, replacement, seed
+):
+    """A trace sink keeps the fast loop: at any (workload, prefetcher,
+    LLC policy, seed) point both loops emit the same event stream and
+    give the same ``SimResult``."""
+    system = small_system(num_cores=4)
+    params = SimulationParams(instructions_per_core=1500, warmup_instructions=300)
+    compiled = compile_workload(
+        make_workload(workload, seed=seed, scale=SCALE), records_per_core=1500
+    )
+    runs = {}
+    for vectorized in (True, False):
+        sink = RecordingSink()
+        engine = SimulationEngine(
+            compiled, prefetcher, system, params, sink=sink,
+            vectorized=vectorized, replacement=replacement,
+        )
+        assert engine._fast_path_eligible() == vectorized
+        result = engine.run().to_dict()
+        runs[vectorized] = ([event.to_dict() for event in sink.events], result)
+    assert runs[True] == runs[False]
 
 
 class TestMissDenseStaysVectorized:
