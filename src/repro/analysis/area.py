@@ -40,18 +40,6 @@ class AreaModel:
         storage_mb = storage_bits / 8 / (1024 * 1024)
         return num_cores * storage_mb * self.metadata_mm2_per_mb
 
-    def performance_density(
-        self,
-        throughput: float,
-        config: SystemConfig,
-        prefetcher_storage_bits: int = 0,
-    ) -> float:
-        """Throughput per mm², charging the prefetcher its metadata area."""
-        area = self.chip_mm2(config) + self.prefetcher_mm2(
-            prefetcher_storage_bits, config.num_cores
-        )
-        return throughput / area
-
     def density_improvement(
         self,
         speedup: float,

@@ -8,7 +8,7 @@ fractions (Figs. 2, 3, 7).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable
 
 from repro.sim.results import SimResult, speedup
 
@@ -23,36 +23,11 @@ def geometric_mean(values: Iterable[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def harmonic_mean(values: Iterable[float]) -> float:
-    """Harmonic mean (for rate-like aggregates)."""
-    values = list(values)
-    if not values:
-        raise ValueError("harmonic_mean of no values")
-    if any(v <= 0 for v in values):
-        raise ValueError("harmonic_mean requires positive values")
-    return len(values) / sum(1 / v for v in values)
-
-
 def arithmetic_mean(values: Iterable[float]) -> float:
     values = list(values)
     if not values:
         raise ValueError("arithmetic_mean of no values")
     return sum(values) / len(values)
-
-
-def speedups_by_prefetcher(
-    results: Dict[str, Dict[str, SimResult]], prefetchers: Sequence[str]
-) -> Dict[str, Dict[str, float]]:
-    """``{workload: {prefetcher: result}} -> {prefetcher: {workload: speedup}}``.
-
-    Each workload's runs must include the ``"none"`` baseline.
-    """
-    out: Dict[str, Dict[str, float]] = {name: {} for name in prefetchers}
-    for workload, runs in results.items():
-        baseline = runs["none"]
-        for name in prefetchers:
-            out[name][workload] = speedup(runs[name], baseline)
-    return out
 
 
 def gmean_speedup(

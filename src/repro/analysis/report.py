@@ -23,28 +23,6 @@ def _render(value: Cell, percent: bool) -> str:
     return str(value)
 
 
-def format_markdown(
-    rows: Sequence[Dict[str, Cell]],
-    columns: Optional[Sequence[str]] = None,
-    percent_columns: Sequence[str] = (),
-) -> str:
-    """Render dict-rows as a GitHub-flavoured markdown table.
-
-    Used to paste regenerated figures into EXPERIMENTS.md.
-    """
-    if not rows:
-        return "*(no rows)*"
-    if columns is None:
-        columns = list(rows[0].keys())
-    percent = set(percent_columns)
-    lines = ["| " + " | ".join(str(c) for c in columns) + " |"]
-    lines.append("|" + "|".join("---" for _ in columns) + "|")
-    for row in rows:
-        cells = [_render(row.get(col), col in percent) for col in columns]
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines)
-
-
 def format_table(
     rows: Sequence[Dict[str, Cell]],
     columns: Optional[Sequence[str]] = None,

@@ -139,15 +139,3 @@ class StatGroup:
 
     def __repr__(self) -> str:
         return f"StatGroup({self.name!r}, {len(self._counters)} counters)"
-
-
-def snapshot_delta(
-    before: Dict[str, Number], after: Dict[str, Number]
-) -> Dict[str, Number]:
-    """Per-counter difference of two :meth:`StatGroup.snapshot` results.
-
-    Counters absent from ``before`` are treated as zero (counters
-    auto-create, so a later snapshot may contain paths an earlier one
-    does not; counters are never removed, so the reverse never happens).
-    """
-    return {path: value - before.get(path, 0) for path, value in after.items()}

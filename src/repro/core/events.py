@@ -117,14 +117,3 @@ def event_key(kind: EventKind, pc: int, block: int, offset: int) -> int:
     if kind is EventKind.ADDRESS:
         return combine_from(_ADDRESS_SEED, block)
     return combine_from(_OFFSET_SEED, offset)  # EventKind.OFFSET
-
-
-def extract_all(pc: int, block: int, offset: int) -> Tuple[Event, ...]:
-    """All five events of a trigger access, longest first.
-
-    This is the paper's observation that *short events are carried in long
-    events*: everything here is derived from the same (pc, block, offset).
-    """
-    return tuple(
-        Event.from_trigger(kind, pc, block, offset) for kind in LONGEST_TO_SHORTEST
-    )

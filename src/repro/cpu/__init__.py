@@ -1,24 +1,11 @@
-"""Core timing model and trace plumbing.
+"""Core timing model and the instruction record.
 
 :mod:`repro.cpu.core` is the ROB-window approximation of the paper's OoO
-cores; :mod:`repro.cpu.trace` defines the instruction record; and
-:mod:`repro.cpu.tracefile` captures/replays traces on disk.
+cores, and :mod:`repro.cpu.trace` defines the instruction record that
+every workload generator emits.
 """
 
 from repro.cpu.core import CoreTimingModel
 from repro.cpu.trace import TraceRecord
-from repro.cpu.tracefile import (
-    capture_workload,
-    read_trace,
-    workload_from_traces,
-    write_trace,
-)
 
-__all__ = [
-    "CoreTimingModel",
-    "TraceRecord",
-    "capture_workload",
-    "read_trace",
-    "workload_from_traces",
-    "write_trace",
-]
+__all__ = ["CoreTimingModel", "TraceRecord"]

@@ -6,7 +6,9 @@ Not figures from the paper, but the studies a reviewer would ask for:
   different metadata cost (the Section IV storage claim, quantified);
 * **vote threshold** — the 20 % multi-match heuristic vs alternatives,
   including the most-recent-match policy the paper also evaluated;
-* **region size** — footprints over 1 KB / 2 KB / 4 KB regions.
+* **region size** — footprints over 1 KB / 2 KB / 4 KB regions;
+* **LLC replacement** — Bingo's lead over SMS and SPP under every
+  registered replacement policy, not only the paper's LRU.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from repro.common.addresses import AddressMap
 from repro.core.bingo import BingoPrefetcher
 from repro.core.events import EventKind
 from repro.core.multi_event import MultiEventSpatialPrefetcher
-from repro.experiments.common import cached_run, default_params
+from repro.experiments.common import (
+    EXPERIMENT_SCALE,
+    cached_run,
+    cached_runs,
+    default_params,
+    experiment_job,
+    experiment_system,
+)
 from repro.sim.engine import SimulationParams
 from repro.sim.results import speedup
 
@@ -135,7 +144,6 @@ def run_metadata_sharing(
     cores' LLC traffic shares history (homogeneous server workloads can
     benefit) but also mixes per-core patterns under one set of tables.
     """
-    from repro.experiments.common import EXPERIMENT_SCALE, experiment_system
     from repro.prefetchers.registry import make_prefetcher
     from repro.sim.runner import run_simulation
 
@@ -146,22 +154,20 @@ def run_metadata_sharing(
         speedups = []
         coverages = []
         for workload in workloads:
-            common = dict(
-                system=system,
-                instructions_per_core=params.instructions_per_core,
-                warmup_instructions=params.warmup_instructions,
-                scale=EXPERIMENT_SCALE,
-            )
-            baseline = run_simulation(workload, prefetcher="none", **common)
+            baseline = cached_run(workload, "none", params)
             if design == "private":
-                prefetchers = None
-                result = run_simulation(workload, prefetcher="bingo", **common)
+                result = cached_run(workload, "bingo", params)
             else:
+                # one instance behind every core: no SimJob can carry it
                 shared = make_prefetcher("bingo", system.address_map)
-                prefetchers = [shared] * system.num_cores
                 result = run_simulation(
-                    workload, prefetcher="bingo", prefetchers=prefetchers,
-                    **common,
+                    workload,
+                    prefetcher="bingo",
+                    prefetchers=[shared] * system.num_cores,
+                    system=system,
+                    instructions_per_core=params.instructions_per_core,
+                    warmup_instructions=params.warmup_instructions,
+                    scale=EXPERIMENT_SCALE,
                 )
             speedups.append(speedup(result, baseline))
             coverages.append(result.coverage)
@@ -196,26 +202,14 @@ def run_training_level(
     residencies end after a few hundred blocks of traffic, truncating
     footprints.
     """
-    from repro.experiments.common import EXPERIMENT_SCALE, experiment_system
-    from repro.sim.runner import run_simulation
-
     params = params if params is not None else default_params()
-    system = experiment_system()
     rows: List[Dict[str, object]] = []
     for level in ("llc", "l1"):
         speedups = []
         coverages = []
         for workload in workloads:
-            common = dict(
-                system=system,
-                instructions_per_core=params.instructions_per_core,
-                warmup_instructions=params.warmup_instructions,
-                scale=EXPERIMENT_SCALE,
-            )
-            baseline = run_simulation(workload, prefetcher="none", **common)
-            result = run_simulation(
-                workload, prefetcher="bingo", train_at=level, **common
-            )
+            baseline = cached_run(workload, "none", params)
+            result = cached_run(workload, "bingo", params, train_at=level)
             speedups.append(speedup(result, baseline))
             coverages.append(result.coverage)
         rows.append(
@@ -245,12 +239,9 @@ def run_region_size(
     """Footprint region size: the paper's 2 KB vs half/double.
 
     Region size is a *system-level* geometry (the hierarchy's address map
-    carries it), so these runs bypass the shared cache and build their
-    own engines.
+    carries it), so each size's runs, baseline included, carry their own
+    system.
     """
-    from repro.experiments.common import EXPERIMENT_SCALE, experiment_system
-    from repro.sim.runner import run_simulation
-
     params = params if params is not None else default_params()
     rows: List[Dict[str, object]] = []
     for region_size in region_sizes:
@@ -260,14 +251,8 @@ def run_region_size(
         speedups = []
         coverages = []
         for workload in workloads:
-            common = dict(
-                system=system,
-                instructions_per_core=params.instructions_per_core,
-                warmup_instructions=params.warmup_instructions,
-                scale=EXPERIMENT_SCALE,
-            )
-            baseline = run_simulation(workload, prefetcher="none", **common)
-            result = run_simulation(workload, prefetcher="bingo", **common)
+            baseline = cached_run(workload, "none", params, system=system)
+            result = cached_run(workload, "bingo", params, system=system)
             speedups.append(speedup(result, baseline))
             coverages.append(result.coverage)
         rows.append(
@@ -287,4 +272,57 @@ def format_region_size(rows: List[Dict[str, object]]) -> str:
         columns=["region_bytes", "blocks_per_region", "speedup", "coverage"],
         title="Ablation — spatial region size (paper: 2 KB)",
         percent_columns=["coverage"],
+    )
+
+
+def run_replacement_policy(
+    workloads: Sequence[str] = DEFAULT_ABLATION_WORKLOADS,
+    params: Optional[SimulationParams] = None,
+) -> List[Dict[str, object]]:
+    """Gmean speedup of Bingo, SMS and SPP under every LLC replacement policy.
+
+    Section V trains Bingo at the LLC, and in this reproduction an LLC
+    eviction ends each residency, so the policy decides what every
+    footprint holds.  One row per registered policy except
+    ``lru-interface``, which is ``lru`` through the policy interface
+    (the identity suite proves the two byte-identical).  Every cell goes
+    to the executor as one batch.
+    """
+    from repro.memsys.replacement import available_replacements
+
+    params = params if params is not None else default_params()
+    prefetchers = ("bingo", "sms", "spp")
+    policies = [
+        name for name in available_replacements() if name != "lru-interface"
+    ]
+    cells = [
+        (policy, workload, prefetcher)
+        for policy in policies
+        for workload in workloads
+        for prefetcher in ("none", *prefetchers)
+    ]
+    jobs = [
+        experiment_job(workload, prefetcher, params, replacement=policy)
+        for policy, workload, prefetcher in cells
+    ]
+    results = dict(zip(cells, cached_runs(jobs)))
+    rows: List[Dict[str, object]] = []
+    for policy in policies:
+        row: Dict[str, object] = {"replacement": policy}
+        for prefetcher in prefetchers:
+            row[prefetcher] = geometric_mean(
+                speedup(
+                    results[policy, workload, prefetcher],
+                    results[policy, workload, "none"],
+                )
+                for workload in workloads
+            )
+        rows.append(row)
+    return rows
+
+
+def format_replacement_policy(rows: List[Dict[str, object]]) -> str:
+    return format_table(
+        rows,
+        title="Ablation — gmean speedup under each LLC replacement policy",
     )

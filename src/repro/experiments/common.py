@@ -17,7 +17,7 @@ size axis explicitly.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.common.config import CacheConfig, SystemConfig
 from repro.common.stats import StatGroup
@@ -75,11 +75,13 @@ def default_params(quick: Optional[bool] = None) -> SimulationParams:
 
 
 # ---------------------------------------------------------------------------
-# Memoised run matrix: Figs. 7, 8, and 9 derive from the same
-# (workload x prefetcher) runs, so one bench session pays for each run once.
-# Every run routes through a repro.sim.executor.Executor:
+# Memoised runs: Figs. 7, 8, and 9 derive from the same (workload x
+# prefetcher) runs, and every driver shares the ``none`` baselines, so one
+# bench session pays for each run once.  The memo is keyed by
+# ``SimJob.digest()``.  Every run routes through a
+# repro.sim.executor.Executor:
 #
-# * ``REPRO_WORKERS=N`` fans the independent points of a matrix out over
+# * ``REPRO_WORKERS=N`` fans the independent points of a batch out over
 #   N worker processes (results are bit-identical to serial);
 # * ``REPRO_CACHE=1`` additionally memoises completed runs on disk
 #   (``REPRO_CACHE_DIR`` or ~/.cache/repro) across processes.
@@ -87,8 +89,7 @@ def default_params(quick: Optional[bool] = None) -> SimulationParams:
 # EXECUTOR_STATS accumulates hit/miss/run counters for the whole process.
 # ---------------------------------------------------------------------------
 
-_RunKey = Tuple[str, str, Tuple[Tuple[str, object], ...], int, int]
-_MATRIX_CACHE: Dict[_RunKey, SimResult] = {}
+_MATRIX_CACHE: Dict[str, SimResult] = {}
 
 EXECUTOR_STATS = StatGroup("executor")
 
@@ -119,37 +120,51 @@ def experiment_executor(
     )
 
 
-def _job(
+def experiment_job(
     workload: str,
     prefetcher: str,
-    params: SimulationParams,
+    params: Optional[SimulationParams] = None,
     prefetcher_kwargs: Optional[dict] = None,
+    system: Optional[SystemConfig] = None,
+    train_at: str = "llc",
+    replacement: str = "lru",
 ) -> SimJob:
+    """One experiment-config point (default: :func:`experiment_system`)."""
+    params = params if params is not None else default_params()
     return SimJob.build(
         workload,
         prefetcher=prefetcher,
-        system=experiment_system(),
+        system=system if system is not None else experiment_system(),
         instructions_per_core=params.instructions_per_core,
         warmup_instructions=params.warmup_instructions,
         scale=EXPERIMENT_SCALE,
         prefetcher_kwargs=prefetcher_kwargs,
+        train_at=train_at,
+        replacement=replacement,
     )
 
 
-def _memo_key(
-    workload: str,
-    prefetcher: str,
-    params: SimulationParams,
-    kwargs: dict,
-    cache_tag: str,
-) -> _RunKey:
-    return (
-        workload,
-        prefetcher + cache_tag,
-        tuple(sorted(kwargs.items())),
-        params.instructions_per_core,
-        params.warmup_instructions,
-    )
+def cached_runs(
+    jobs: Sequence[SimJob],
+    workers: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+) -> List[SimResult]:
+    """Results of ``jobs`` in order, recalled or run as one batch.
+
+    The jobs not yet memoised in this process go to the executor
+    together, so with ``workers > 1`` (or ``REPRO_WORKERS``) they fan
+    out.
+    """
+    digests = [job.digest() for job in jobs]
+    missing: Dict[str, SimJob] = {}
+    for digest, job in zip(digests, jobs):
+        if digest not in _MATRIX_CACHE:
+            missing.setdefault(digest, job)
+    if missing:
+        executor = experiment_executor(workers=workers, cache=cache)
+        results = executor.run_jobs(list(missing.values()))
+        _MATRIX_CACHE.update(zip(missing, results))
+    return [_MATRIX_CACHE[digest] for digest in digests]
 
 
 def cached_run(
@@ -157,22 +172,18 @@ def cached_run(
     prefetcher: str,
     params: Optional[SimulationParams] = None,
     prefetcher_kwargs: Optional[dict] = None,
-    cache_tag: str = "",
+    system: Optional[SystemConfig] = None,
+    train_at: str = "llc",
 ) -> SimResult:
     """Run (or recall) one experiment-config simulation.
 
-    All experiment drivers funnel through here so identical runs are
-    shared within a process.  ``cache_tag`` disambiguates callers that
-    pass non-default prefetcher instances or semantics.
+    All experiment drivers funnel through here (or :func:`cached_runs`)
+    so identical runs are shared within a process.
     """
-    params = params if params is not None else default_params()
-    kwargs = prefetcher_kwargs or {}
-    key = _memo_key(workload, prefetcher, params, kwargs, cache_tag)
-    if key not in _MATRIX_CACHE:
-        _MATRIX_CACHE[key] = experiment_executor().run_job(
-            _job(workload, prefetcher, params, kwargs or None)
-        )
-    return _MATRIX_CACHE[key]
+    job = experiment_job(
+        workload, prefetcher, params, prefetcher_kwargs, system, train_at
+    )
+    return cached_runs([job])[0]
 
 
 def run_matrix(
@@ -198,29 +209,9 @@ def run_matrix(
         for workload in workloads
         for prefetcher in ["none"] + [p for p in prefetchers if p != "none"]
     ]
-    missing: List[Tuple[str, str]] = [
-        cell
-        for cell in cells
-        if _memo_key(cell[0], cell[1], params, {}, "") not in _MATRIX_CACHE
-    ]
-    if missing:
-        executor = experiment_executor(workers=workers, cache=cache)
-        jobs = [_job(workload, prefetcher, params) for workload, prefetcher in missing]
-        for (workload, prefetcher), result in zip(
-            missing, executor.run_jobs(jobs)
-        ):
-            _MATRIX_CACHE[
-                _memo_key(workload, prefetcher, params, {}, "")
-            ] = result
-
+    jobs = [experiment_job(workload, pf, params) for workload, pf in cells]
+    runs = cached_runs(jobs, workers=workers, cache=cache)
     results: Dict[str, Dict[str, SimResult]] = {}
-    for workload in workloads:
-        runs = {
-            "none": _MATRIX_CACHE[_memo_key(workload, "none", params, {}, "")]
-        }
-        for prefetcher in prefetchers:
-            runs[prefetcher] = _MATRIX_CACHE[
-                _memo_key(workload, prefetcher, params, {}, "")
-            ]
-        results[workload] = runs
+    for (workload, prefetcher), result in zip(cells, runs):
+        results.setdefault(workload, {})[prefetcher] = result
     return results

@@ -39,7 +39,6 @@ def run(
                 "kinds": _DUAL_EVENTS,
                 "measure_redundancy": True,
             },
-            cache_tag=":redundancy",
         )
         rows.append(
             {

@@ -3,7 +3,9 @@
 This is the stand-in for the paper's ChampSim infrastructure: a fast,
 functional-with-timing model of a multi-core hierarchy (private L1Ds over a
 shared LLC over banked, bandwidth-limited DRAM).  Prefetchers attach at the
-LLC exactly as in Section V of the paper.
+LLC exactly as in Section V of the paper.  The LLC's replacement policy
+comes from the zoo in :mod:`repro.memsys.replacement`; the standalone
+replay harness that proves the zoo's properties lives with its tests.
 """
 
 from repro.memsys.cache import BlockState, Cache
@@ -15,7 +17,6 @@ from repro.memsys.replacement import (
     ReplacementPolicy,
     available_replacements,
     make_replacement,
-    replay_trace,
 )
 from repro.memsys.translation import RandomFirstTouchTranslator
 
@@ -30,5 +31,4 @@ __all__ = [
     "ReplacementPolicy",
     "available_replacements",
     "make_replacement",
-    "replay_trace",
 ]

@@ -112,14 +112,3 @@ class DramModel:
         if self._open_row[channel].get(bank) != row:
             self._open_row[channel][bank] = row
         self._writebacks.value += 1
-
-    # -- introspection ----------------------------------------------------------
-    def row_hit_ratio(self) -> float:
-        return self.stats.ratio("row_hits", "reads")
-
-    def utilization(self, elapsed_cycles: float) -> float:
-        """Approximate bandwidth utilisation over a run of given length."""
-        if elapsed_cycles <= 0:
-            return 0.0
-        busy = self.stats.get("reads") * self.occupancy_cycles
-        return min(1.0, busy / (elapsed_cycles * self.config.channels))

@@ -97,6 +97,12 @@ class MemoryHierarchy:
         for pf in self.prefetchers:
             pf.stats = self.stats.child("prefetcher").child(pf.name)
             pf.sink = self.sink
+        # Each distinct instance once, in core order: with shared
+        # metadata (the Section V ablation) all cores route to one
+        # object, which must see each LLC eviction once, not per core.
+        self._eviction_listeners: List[Prefetcher] = list(
+            {id(pf): pf for pf in self.prefetchers}.values()
+        )
 
         self.translator = RandomFirstTouchTranslator(
             amap, config.physical_pages, config.translation_seed
@@ -184,14 +190,8 @@ class MemoryHierarchy:
         self._notify_eviction(block, was_used=True)
 
     def _notify_eviction(self, block: int, was_used: bool) -> None:
-        # Broadcast once per distinct prefetcher instance: with shared
-        # metadata (the Section V ablation) all cores route to one object,
-        # which must not see the same eviction four times.
-        seen = set()
-        for pf in self.prefetchers:
-            if id(pf) not in seen:
-                seen.add(id(pf))
-                pf.on_eviction(block, was_used)
+        for pf in self._eviction_listeners:
+            pf.on_eviction(block, was_used)
 
     # -- the demand path --------------------------------------------------------
     def access(

@@ -19,7 +19,12 @@ _REGISTRY: Dict[str, PrefetcherFactory] = {}
 
 
 def register(name: str, factory: PrefetcherFactory) -> None:
-    """Register a prefetcher factory under ``name`` (lowercase)."""
+    """Register a prefetcher factory under ``name`` (lowercase).
+
+    The built-in zoo registers first, so a plugin adds to it rather than
+    taking its place.
+    """
+    _ensure_builtins()
     key = name.lower()
     if key in _REGISTRY:
         raise ValueError(f"prefetcher {name!r} already registered")
@@ -55,10 +60,17 @@ def _ensure_builtins() -> None:
 
     Registration is deferred (not done at import time) because
     ``repro.core`` imports the :class:`Prefetcher` base from this package
-    — eager registration would be a circular import.
+    — eager registration would be a circular import.  First use can come
+    from several threads at once (the service's request handlers): the
+    zoo enters the registry in one ``dict.update``, so no caller sees it
+    half-registered, and threads that race to build it add the same
+    entries.
     """
-    if _REGISTRY:
-        return
+    if not _REGISTRY:
+        _REGISTRY.update(_builtins())
+
+
+def _builtins() -> Dict[str, PrefetcherFactory]:
     from repro.core.bingo import BingoPrefetcher
     from repro.core.events import EventKind
     from repro.core.multi_event import MultiEventSpatialPrefetcher
@@ -83,17 +95,19 @@ def _ensure_builtins() -> None:
         pf.name = "sfp"
         return pf
 
-    register("none", NullPrefetcher)
-    register("nextline", NextLinePrefetcher)
-    register("stride", StridePrefetcher)
-    register("ghb", GhbPrefetcher)
-    register("markov", MarkovPrefetcher)
-    register("sandbox", SandboxPrefetcher)
-    register("bop", BestOffsetPrefetcher)
-    register("spp", SppPrefetcher)
-    register("vldp", VldpPrefetcher)
-    register("ampm", AmpmPrefetcher)
-    register("sfp", sfp_factory)
-    register("sms", SmsPrefetcher)
-    register("bingo", BingoPrefetcher)
-    register("multi-event", MultiEventSpatialPrefetcher)
+    return {
+        "none": NullPrefetcher,
+        "nextline": NextLinePrefetcher,
+        "stride": StridePrefetcher,
+        "ghb": GhbPrefetcher,
+        "markov": MarkovPrefetcher,
+        "sandbox": SandboxPrefetcher,
+        "bop": BestOffsetPrefetcher,
+        "spp": SppPrefetcher,
+        "vldp": VldpPrefetcher,
+        "ampm": AmpmPrefetcher,
+        "sfp": sfp_factory,
+        "sms": SmsPrefetcher,
+        "bingo": BingoPrefetcher,
+        "multi-event": MultiEventSpatialPrefetcher,
+    }

@@ -24,12 +24,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, Optional, get_type_hints
 
+from repro.common.config import SystemConfig
 from repro.memsys.replacement import available_replacements
 from repro.obs.config import ObservabilityConfig
-from repro.prefetchers.registry import available_prefetchers
+from repro.prefetchers.registry import make_prefetcher
 from repro.sim.executor import SimJob
 from repro.sim.results import SimResult
-from repro.workloads.registry import workload_factory
+from repro.workloads.registry import make_workload
 
 #: version of the job/lease JSON wire format.  Bump on any change that
 #: an older peer would misinterpret (renamed fields, changed units, new
@@ -202,11 +203,12 @@ def job_from_wire(payload: Dict[str, Any]) -> SimJob:
     daemon must not let one client impose on another.
 
     A spec no worker could run is rejected here too, before anything
-    queues it.  Names resolve the way the run resolves them: the
-    workload as ``make_workload`` does (so workloads added with
-    ``register_workload`` pass), the prefetcher as ``make_prefetcher``
-    does, and the LLC policy, training level and scale as the engine,
-    the hierarchy and ``make_workload`` check them.
+    queues it, by building what a worker would build: the workload with
+    ``make_workload`` (so workloads added with ``register_workload``
+    pass), whose core count must match the system's, and the prefetcher
+    with ``make_prefetcher`` and the spec's ``prefetcher_kwargs``
+    (except ``none``, whose kwargs the engine ignores).  The LLC policy
+    and training level are checked as the hierarchy checks them.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"job spec must be an object, got {type(payload).__name__}")
@@ -227,13 +229,7 @@ def job_from_wire(payload: Dict[str, Any]) -> SimJob:
     workload = payload.get("workload")
     if not workload or not isinstance(workload, str):
         raise ValueError("job spec needs a 'workload' name")
-    workload_factory(workload)  # raises on a name nothing registered
     prefetcher = str(payload.get("prefetcher", "none"))
-    if prefetcher.lower() not in available_prefetchers():
-        raise ValueError(
-            f"unknown prefetcher {prefetcher!r}; "
-            f"available: {available_prefetchers()}"
-        )
     replacement = str(payload.get("replacement", "lru"))
     if replacement not in available_replacements():
         raise ValueError(
@@ -246,21 +242,26 @@ def job_from_wire(payload: Dict[str, Any]) -> SimJob:
     scale = float(payload.get("scale", 1.0))
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
+    # raises on a name nothing registered
+    cores = make_workload(workload, scale=scale).num_cores
 
     system = payload.get("system")
     if system is None:
-        system_cfg = None
+        system_cfg = SystemConfig()
     elif system == "experiment":
         from repro.experiments.common import experiment_system
 
         system_cfg = experiment_system()
     elif isinstance(system, dict):
-        from repro.common.config import SystemConfig
-
         system_cfg = _dataclass_from_dict(SystemConfig, system)
     else:
         raise ValueError(
             "'system' must be an object or the preset name 'experiment'"
+        )
+    if cores != system_cfg.num_cores:
+        raise ValueError(
+            f"workload {workload!r} defines {cores} core streams but the "
+            f"system has {system_cfg.num_cores} cores"
         )
 
     obs_payload = payload.get("obs") or {}
@@ -278,6 +279,13 @@ def job_from_wire(payload: Dict[str, Any]) -> SimJob:
     kwargs = payload.get("prefetcher_kwargs") or {}
     if not isinstance(kwargs, dict):
         raise ValueError("'prefetcher_kwargs' must be an object")
+    if prefetcher != "none":
+        try:  # raises ValueError on a name nothing registered
+            make_prefetcher(prefetcher, system_cfg.address_map, **kwargs)
+        except TypeError as exc:
+            raise ValueError(
+                f"bad prefetcher_kwargs for {prefetcher!r}: {exc}"
+            ) from None
 
     # bool("false") is True: a flag must arrive as a JSON boolean
     flags = {name: payload.get(name, True) for name in ("compile", "vectorized")}

@@ -108,11 +108,6 @@ def pack_records(
     return PackedCoreTrace(pcs, addresses, bytes(flags), count)
 
 
-def pack_finite(records: Sequence[TraceRecord]) -> PackedCoreTrace:
-    """Pack an already-materialised finite record list (trace files)."""
-    return pack_records(iter(records), len(records))
-
-
 def arena_bytes(cores: Sequence[PackedCoreTrace]) -> Tuple[bytes, ...]:
     """The raw sections of each core, for serialisation.
 

@@ -17,8 +17,7 @@ the engine's specialised fast path.
 from __future__ import annotations
 
 from collections import OrderedDict
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence
 
 from repro.cpu.trace import TraceRecord
 from repro.sim.compile.cache import (
@@ -28,7 +27,7 @@ from repro.sim.compile.cache import (
     logger,
     trace_key,
 )
-from repro.sim.compile.packed import PackedCoreTrace, pack_finite, pack_records
+from repro.sim.compile.packed import PackedCoreTrace, pack_records
 from repro.workloads.base import Workload
 
 #: most trace identities the memo keeps: every entry holds an mmap (and
@@ -196,77 +195,3 @@ def _wrap(
         description=getattr(workload, "description", ""),
         paper_mpki=getattr(workload, "paper_mpki", None),
     )
-
-
-# ---------------------------------------------------------------------------
-# Text/.gz trace file bridge (repro.cpu.tracefile <-> compiled arenas)
-# ---------------------------------------------------------------------------
-
-
-def compile_trace_files(
-    name: str,
-    paths: Dict[int, Union[str, Path]],
-    records_per_core: Optional[int] = None,
-) -> CompiledWorkload:
-    """Compile captured text/``.gz`` trace files into packed arenas.
-
-    The counterpart of :func:`repro.cpu.tracefile.workload_from_traces`
-    for the fast path: records parse through the same
-    ``parse_record`` grammar, then pack.  With ``records_per_core``
-    unset, every core is truncated to the shortest file so the arena
-    stays rectangular; set it explicitly to require a minimum length.
-    """
-    from repro.cpu.tracefile import read_trace
-
-    if not paths:
-        raise ValueError("need at least one core trace")
-    per_core = {
-        core_id: list(read_trace(path)) for core_id, path in paths.items()
-    }
-    for core_id, records in per_core.items():
-        if not records:
-            raise ValueError(f"trace file {paths[core_id]} contains no records")
-    limit = (
-        records_per_core
-        if records_per_core is not None
-        else min(len(records) for records in per_core.values())
-    )
-    cores = []
-    for core_id in sorted(per_core):
-        records = per_core[core_id]
-        if len(records) < limit:
-            raise ValueError(
-                f"trace file {paths[core_id]} holds {len(records)} records; "
-                f"{limit} per core requested"
-            )
-        cores.append(pack_finite(records[:limit]))
-    return CompiledWorkload(
-        name=name,
-        cores=cores,
-        description=f"compiled from {len(cores)} trace file(s)",
-    )
-
-
-def write_compiled_trace(
-    workload: CompiledWorkload,
-    directory: Union[str, Path],
-    compress: bool = True,
-) -> Dict[int, Path]:
-    """Decode a compiled workload back into per-core text trace files.
-
-    The inverse bridge: the emitted files parse back (via
-    :func:`repro.cpu.tracefile.read_trace` /
-    :func:`compile_trace_files`) into the identical record streams.
-    Returns ``{core_id: path}``.
-    """
-    from repro.cpu.tracefile import write_trace
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    suffix = ".trace.gz" if compress else ".trace"
-    paths: Dict[int, Path] = {}
-    for core_id in range(workload.num_cores):
-        path = directory / f"{workload.name}.core{core_id}{suffix}"
-        write_trace(path, workload.packed(core_id).decode())
-        paths[core_id] = path
-    return paths

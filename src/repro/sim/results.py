@@ -99,19 +99,6 @@ class SimResult:
         return min(1.0, self.covered / issued) if issued else 0.0
 
     @property
-    def accuracy_settled(self) -> float:
-        """Accuracy over prefetches whose fate was *decided* in-window.
-
-        Prefetched blocks still resident and unused when the measurement
-        window closes have been neither used nor wasted yet; for rare,
-        late-firing predictors (e.g. a PC+Address-only prefetcher, Fig. 2)
-        they can dominate the issued count in short windows and drown the
-        signal.  This variant excludes them from the denominator.
-        """
-        decided = self.prefetches_issued - self.prefetch_unused_at_end
-        return min(1.0, self.covered / decided) if decided > 0 else 0.0
-
-    @property
     def overprediction(self) -> float:
         base = self.baseline_miss_estimate
         return self.overpredictions / base if base else 0.0
@@ -127,20 +114,10 @@ class SimResult:
         return self.dram_reads - self.dram_row_hits
 
     @property
-    def activations_per_kilo_instruction(self) -> float:
-        instr = self.instructions
-        return self.row_activations / instr * 1000 if instr else 0.0
-
-    @property
     def mpki(self) -> float:
         """LLC demand misses per kilo-instruction (Table II's metric)."""
         instr = self.instructions
         return self.demand_misses / instr * 1000 if instr else 0.0
-
-    @property
-    def baseline_mpki_estimate(self) -> float:
-        instr = self.instructions
-        return self.baseline_miss_estimate / instr * 1000 if instr else 0.0
 
     def timeline_curves(self) -> List[Dict[str, float]]:
         """Per-interval IPC/MPKI/coverage/accuracy rows (whole run).
@@ -190,18 +167,3 @@ def speedup(result: SimResult, baseline: SimResult) -> float:
     if baseline.throughput == 0:
         raise ValueError("baseline run has zero throughput")
     return result.throughput / baseline.throughput
-
-
-def measured_coverage_vs_baseline(
-    result: SimResult, baseline: SimResult
-) -> float:
-    """Coverage computed against an *actual* baseline run's miss count.
-
-    Cross-checks the per-run estimate; the two agree when prefetching
-    does not perturb which demand accesses occur (it never does — only
-    their latency), modulo cache-contents divergence.
-    """
-    if baseline.demand_misses == 0:
-        return 0.0
-    eliminated = baseline.demand_misses - result.demand_misses
-    return eliminated / baseline.demand_misses

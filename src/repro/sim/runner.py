@@ -32,7 +32,7 @@ def run_simulation(
     train_at: str = "llc",
     obs=None,
     sink=None,
-    compile: bool = False,
+    compile: bool = True,
     vectorized: bool = True,
     replacement: str = "lru",
 ) -> SimResult:
@@ -50,15 +50,16 @@ def run_simulation(
     tracing and/or timeline sampling; ``sink`` supplies a ready-made
     :class:`repro.obs.TraceSink` instead of a trace file.
 
-    ``compile=True`` packs the workload's streams into a compiled trace
-    first (cached on disk for named workloads, where the trace identity
-    is fully known), enabling the engine's fast loop; ``vectorized``
-    (default on) permits that loop when the run qualifies, and
-    ``False`` keeps the general loop.  Results are identical either way.
+    ``compile`` (default on, as in :class:`repro.sim.executor.SimJob`)
+    packs the workload's streams into a compiled trace first (cached on
+    disk for named workloads, where the trace identity is fully known),
+    enabling the engine's fast loop; ``vectorized`` (default on) permits
+    that loop when the run qualifies, and ``False`` keeps the general
+    loop.  Results are identical either way.
 
     ``replacement`` selects the LLC replacement policy by registry name
     (:mod:`repro.memsys.replacement`); ``"opt"`` — the Belady oracle —
-    needs the packed trace to pre-scan, so pass ``compile=True`` with it.
+    needs the packed trace to pre-scan, so keep ``compile`` on with it.
     """
     resolved = _resolve_workload(workload, seed, scale)
     if compile:

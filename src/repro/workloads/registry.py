@@ -79,20 +79,6 @@ def register_workload(
     _FACTORIES[key] = factory
 
 
-def workload_factory(name: str) -> Callable[[float], Workload]:
-    """The factory :func:`make_workload` resolves ``name`` to.
-
-    Raises ``ValueError`` for a name nothing registered, so a job spec
-    can be checked without building its workload.
-    """
-    try:
-        return _FACTORIES[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown workload {name!r}; available: {available_workloads()}"
-        ) from None
-
-
 def make_workload(name: str, seed: int = 1234, scale: float = 1.0) -> Workload:
     """Build a Table II workload by name.
 
@@ -104,5 +90,11 @@ def make_workload(name: str, seed: int = 1234, scale: float = 1.0) -> Workload:
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    workload = workload_factory(name)(scale)
+    try:
+        factory = _FACTORIES[name.lower()]
+    except KeyError:
+        raise ValueError(
+            f"unknown workload {name!r}; available: {available_workloads()}"
+        ) from None
+    workload = factory(scale)
     return workload.with_seed(seed) if seed != workload.seed else workload

@@ -52,8 +52,3 @@ class TestDensityFormula:
         small = model.density_improvement(1.5, config, 10_000)
         large = model.density_improvement(1.5, config, 10_000_000)
         assert large < small
-
-    def test_performance_density_units(self):
-        model = AreaModel()
-        config = SystemConfig()
-        assert model.performance_density(76.0, config) == pytest.approx(1.0)

@@ -6,8 +6,6 @@ from repro.analysis.metrics import (
     arithmetic_mean,
     geometric_mean,
     gmean_speedup,
-    harmonic_mean,
-    speedups_by_prefetcher,
 )
 from repro.sim.results import CoreResult, SimResult
 
@@ -34,9 +32,6 @@ class TestMeans:
         with pytest.raises(ValueError):
             geometric_mean([])
 
-    def test_harmonic_mean(self):
-        assert harmonic_mean([1.0, 3.0]) == pytest.approx(1.5)
-
     def test_arithmetic_mean(self):
         assert arithmetic_mean([1.0, 2.0, 3.0]) == 2.0
 
@@ -49,11 +44,6 @@ class TestSpeedupAggregation:
             "w2": {"none": result_with_throughput(2.0),
                    "bingo": result_with_throughput(4.0)},
         }
-
-    def test_speedups_by_prefetcher(self):
-        table = speedups_by_prefetcher(self.make_matrix(), ["bingo"])
-        assert table["bingo"]["w1"] == pytest.approx(2.0)
-        assert table["bingo"]["w2"] == pytest.approx(2.0)
 
     def test_gmean_speedup(self):
         assert gmean_speedup(self.make_matrix(), "bingo") == pytest.approx(2.0)

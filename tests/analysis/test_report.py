@@ -44,22 +44,3 @@ def test_columns_align():
     )
     lines = text.splitlines()
     assert len({len(line) for line in lines[1:]}) == 1
-
-
-def test_markdown_table():
-    from repro.analysis.report import format_markdown
-
-    text = format_markdown(
-        [{"workload": "em3d", "coverage": 0.5}],
-        percent_columns=["coverage"],
-    )
-    lines = text.splitlines()
-    assert lines[0] == "| workload | coverage |"
-    assert lines[1] == "|---|---|"
-    assert lines[2] == "| em3d | 50.0% |"
-
-
-def test_markdown_empty():
-    from repro.analysis.report import format_markdown
-
-    assert format_markdown([]) == "*(no rows)*"

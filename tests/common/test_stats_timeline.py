@@ -9,7 +9,7 @@ it with arbitrary increment schedules.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.stats import StatGroup, snapshot_delta
+from repro.common.stats import StatGroup
 
 # A bounded universe of counter paths: (child-or-None, counter name).
 PATHS = st.tuples(
@@ -19,6 +19,10 @@ PATHS = st.tuples(
 
 # One simulated "event": which counter to bump, and by how much.
 INCREMENTS = st.tuples(PATHS, st.integers(min_value=1, max_value=1000))
+
+
+def snapshot_delta(before, after):
+    return {path: value - before.get(path, 0) for path, value in after.items()}
 
 
 def apply_increment(root, increment):

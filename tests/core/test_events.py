@@ -7,7 +7,6 @@ from repro.core.events import (
     Event,
     EventKind,
     LONGEST_TO_SHORTEST,
-    extract_all,
 )
 from repro.core.history import BingoHistoryTable
 
@@ -58,10 +57,6 @@ class TestExtraction:
             for kind in EventKind
         }
         assert len(keys) == len(list(EventKind))
-
-    def test_extract_all_longest_first(self):
-        events = extract_all(pc=1, block=10, offset=2)
-        assert tuple(e.kind for e in events) == LONGEST_TO_SHORTEST
 
 
 @given(

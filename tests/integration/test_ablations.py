@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments import ablations
 from repro.experiments import common as excommon
-from repro.sim.engine import SimulationParams
+from repro.sim.engine import SimulationParams, engine_tier_counters
 
 PARAMS = SimulationParams(instructions_per_core=8000, warmup_instructions=2000)
 WORKLOADS = ("streaming",)
@@ -57,9 +57,35 @@ class TestRegionSize:
         assert [row["blocks_per_region"] for row in rows] == [16, 32]
         assert all(row["speedup"] > 0 for row in rows)
 
+    def test_runs_on_the_fast_loop(self, monkeypatch):
+        """The ablation compiles its traces, as every other driver does,
+        so no run falls back to the general loop."""
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)  # in-process
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        before = engine_tier_counters()["general"]
+        ablations.run_region_size(
+            WORKLOADS, region_sizes=(1024,), params=PARAMS
+        )
+        assert engine_tier_counters()["general"] == before
+
 
 class TestTrainingLevel:
     def test_levels_present_and_functional(self):
         rows = ablations.run_training_level(WORKLOADS, PARAMS)
         assert [row["trained_at"] for row in rows] == ["llc", "l1"]
         assert all(row["speedup"] > 0 for row in rows)
+
+
+class TestReplacementPolicy:
+    def test_one_row_per_policy_but_lru_interface(self):
+        from repro.memsys.replacement import available_replacements
+
+        rows = ablations.run_replacement_policy(
+            WORKLOADS,
+            SimulationParams(instructions_per_core=3000, warmup_instructions=500),
+        )
+        assert [row["replacement"] for row in rows] == [
+            name for name in available_replacements() if name != "lru-interface"
+        ]
+        assert all(row[pf] > 0 for row in rows for pf in ("bingo", "sms", "spp"))
+        assert "replacement" in ablations.format_replacement_policy(rows)

@@ -54,12 +54,6 @@ class TestBandwidth:
         # 64 B / (18.75 GB/s per channel) at 4 GHz ~= 13.65 cycles.
         assert dram.occupancy_cycles == pytest.approx(13.653, rel=1e-3)
 
-    def test_utilization_bounded(self):
-        dram = make_dram()
-        for i in range(100):
-            dram.access(now=float(i), block_address=i * 64)
-        assert 0.0 < dram.utilization(elapsed_cycles=10_000.0) <= 1.0
-
 
 class TestStats:
     def test_prefetch_reads_counted_separately(self):
@@ -68,12 +62,6 @@ class TestStats:
         dram.access(now=0.0, block_address=1 << 20)
         assert dram.stats.get("reads") == 2
         assert dram.stats.get("prefetch_reads") == 1
-
-    def test_row_hit_ratio(self):
-        dram = make_dram()
-        dram.access(now=0.0, block_address=0)
-        dram.access(now=1e5, block_address=64)
-        assert dram.row_hit_ratio() == pytest.approx(0.5)
 
 
 class TestRouting:

@@ -175,6 +175,22 @@ class TestPrefetchAccounting:
             hierarchy.access(0, pc=1, vaddr=i * 4096, now=float(i) * 1e3)
         assert pf.evictions  # LLC capacity forced evictions
 
+    def _thrash_two_cores(self, prefetchers) -> MemoryHierarchy:
+        hierarchy = MemoryHierarchy(tiny_config(num_cores=2), prefetchers)
+        for i in range(600):
+            hierarchy.access(i % 2, pc=1, vaddr=i * 4096, now=float(i) * 1e3)
+        return hierarchy
+
+    def test_each_distinct_instance_sees_every_llc_eviction_once(self):
+        """Two cores: distinct instances each see every LLC eviction, in
+        the same order, and one shared instance sees each of them once."""
+        first, second, shared = (ScriptedPrefetcher([]) for _ in range(3))
+        hierarchy = self._thrash_two_cores([first, second])
+        self._thrash_two_cores([shared, shared])
+        evictions = hierarchy.stats.child("llc").get("evictions")
+        assert len(first.evictions) == evictions > 0
+        assert first.evictions == second.evictions == shared.evictions
+
     def test_finalize_counts_resident_unused(self):
         pf = ScriptedPrefetcher([5])
         hierarchy = MemoryHierarchy(tiny_config(), prefetchers=[pf])

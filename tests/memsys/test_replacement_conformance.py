@@ -21,9 +21,9 @@ from repro.memsys.replacement import (
     ReplacementError,
     available_replacements,
     make_replacement,
-    replay_trace,
 )
 from repro.obs.sinks import RecordingSink
+from tests.memsys.replay_harness import replay_trace
 
 ALL = sorted(available_replacements())
 

@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 from repro.memsys.replacement import (
     NEVER,
     ReplacementError,
-    SequenceOracle,
     available_replacements,
-    replay_trace,
 )
+from tests.memsys.replay_harness import SequenceOracle, replay_trace
 
 HEURISTICS = sorted(
     name for name in available_replacements()

@@ -199,6 +199,33 @@ class TestBadRequests:
         assert "bad job spec" in str(excinfo.value)
         assert client.jobs() == []
 
+    @pytest.mark.parametrize(
+        "overrides, reason",
+        [
+            (
+                {"prefetcher": "bingo", "prefetcher_kwargs": {"nope": 1}},
+                "unexpected keyword argument 'nope'",
+            ),
+            (
+                {"system": dataclasses.asdict(small_system(num_cores=2))},
+                "defines 4 core streams but the system has 2 cores",
+            ),
+        ],
+        ids=["prefetcher-kwargs", "core-count"],
+    )
+    def test_spec_no_worker_can_build_400_and_nothing_queued(
+        self, api, overrides, reason
+    ):
+        """A spec whose prefetcher or workload a worker could not build
+        is refused at submission too: both once queued and ended as
+        ``error`` failures counting toward the spec's circuit breaker."""
+        _, client, _, _ = api
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(wire_spec(workload="em3d", **overrides))
+        assert excinfo.value.status == 400
+        assert reason in str(excinfo.value)
+        assert client.jobs() == []
+
     def test_trace_path_rejected_400(self, api):
         _, client, _, _ = api
         with pytest.raises(ServiceError) as excinfo:

@@ -49,7 +49,7 @@ class TestWireFormat:
         job = SimJob.build(
             "em3d",
             prefetcher="bingo",
-            system=small_system(num_cores=2),
+            system=small_system(num_cores=4),
             instructions_per_core=3000,
             warmup_instructions=500,
             seed=5,
@@ -81,9 +81,11 @@ class TestWireFormat:
             job_from_wire(wire_spec(**{flag: "false"}))
 
     def test_custom_system_round_trips(self):
-        system = dataclasses.asdict(small_system(num_cores=2))
-        job = job_from_wire(wire_spec(system=system))
-        assert job.system.num_cores == 2
+        custom = dataclasses.replace(
+            small_system(num_cores=4), physical_pages=1 << 16
+        )
+        job = job_from_wire(wire_spec(system=dataclasses.asdict(custom)))
+        assert job.system == custom
         assert isinstance(job.system, SystemConfig)
 
     def test_experiment_preset(self):
@@ -116,8 +118,9 @@ class TestWireFormat:
     def test_names_resolve_as_the_run_resolves_them(self, fault_workloads):
         """Case-insensitive names and workloads added with
         ``register_workload`` are runnable, so they parse."""
+        one_core = dataclasses.asdict(small_system(num_cores=1))
         job = job_from_wire(
-            wire_spec(workload="raise_always", prefetcher="BINGO")
+            wire_spec(workload="raise_always", prefetcher="BINGO", system=one_core)
         )
         assert (job.workload, job.prefetcher) == ("raise_always", "BINGO")
         assert job_from_wire(wire_spec(workload="EM3D")).workload == "EM3D"

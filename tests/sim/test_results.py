@@ -5,7 +5,6 @@ import pytest
 from repro.sim.results import (
     CoreResult,
     SimResult,
-    measured_coverage_vs_baseline,
     speedup,
 )
 
@@ -63,7 +62,6 @@ class TestPaperMetrics:
 
     def test_mpki(self):
         assert make_result().mpki == pytest.approx(40.0)
-        assert make_result().baseline_mpki_estimate == pytest.approx(100.0)
 
     def test_summary_keys(self):
         summary = make_result().summary()
@@ -82,43 +80,8 @@ class TestSpeedup:
         with pytest.raises(ValueError):
             speedup(make_result(), base)
 
-    def test_measured_coverage_vs_baseline(self):
-        base = make_result(demand_misses=100, covered=0)
-        with_pf = make_result(demand_misses=40)
-        assert measured_coverage_vs_baseline(with_pf, base) == pytest.approx(0.6)
-
-    def test_measured_coverage_zero_baseline(self):
-        base = make_result(demand_misses=0)
-        assert measured_coverage_vs_baseline(make_result(), base) == 0.0
-
-
-class TestSettledAccuracy:
-    def test_excludes_undecided_prefetches(self):
-        result = make_result(
-            covered=30, prefetches_issued=100, prefetch_unused_at_end=60
-        )
-        # 40 prefetches were decided (used or evicted); 30 were used.
-        assert result.accuracy_settled == pytest.approx(0.75)
-        assert result.accuracy == pytest.approx(0.30)
-
-    def test_zero_decided(self):
-        result = make_result(
-            covered=0, prefetches_issued=10, prefetch_unused_at_end=10
-        )
-        assert result.accuracy_settled == 0.0
-
-    def test_clamped(self):
-        result = make_result(
-            covered=50, prefetches_issued=60, prefetch_unused_at_end=20
-        )
-        assert result.accuracy_settled == 1.0
-
 
 class TestEnergyMetrics:
     def test_row_activations(self):
         result = make_result(dram_reads=100, dram_row_hits=60)
         assert result.row_activations == 40
-
-    def test_activations_per_kilo_instruction(self):
-        result = make_result(dram_reads=100, dram_row_hits=60)
-        assert result.activations_per_kilo_instruction == pytest.approx(40.0)

@@ -7,7 +7,10 @@ the fast loop included.
 
 ``repro.core.regions`` imports the prefetcher base class while
 ``repro.prefetchers.sms`` builds on ``repro.core``, so whichever of them
-a program imports first must not meet the other half-initialised.
+a program imports first must not meet the other half-initialised.  The
+prefetcher zoo registers on first use, which the service's request
+handlers can reach from several threads at once, and which a plugin's
+``register`` call can come before.
 """
 
 from __future__ import annotations
@@ -85,6 +88,43 @@ def test_fast_loop_runs_without_numpy():
     done = _run_fresh(_NUMPY_FREE_RUN)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
+
+
+def test_concurrent_first_use_builds_every_prefetcher():
+    """Eight threads build a prefetcher at once in a fresh interpreter:
+    none sees the zoo half-registered or registers it twice."""
+    done = _run_fresh(
+        "import sys, threading\n"
+        "from repro.prefetchers.registry import make_prefetcher\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "barrier, errors = threading.Barrier(8), []\n"
+        "def build():\n"
+        "    barrier.wait()\n"
+        "    try:\n"
+        "        make_prefetcher('bingo')\n"
+        "    except Exception as exc:\n"
+        "        errors.append(repr(exc))\n"
+        "threads = [threading.Thread(target=build) for _ in range(8)]\n"
+        "for thread in threads:\n"
+        "    thread.start()\n"
+        "for thread in threads:\n"
+        "    thread.join(60)\n"
+        "assert not any(thread.is_alive() for thread in threads)\n"
+        "print(errors or 'ok')\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
+def test_plugin_registered_first_keeps_the_zoo():
+    done = _run_fresh(
+        "from repro.prefetchers.base import NullPrefetcher\n"
+        "from repro.prefetchers.registry import make_prefetcher, register\n"
+        "register('plugin', NullPrefetcher)\n"
+        "print(make_prefetcher('bingo').name)\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "bingo"
 
 
 @pytest.mark.parametrize(

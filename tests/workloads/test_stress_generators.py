@@ -249,7 +249,7 @@ class TestEndToEnd:
         actually separate (LRU churns, the scan-resistant policies and
         OPT hold the hot set) — checked in the standalone replay where
         the effect is undiluted."""
-        from repro.memsys.replacement import replay_trace
+        from tests.memsys.replay_harness import replay_trace
 
         workload = make_workload("oscillate", seed=7, scale=0.05)
         blocks = [
