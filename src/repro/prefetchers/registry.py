@@ -8,7 +8,9 @@ so a single namespace covers the whole zoo.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import functools
+import inspect
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.common.addresses import AddressMap
 from repro.prefetchers.base import NullPrefetcher, Prefetcher
@@ -45,14 +47,39 @@ def make_prefetcher(
     ``kwargs`` are forwarded to the factory, so experiment code can say
     ``make_prefetcher("bop", degree=32)`` for the aggressive variants.
     """
+    return _factory(name)(address_map=address_map, **kwargs)
+
+
+def check_prefetcher_kwargs(name: str, kwargs: Mapping[str, object]) -> None:
+    """Raise ``ValueError`` unless :func:`make_prefetcher` takes ``kwargs``.
+
+    Nothing is built: the keywords are bound to the factory's signature,
+    so a table size in ``kwargs`` allocates nothing here.  Whether a
+    value is one the constructor accepts is left to the run that builds
+    it.
+    """
+    signature = _signature(_factory(name))
+    try:
+        signature.bind(address_map=None, **kwargs)
+    except TypeError as exc:
+        raise ValueError(f"bad prefetcher_kwargs for {name!r}: {exc}") from None
+
+
+def _factory(name: str) -> PrefetcherFactory:
     _ensure_builtins()
     try:
-        factory = _REGISTRY[name.lower()]
+        return _REGISTRY[name.lower()]
     except KeyError:
         raise ValueError(
             f"unknown prefetcher {name!r}; available: {available_prefetchers()}"
         ) from None
-    return factory(address_map=address_map, **kwargs)
+
+
+@functools.lru_cache(maxsize=None)
+def _signature(factory: PrefetcherFactory) -> inspect.Signature:
+    # reading a class's signature costs ~40 us; the service checks one
+    # per submitted job
+    return inspect.signature(factory)
 
 
 def _ensure_builtins() -> None:
@@ -94,6 +121,15 @@ def _builtins() -> Dict[str, PrefetcherFactory]:
         )
         pf.name = "sfp"
         return pf
+
+    # what check_prefetcher_kwargs binds against: the multi-event
+    # keywords, less the event kinds SFP fixes
+    multi_event = inspect.signature(MultiEventSpatialPrefetcher)
+    sfp_factory.__signature__ = multi_event.replace(
+        parameters=[
+            p for p in multi_event.parameters.values() if p.name != "kinds"
+        ]
+    )
 
     return {
         "none": NullPrefetcher,

@@ -18,6 +18,7 @@ anything beyond dataclass constructors.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from typing import Any, Dict, Optional, get_type_hints
 from repro.common.config import SystemConfig
 from repro.memsys.replacement import available_replacements
 from repro.obs.config import ObservabilityConfig
-from repro.prefetchers.registry import make_prefetcher
+from repro.sim.engine import check_runnable
 from repro.sim.executor import SimJob
 from repro.sim.results import SimResult
 from repro.workloads.registry import make_workload
@@ -203,13 +204,23 @@ def job_from_wire(payload: Dict[str, Any]) -> SimJob:
     daemon must not let one client impose on another.
 
     A spec no worker could run is rejected here too, before anything
-    queues it, by building what a worker would build: the workload with
-    ``make_workload`` (so workloads added with ``register_workload``
-    pass), whose core count must match the system's, and the prefetcher
-    with ``make_prefetcher`` and the spec's ``prefetcher_kwargs``
-    (except ``none``, whose kwargs the engine ignores).  The LLC policy
-    and training level are checked as the hierarchy checks them.
+    queues it: the workload is built with ``make_workload`` (which only
+    sizes its generators; workloads added with ``register_workload``
+    pass) and checked with the engine's :func:`check_runnable`.  That
+    binds ``prefetcher_kwargs`` to the prefetcher's signature without
+    building it, since only a guarded worker may allocate the table
+    sizes a client asks for.  Every rejection is a ``ValueError``, also
+    a value some constructor cannot compute with, such as 0 LLC ways.
     """
+    try:
+        return _job_from_wire(payload)
+    except ValueError:
+        raise
+    except Exception as exc:
+        raise ValueError(f"{type(exc).__name__}: {exc}") from None
+
+
+def _job_from_wire(payload: Dict[str, Any]) -> SimJob:
     if not isinstance(payload, dict):
         raise ValueError(f"job spec must be an object, got {type(payload).__name__}")
     payload = dict(payload)
@@ -240,10 +251,10 @@ def job_from_wire(payload: Dict[str, Any]) -> SimJob:
     if train_at not in ("llc", "l1"):
         raise ValueError(f"train_at must be 'llc' or 'l1', got {train_at!r}")
     scale = float(payload.get("scale", 1.0))
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     # raises on a name nothing registered
-    cores = make_workload(workload, scale=scale).num_cores
+    built = make_workload(workload, scale=scale)
 
     system = payload.get("system")
     if system is None:
@@ -257,11 +268,6 @@ def job_from_wire(payload: Dict[str, Any]) -> SimJob:
     else:
         raise ValueError(
             "'system' must be an object or the preset name 'experiment'"
-        )
-    if cores != system_cfg.num_cores:
-        raise ValueError(
-            f"workload {workload!r} defines {cores} core streams but the "
-            f"system has {system_cfg.num_cores} cores"
         )
 
     obs_payload = payload.get("obs") or {}
@@ -279,13 +285,8 @@ def job_from_wire(payload: Dict[str, Any]) -> SimJob:
     kwargs = payload.get("prefetcher_kwargs") or {}
     if not isinstance(kwargs, dict):
         raise ValueError("'prefetcher_kwargs' must be an object")
-    if prefetcher != "none":
-        try:  # raises ValueError on a name nothing registered
-            make_prefetcher(prefetcher, system_cfg.address_map, **kwargs)
-        except TypeError as exc:
-            raise ValueError(
-                f"bad prefetcher_kwargs for {prefetcher!r}: {exc}"
-            ) from None
+    # raises on a prefetcher name nothing registered, too
+    check_runnable(built, system_cfg, prefetcher, kwargs)
 
     # bool("false") is True: a flag must arrive as a JSON boolean
     flags = {name: payload.get(name, True) for name in ("compile", "vectorized")}

@@ -360,8 +360,10 @@ class JobQueue:
             try:
                 record = JobRecord.from_dict(data)
                 remaining = float(data.get("backoff_remaining", 0.0) or 0.0)
-            except (ValueError, KeyError, TypeError):
-                continue  # one bad record must not sink the rest
+            except Exception:
+                # one bad record must not sink the rest: the file is
+                # already gone, so an escape here would lose them all
+                continue
             record.state = JobState.PENDING
             # re-derive the gate against *this* process's clock; submit
             # places it in the ready heap and the next scan re-gates it

@@ -28,7 +28,7 @@ from repro.obs.config import ObservabilityConfig
 from repro.obs.sinks import NULL_SINK, TraceSink, build_sink
 from repro.obs.timeline import TimelineRecorder
 from repro.prefetchers.base import Prefetcher
-from repro.prefetchers.registry import make_prefetcher
+from repro.prefetchers.registry import check_prefetcher_kwargs, make_prefetcher
 from repro.sim.compile.workload import CompiledWorkload
 from repro.sim.results import CoreResult, SimResult
 from repro.sim.vector import VectorReplay
@@ -79,6 +79,29 @@ class SimulationParams:
             )
 
 
+def check_runnable(
+    workload,
+    system: SystemConfig,
+    prefetcher: str = "none",
+    prefetcher_kwargs: Optional[dict] = None,
+) -> None:
+    """Raise ``ValueError`` unless a run of ``workload`` can start.
+
+    The workload needs one stream per core of ``system``.  A named
+    ``prefetcher`` (other than ``none``, whose kwargs the engine
+    ignores) must take ``prefetcher_kwargs``; they are bound to its
+    constructor's signature, not passed to it, so the check builds
+    nothing.
+    """
+    if workload.num_cores != system.num_cores:
+        raise ValueError(
+            f"workload {workload.name!r} defines {workload.num_cores} core "
+            f"streams but the system has {system.num_cores} cores"
+        )
+    if prefetcher != "none":
+        check_prefetcher_kwargs(prefetcher, prefetcher_kwargs or {})
+
+
 class SimulationEngine:
     """One workload × one prefetcher configuration × one system."""
 
@@ -125,11 +148,7 @@ class SimulationEngine:
             self._owns_sink = sink is not None
         self.sink = sink if sink is not None else NULL_SINK
 
-        if workload.num_cores != self.system.num_cores:
-            raise ValueError(
-                f"workload {workload.name!r} defines {workload.num_cores} core "
-                f"streams but the system has {self.system.num_cores} cores"
-            )
+        check_runnable(workload, self.system)
 
         if prefetchers is not None:
             if len(prefetchers) != self.system.num_cores:

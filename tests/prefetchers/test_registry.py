@@ -6,6 +6,7 @@ from repro.common.addresses import AddressMap
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.registry import (
     available_prefetchers,
+    check_prefetcher_kwargs,
     make_prefetcher,
     register,
 )
@@ -70,3 +71,31 @@ def test_sfp_is_the_conservative_single_event_design():
 
 def test_new_baselines_registered():
     assert {"ghb", "markov", "sfp"} <= set(available_prefetchers())
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED | {"ghb", "markov", "sfp"}))
+def test_kwargs_check_accepts_what_the_factory_takes(name):
+    """The keywords the check binds are the ones the factory builds
+    with: each passes at its default value, and a keyword the factory
+    would refuse is refused by the check too."""
+    import inspect
+
+    from repro.prefetchers.registry import _factory
+
+    for key, param in inspect.signature(_factory(name)).parameters.items():
+        if key == "address_map":
+            continue
+        check_prefetcher_kwargs(name, {key: param.default})
+        make_prefetcher(name, **{key: param.default})
+    with pytest.raises(TypeError):
+        make_prefetcher(name, nope=1)
+    with pytest.raises(ValueError, match="unexpected keyword argument 'nope'"):
+        check_prefetcher_kwargs(name, {"nope": 1})
+
+
+def test_sfp_kwargs_check_refuses_the_kinds_it_fixes():
+    with pytest.raises(TypeError):
+        make_prefetcher("sfp", kinds=())
+    with pytest.raises(ValueError, match="'kinds'"):
+        check_prefetcher_kwargs("sfp", {"kinds": ()})
+

@@ -210,8 +210,9 @@ class TestBadRequests:
                 {"system": dataclasses.asdict(small_system(num_cores=2))},
                 "defines 4 core streams but the system has 2 cores",
             ),
+            ({"scale": float("inf")}, "scale must be positive and finite"),
         ],
-        ids=["prefetcher-kwargs", "core-count"],
+        ids=["prefetcher-kwargs", "core-count", "scale-inf"],
     )
     def test_spec_no_worker_can_build_400_and_nothing_queued(
         self, api, overrides, reason
@@ -225,6 +226,16 @@ class TestBadRequests:
         assert excinfo.value.status == 400
         assert reason in str(excinfo.value)
         assert client.jobs() == []
+
+    def test_kwarg_value_the_constructor_refuses_is_queued(self, api):
+        """``history_ways: 0`` binds to Bingo's signature, so the spec is
+        accepted (the frontend builds no prefetcher) and waits for a
+        guarded worker, whose constructor refuses it."""
+        _, client, _, _ = api
+        accepted = client.submit(
+            wire_spec(prefetcher="bingo", prefetcher_kwargs={"history_ways": 0})
+        )
+        assert [job["id"] for job in client.jobs()] == [accepted["id"]]
 
     def test_trace_path_rejected_400(self, api):
         _, client, _, _ = api

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
@@ -138,6 +139,60 @@ class TestWireFormat:
     def test_bad_system_value_rejected(self):
         with pytest.raises(ValueError, match="'system'"):
             job_from_wire(wire_spec(system="production"))
+
+    def test_prefetcher_kwargs_are_bound_not_built(self):
+        """The frontend binds ``prefetcher_kwargs`` to the prefetcher's
+        signature and builds nothing: a Bingo history of 2**22 one-way
+        sets (32 MB of slots once built) costs the parse no memory.
+        Table sizes are for a guarded worker to allocate."""
+        sizes = {"history_entries": 1 << 22, "history_ways": 1}
+        job_from_wire(wire_spec(prefetcher="bingo"))  # lazy imports
+        tracemalloc.start()
+        try:
+            job = job_from_wire(
+                wire_spec(prefetcher="bingo", prefetcher_kwargs=sizes)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert dict(job.prefetcher_kwargs) == sizes
+
+    def test_kwarg_values_are_the_workers_to_judge(self):
+        """A keyword the prefetcher takes parses whatever its value; the
+        constructor refuses a bad one in the process that runs it."""
+        job = job_from_wire(
+            wire_spec(prefetcher="bingo", prefetcher_kwargs={"history_ways": 0})
+        )
+        with pytest.raises(ZeroDivisionError):
+            execute_job(job)
+
+    @pytest.mark.parametrize(
+        "overrides, reason",
+        [
+            ({"scale": float("inf")}, "scale must be positive and finite"),
+            ({"scale": 1e308}, "OverflowError"),
+            ({"instructions": float("inf")}, "OverflowError"),
+            ({"seed": [7]}, "TypeError"),
+            ({"system": {"llc": {"ways": 0}}}, "ZeroDivisionError"),
+            (
+                {"prefetcher": "sfp", "prefetcher_kwargs": {"nope": 1}},
+                "unexpected keyword argument 'nope'",
+            ),
+        ],
+        ids=["scale-inf", "scale-overflow", "instructions-inf", "seed-list",
+             "llc-ways-0", "sfp-kwargs"],
+    )
+    def test_every_rejection_is_a_value_error(self, overrides, reason):
+        """Whatever a constructor raises on a spec's values reaches the
+        caller as a ``ValueError``, which the API answers with a 400 and
+        a drain-file restore skips."""
+        if "system" in overrides:
+            system = dataclasses.asdict(small_system(num_cores=4))
+            system["llc"].update(overrides["system"]["llc"])
+            overrides = {"system": system}
+        with pytest.raises(ValueError, match=reason):
+            job_from_wire(wire_spec(**overrides))
 
 
 class TestJobRecord:

@@ -209,6 +209,39 @@ class TestPersistence:
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert JobQueue().restore(path) == 1
 
+    def test_records_no_constructor_can_take_do_not_sink_the_rest(
+        self, tmp_path
+    ):
+        """Records whose values break arithmetic (an infinite scale or
+        attempt count) are skipped, and a prefetcher keyword whose value
+        only the constructor refuses restores: the drain file is gone
+        once read, so an escaping error would lose every record."""
+        import json
+
+        queue = JobQueue()
+        queue.submit(record(seed=1))
+        path = tmp_path / "queue.json"
+        queue.persist(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        good = payload["jobs"][0]
+        infinite_scale = json.loads(json.dumps(good))
+        infinite_scale["id"] = "scale"
+        infinite_scale["job"]["scale"] = float("inf")
+        infinite_attempts = json.loads(json.dumps(good))
+        infinite_attempts["id"] = "attempts"
+        infinite_attempts["attempts"] = float("inf")
+        zero_ways = json.loads(json.dumps(good))
+        zero_ways["id"] = "ways"
+        zero_ways["job"]["prefetcher"] = "bingo"
+        zero_ways["job"]["prefetcher_kwargs"] = {"history_ways": 0}
+        payload["jobs"] = [infinite_scale, infinite_attempts, zero_ways, good]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        fresh = JobQueue()
+        assert fresh.restore(path) == 2
+        assert {fresh.pop(timeout=0).id, fresh.pop(timeout=0).id} == {
+            "ways", good["id"]
+        }
+
     def test_restore_on_closed_queue_is_noop_keeping_file(self, tmp_path):
         """Regression: a drain racing the daemon start used to crash the
         boot — ``restore`` fed records into ``submit()``, which raises
