@@ -66,6 +66,10 @@ class BingoHistoryTable:
         short_match_policy: str = "vote",
         on_evict: Optional[Callable[[int, int, int], None]] = None,
     ) -> None:
+        if ways < 1:
+            raise ValueError(f"ways must be at least 1, got {ways}")
+        if entries < 1:
+            raise ValueError(f"entries must be at least 1, got {entries}")
         if entries % ways:
             raise ValueError(f"entries ({entries}) must be a multiple of ways ({ways})")
         sets = entries // ways

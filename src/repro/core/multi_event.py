@@ -21,7 +21,7 @@ checks directly.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 from repro.common.addresses import AddressMap
 from repro.core.events import EventKind, LONGEST_TO_SHORTEST
@@ -37,7 +37,7 @@ class MultiEventSpatialPrefetcher(RegionPrefetcher):
     def __init__(
         self,
         address_map: Optional[AddressMap] = None,
-        kinds: Sequence[EventKind] = LONGEST_TO_SHORTEST,
+        kinds: Sequence[Union[EventKind, str]] = LONGEST_TO_SHORTEST,
         entries_per_table: int = 16 * 1024,
         ways: int = 16,
         filter_sets: int = 8,
@@ -53,7 +53,9 @@ class MultiEventSpatialPrefetcher(RegionPrefetcher):
             accumulation_sets=accumulation_sets,
             accumulation_ways=accumulation_ways,
         )
-        self.kinds = tuple(kinds)
+        # a wire spec carries each kind as its value ("pc+address");
+        # EventKind maps a member to itself and refuses an unknown value
+        self.kinds = tuple(EventKind(kind) for kind in kinds)
         self.history = CascadedHistoryTables(
             kinds=self.kinds,
             entries=entries_per_table,

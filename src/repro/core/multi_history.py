@@ -66,6 +66,10 @@ class CascadedHistoryTables:
         self.entries = entries
         self.ways = ways
         self.blocks_per_region = blocks_per_region
+        if ways < 1:
+            raise ValueError(f"ways must be at least 1, got {ways}")
+        if entries < 1:
+            raise ValueError(f"entries must be at least 1, got {entries}")
         sets = entries // ways
         if sets <= 0 or sets & (sets - 1):
             raise ValueError(f"entries/ways must give a power-of-two sets, got {sets}")

@@ -10,12 +10,17 @@ prefetching even when their accesses are predictable (Section VI-C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One instruction of a workload trace."""
+class TraceRecord(NamedTuple):
+    """One instruction of a workload trace.
+
+    A named tuple: immutable (assigning a field raises
+    ``AttributeError``), so generators may yield one shared record many
+    times, and equal to the plain tuple of its fields in field order,
+    ``(pc, address, is_mem, is_write, depends_on_prev_load)``.
+    """
 
     pc: int
     address: int = 0  # virtual byte address; meaningful iff is_mem
@@ -26,19 +31,14 @@ class TraceRecord:
     @classmethod
     def compute(cls, pc: int) -> "TraceRecord":
         """A non-memory instruction."""
-        return cls(pc=pc)
+        return cls(pc)
 
     @classmethod
     def load(
         cls, pc: int, address: int, depends_on_prev_load: bool = False
     ) -> "TraceRecord":
-        return cls(
-            pc=pc,
-            address=address,
-            is_mem=True,
-            depends_on_prev_load=depends_on_prev_load,
-        )
+        return cls(pc, address, True, False, depends_on_prev_load)
 
     @classmethod
     def store(cls, pc: int, address: int) -> "TraceRecord":
-        return cls(pc=pc, address=address, is_mem=True, is_write=True)
+        return cls(pc, address, True, True)

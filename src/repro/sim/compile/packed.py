@@ -34,8 +34,6 @@ FLAG_MEM = 0x1
 FLAG_WRITE = 0x2
 FLAG_DEP = 0x4
 
-_U64_MAX = (1 << 64) - 1
-
 
 class PackedCoreTrace:
     """One core's compiled stream: three index-aligned flat sequences.
@@ -61,11 +59,11 @@ class PackedCoreTrace:
         for index in range(self.records):
             bits = flags[index]
             yield TraceRecord(
-                pc=pcs[index],
-                address=addresses[index],
-                is_mem=bool(bits & FLAG_MEM),
-                is_write=bool(bits & FLAG_WRITE),
-                depends_on_prev_load=bool(bits & FLAG_DEP),
+                pcs[index],
+                addresses[index],
+                bool(bits & FLAG_MEM),
+                bool(bits & FLAG_WRITE),
+                bool(bits & FLAG_DEP),
             )
 
 
@@ -74,36 +72,37 @@ def pack_records(
 ) -> PackedCoreTrace:
     """Drain ``count`` records from a stream into a packed arena.
 
-    Raises ``ValueError`` if the stream ends early (compiled traces are
-    exact-length by construction) or if a pc/address does not fit in an
-    unsigned 64-bit word (the on-disk format's word size).
+    Raises ``ValueError`` if a pc/address does not fit in an unsigned
+    64-bit word (the on-disk format's word size), naming the record, or
+    if the stream ends early (compiled traces are exact-length by
+    construction).
     """
     pcs = array("Q")
     addresses = array("Q")
     flags = bytearray()
-    seen = 0
-    for record in islice(records, count):
-        pc = record.pc
-        address = record.address
-        if not (0 <= pc <= _U64_MAX and 0 <= address <= _U64_MAX):
+    append_pc = pcs.append
+    append_address = addresses.append
+    append_flags = flags.append
+    for pc, address, is_mem, is_write, dependent in islice(records, count):
+        try:
+            append_pc(pc)
+            append_address(address)
+        except OverflowError:
             raise ValueError(
-                f"record {seen}: pc={pc:#x} address={address:#x} does not "
-                f"fit the packed 64-bit trace words"
+                f"record {len(flags)}: pc={pc:#x} address={address:#x} does "
+                f"not fit the packed 64-bit trace words"
+            ) from None
+        if is_mem:
+            append_flags(
+                FLAG_MEM
+                | (FLAG_WRITE if is_write else 0)
+                | (FLAG_DEP if dependent else 0)
             )
-        bits = 0
-        if record.is_mem:
-            bits = FLAG_MEM
-            if record.is_write:
-                bits |= FLAG_WRITE
-            if record.depends_on_prev_load:
-                bits |= FLAG_DEP
-        pcs.append(pc)
-        addresses.append(address)
-        flags.append(bits)
-        seen += 1
-    if seen < count:
+        else:
+            append_flags(0)
+    if len(flags) < count:
         raise ValueError(
-            f"stream ended after {seen} records; {count} requested"
+            f"stream ended after {len(flags)} records; {count} requested"
         )
     return PackedCoreTrace(pcs, addresses, bytes(flags), count)
 

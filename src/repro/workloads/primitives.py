@@ -16,11 +16,17 @@ Every primitive takes the PRNG it may draw from and a ``pc`` (or a
 ``pc_base`` for multi-site patterns): PCs identify *static access sites*,
 which matters because half of the evaluated prefetchers key their history
 on the PC.
+
+Set-up draws that size with a pool rather than with the records a core
+reads (a pointer-chase permutation, a replay sequence) go through
+:func:`shuffle` and :func:`randbelow`, which draw exactly what
+``random.Random`` would, only without a Python call per draw.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import repeat
 from typing import Iterator, List, Optional, Sequence
 
 from repro.cpu.trace import TraceRecord
@@ -28,10 +34,58 @@ from repro.cpu.trace import TraceRecord
 BLOCK = 64  # cache-block granularity used for address strides
 
 
-def compute_gap(pc: int, count: int) -> Iterator[TraceRecord]:
-    """``count`` non-memory instructions (models computation between loads)."""
+def shuffle(rng: random.Random, items: List) -> List:
+    """Shuffle ``items`` in place exactly as ``rng.shuffle(items)`` does.
+
+    Runs CPython's own draw loop (``Random._randbelow_with_getrandbits``)
+    inline: for each Fisher–Yates position ``i``, from the top, redraw
+    ``getrandbits(k)`` until it is at most ``i``, where ``k`` is the bit
+    length of ``i + 1``.  ``k`` is constant over a block of positions,
+    so each block is one tight loop.  The permutation and the PRNG's end
+    state equal ``rng.shuffle``'s (pinned by ``tests/workloads``).
+    Returns ``items``.
+    """
+    getrandbits = rng.getrandbits
+    top = len(items) - 1
+    while top > 0:
+        bits = (top + 1).bit_length()
+        low = 1 << (bits - 1)  # the smallest i + 1 of this bit length
+        for i in range(top, low - 2, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            items[i], items[j] = items[j], items[i]
+        top = low - 2
+    return items
+
+
+def randbelow(rng: random.Random, n: int, count: int) -> List[int]:
+    """``[rng.randrange(n) for _ in range(count)]``, drawn exactly alike.
+
+    The same inline draw loop as :func:`shuffle`: values, order and the
+    PRNG's end state equal ``randrange``'s.  ``n`` must be positive
+    (``randrange(1)`` still draws, so ``n == 1`` consumes the PRNG too).
+    """
+    if n <= 0:
+        raise ValueError(f"empty range for randbelow: n={n}")
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    values = []
+    append = values.append
     for _ in range(count):
-        yield TraceRecord.compute(pc)
+        value = getrandbits(bits)
+        while value >= n:
+            value = getrandbits(bits)
+        append(value)
+    return values
+
+
+def compute_gap(pc: int, count: int) -> Iterator[TraceRecord]:
+    """``count`` non-memory instructions (models computation between loads).
+
+    Records are immutable, so one shared record stands for all of them.
+    """
+    return repeat(TraceRecord.compute(pc), count)
 
 
 def sequential_stream(
@@ -150,8 +204,7 @@ def pointer_chase(
     """
     if not 0 <= run_locality < 1:
         raise ValueError(f"run_locality must be in [0, 1), got {run_locality}")
-    permutation = list(range(num_nodes))
-    rng.shuffle(permutation)
+    permutation = shuffle(rng, list(range(num_nodes)))
     node = rng.randrange(num_nodes)
     while True:
         address = base + node * node_bytes
@@ -287,7 +340,9 @@ def temporal_loop(
     Section VI-C uses exactly this to explain Zeus's 11 %.
     """
     blocks = footprint_bytes // BLOCK
-    sequence = [rng.randrange(blocks) * BLOCK for _ in range(sequence_length)]
+    sequence = [
+        block * BLOCK for block in randbelow(rng, blocks, sequence_length)
+    ]
     position = 0
     while True:
         yield TraceRecord.load(

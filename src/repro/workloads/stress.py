@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterator, List, Sequence
 
 from repro.cpu.trace import TraceRecord
@@ -55,12 +56,9 @@ def zipf_weights(population: int, alpha: float) -> List[float]:
         raise ValueError(f"population must be positive, got {population}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    cumulative: List[float] = []
-    acc = 0.0
-    for rank in range(1, population + 1):
-        acc += rank ** -alpha
-        cumulative.append(acc)
-    return cumulative
+    # summed left to right from rank 1: the pinned stream digests
+    # (tests/workloads/test_stream_digests.py) hold these exact floats
+    return list(accumulate(rank ** -alpha for rank in range(1, population + 1)))
 
 
 def zipf_stream(
@@ -81,8 +79,7 @@ def zipf_stream(
     population = max(1, footprint_bytes // BLOCK)
     cumulative = zipf_weights(population, alpha)
     total = cumulative[-1]
-    placement = list(range(population))
-    rng.shuffle(placement)
+    placement = prim.shuffle(rng, list(range(population)))
     while True:
         rank = bisect_left(cumulative, rng.random() * total)
         yield TraceRecord.load(pc, base + placement[rank] * BLOCK)

@@ -99,3 +99,31 @@ def test_sfp_kwargs_check_refuses_the_kinds_it_fixes():
     with pytest.raises(ValueError, match="'kinds'"):
         check_prefetcher_kwargs("sfp", {"kinds": ()})
 
+
+
+@pytest.mark.parametrize(
+    "name, kwargs, argument",
+    [
+        ("bingo", {"history_ways": 0}, "ways"),
+        ("bingo", {"history_entries": 0}, "entries"),
+        ("multi-event", {"ways": 0}, "ways"),
+        ("multi-event", {"entries_per_table": 0}, "entries"),
+    ],
+)
+def test_history_geometry_is_checked_before_it_divides(name, kwargs, argument):
+    """A zero-way or zero-entry history table is refused with a
+    ``ValueError`` naming the argument, not a ``ZeroDivisionError``."""
+    with pytest.raises(ValueError, match=f"^{argument} must be at least 1"):
+        make_prefetcher(name, **kwargs)
+
+
+def test_multi_event_takes_kinds_by_value():
+    """A wire spec can only carry an event kind as its value."""
+    from repro.core.events import EventKind
+
+    by_value = make_prefetcher("multi-event", kinds=["pc+address", "pc"])
+    assert by_value.kinds == (EventKind.PC_ADDRESS, EventKind.PC)
+    by_member = make_prefetcher("multi-event", kinds=[EventKind.PC_OFFSET])
+    assert by_member.kinds == (EventKind.PC_OFFSET,)
+    with pytest.raises(ValueError, match="nope"):
+        make_prefetcher("multi-event", kinds=["nope"])

@@ -164,8 +164,41 @@ class TestWireFormat:
         job = job_from_wire(
             wire_spec(prefetcher="bingo", prefetcher_kwargs={"history_ways": 0})
         )
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="ways must be at least 1"):
             execute_job(job)
+
+    def test_multi_event_kinds_travel_as_values(self):
+        """JSON carries event kinds by value; the worker runs them as the
+        members an in-process caller passes."""
+        from repro.core.events import EventKind
+
+        spec = wire_spec(
+            workload="em3d",
+            prefetcher="multi-event",
+            prefetcher_kwargs={"kinds": ["pc+address", "pc"]},
+        )
+        served = execute_job(job_from_wire(spec))
+        in_process = execute_job(
+            SimJob.build(
+                "em3d",
+                prefetcher="multi-event",
+                system=small_system(num_cores=4),
+                instructions_per_core=spec["instructions"],
+                warmup_instructions=spec["warmup"],
+                seed=spec["seed"],
+                scale=spec["scale"],
+                compile=spec["compile"],
+                prefetcher_kwargs={
+                    "kinds": (EventKind.PC_ADDRESS, EventKind.PC)
+                },
+            )
+        )
+        assert served.to_dict() == in_process.to_dict()
+        bad = job_from_wire(
+            wire_spec(prefetcher="multi-event", prefetcher_kwargs={"kinds": ["nope"]})
+        )
+        with pytest.raises(ValueError, match="nope"):
+            execute_job(bad)
 
     @pytest.mark.parametrize(
         "overrides, reason",

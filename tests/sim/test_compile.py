@@ -77,6 +77,15 @@ class TestPacking:
         with pytest.raises(ValueError, match="64-bit"):
             pack_records(iter([record]), 1)
 
+    def test_bad_word_is_named_before_a_short_stream(self):
+        records = [TraceRecord.compute(pc=1), TraceRecord.load(pc=2, address=-64)]
+        with pytest.raises(ValueError, match="^record 1: pc=0x2 address=-0x40"):
+            pack_records(iter(records), 5)
+
+    def test_only_memory_records_carry_flags(self):
+        stray = TraceRecord(pc=1, is_write=True, depends_on_prev_load=True)
+        assert pack_records(iter([stray]), 1).flags == b"\x00"
+
 
 # ---------------------------------------------------------------------------
 # CompiledWorkload: the Workload contract

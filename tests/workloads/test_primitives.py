@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cpu.trace import TraceRecord
 from repro.workloads import primitives as prim
@@ -15,6 +17,46 @@ def take(generator, n):
 
 def mem_records(records):
     return [r for r in records if r.is_mem]
+
+
+#: around every power of two up to 2**17, where the draw width changes
+SHUFFLE_LENGTHS = sorted(
+    {0, 1, 2}
+    | {length for j in range(1, 18) for length in (2**j - 1, 2**j, 2**j + 1)}
+)
+
+
+class TestExactDraws:
+    """The set-up helpers draw exactly what ``random.Random`` draws, and
+    leave its state where ``random`` would: every pointer-chase pool,
+    Zipf placement and replay sequence depends on it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from(SHUFFLE_LENGTHS))
+    def test_shuffle_matches_random(self, seed, length):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        expected = list(range(length))
+        theirs.shuffle(expected)
+        assert prim.shuffle(ours, list(range(length))) == expected
+        assert ours.getstate() == theirs.getstate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.one_of(
+            st.integers(1, 2**20), st.sampled_from([2**j for j in range(21)])
+        ),
+        count=st.integers(0, 500),
+    )
+    def test_randbelow_matches_randrange(self, seed, n, count):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        expected = [theirs.randrange(n) for _ in range(count)]
+        assert prim.randbelow(ours, n, count) == expected
+        assert ours.getstate() == theirs.getstate()
+
+    def test_randbelow_refuses_an_empty_range(self):
+        with pytest.raises(ValueError, match="empty range"):
+            prim.randbelow(random.Random(0), 0, 1)
 
 
 class TestComputeGap:
