@@ -65,7 +65,6 @@ def matrix_jobs(
     prefetchers: Optional[List[str]] = None,
     instructions: Optional[int] = None,
     warmup: Optional[int] = None,
-    compile: bool = True,
 ) -> List[SimJob]:
     """A Fig. 8-style job matrix: baseline + prefetchers × workloads."""
     params = default_params()
@@ -81,7 +80,6 @@ def matrix_jobs(
             instructions_per_core=instructions,
             warmup_instructions=warmup,
             scale=EXPERIMENT_SCALE,
-            compile=compile,
         )
         for workload in workloads
         for prefetcher in prefetchers
@@ -172,17 +170,18 @@ def measure_inner_loop(
     ``vectorized_*`` rates describe.
     """
 
+    from dataclasses import replace
+
     def job(compile_: bool) -> SimJob:
-        return SimJob.build(
+        built = SimJob.build(
             "streaming",
             prefetcher="bingo",
             system=experiment_system(),
             instructions_per_core=instructions,
             warmup_instructions=warmup,
             scale=EXPERIMENT_SCALE,
-            compile=compile_,
-            vectorized=compile_,
         )
+        return replace(built, compile=compile_, vectorized=compile_)
 
     start = time.perf_counter()
     result = execute_job(job(False))
@@ -317,8 +316,6 @@ def run_misspath_smoke(
                     instructions_per_core=instructions,
                     warmup_instructions=warmup,
                     scale=EXPERIMENT_SCALE,
-                    compile=True,
-                    vectorized=True,
                 )
                 before = engine_tier_counters()
                 vectorized = execute_job(job)

@@ -26,8 +26,9 @@ counts them under ``explained`` rather than as divergences.
 
 :func:`run_check` wires a checker plus an
 :class:`~repro.check.invariants.InvariantChecker` into one engine run
-(wrapping ``hierarchy.access`` to also diff the L1) and returns a
-:class:`CheckReport`.
+over the compiled trace (wrapping ``hierarchy.access`` to also diff the
+L1), diffs that run's ``SimResult`` and the fast loop's against an
+unobserved general-loop run, and returns a :class:`CheckReport`.
 """
 
 from __future__ import annotations
@@ -501,62 +502,54 @@ def run_check(
     seed: int = 11,
     scale: float = 0.02,
     system=None,
-    compile: bool = False,
-    vectorized: bool = False,
     replacement: str = "lru",
 ) -> CheckReport:
-    """Run one small configuration with the full harness attached.
+    """Run one small configuration with the full harness attached, then
+    chain its verdict to the fast loop.
 
-    The engine's sink is a tee of the differential checker and the
-    invariant checker; ``hierarchy.access`` is wrapped so every demand
-    access also diffs the L1 hit/miss classification against
+    The workload is compiled to a packed trace
+    (:mod:`repro.sim.compile`).  The harnessed engine's sink is a tee of
+    the differential checker and the invariant checker;
+    ``hierarchy.access`` is wrapped so every demand access also diffs
+    the L1 hit/miss classification against
     :class:`~repro.check.reference.ReferenceL1` (the L1 emits no events,
     so the wrapper is the only place that decision is observable).  The
     harnessed engine therefore runs the general loop
     (``vectorized=False``): the fast loop walks L1 hits itself and never
     calls ``hierarchy.access``.
 
-    ``compile=True`` replays the workload from a packed compiled trace
-    (:mod:`repro.sim.compile`) instead of the live generators — the full
-    differential harness then vouches for the compiled stream end to
-    end (``bingo-sim check --compiled``).
-
-    ``vectorized=True`` (implies ``compile``) additionally runs the same
-    configuration unobserved, on the general loop and on the engine's
-    fast loop, and diffs ``SimResult`` objects field for field: the
-    harnessed run against the unobserved general loop (an ``observer``
-    divergence: the harness changed the run it vouched for) and the fast
-    loop against it (a ``vector-replay`` divergence).  The fast loop
-    cannot host the L1 diff (it replays L1 hits without calling
-    ``hierarchy.access``), so the result-level diffs chain the harness's
-    verdict to it: byte-identical ``SimResult`` objects.
+    The same configuration then runs unobserved, on the general loop and
+    on the fast loop, and ``SimResult`` objects are diffed field for
+    field against the unobserved general loop: the harnessed run (an
+    ``observer`` divergence: the harness changed the run it vouched for)
+    and the fast loop (a ``vector-replay`` divergence).  Byte-identical
+    results carry the harness's verdict over to the fast loop, which
+    production runs take.
 
     ``replacement`` selects the LLC policy for every engine built here.
     The reference LLC is replacement-agnostic — it mirrors residency
     from the live event stream rather than predicting victims — so the
     full harness holds for any registered policy, not just LRU
-    (``bingo-sim check --replacement arc``).  ``"opt"`` implies
-    ``compile`` (the Belady oracle pre-scans the packed arenas).
+    (``bingo-sim check --replacement arc``).
     """
     from repro.common.config import small_system
     from repro.memsys.hierarchy import L1_HIT, MERGED
     from repro.obs.sinks import TeeSink
+    from repro.sim.compile import compile_workload
     from repro.sim.engine import SimulationEngine, SimulationParams
     from repro.workloads.registry import make_workload
 
-    if vectorized or replacement == "opt":
-        compile = True
     if system is None:
         system = small_system(num_cores=num_cores)
-    workload_obj = make_workload(workload, seed=seed, scale=scale)
-    if compile:
-        from repro.sim.compile import compile_workload
-
-        workload_obj = compile_workload(
-            workload_obj,
-            records_per_core=instructions_per_core,
-            scale=scale,
-        )
+    workload_obj = compile_workload(
+        make_workload(workload, seed=seed, scale=scale),
+        records_per_core=instructions_per_core,
+        scale=scale,
+    )
+    params = SimulationParams(
+        instructions_per_core=instructions_per_core,
+        warmup_instructions=warmup_instructions,
+    )
     checker = DifferentialChecker(
         prefetcher=prefetcher,
         num_cores=system.num_cores,
@@ -567,10 +560,7 @@ def run_check(
         workload=workload_obj,
         prefetcher=prefetcher,
         system=system,
-        params=SimulationParams(
-            instructions_per_core=instructions_per_core,
-            warmup_instructions=warmup_instructions,
-        ),
+        params=params,
         sink=TeeSink([checker, invariants]),
         vectorized=False,
         replacement=replacement,
@@ -609,40 +599,33 @@ def run_check(
         hierarchy.access = real_access
     checker.finish()
     error = invariants.finalize()
+    scalar, vector = (
+        SimulationEngine(
+            workload=workload_obj, prefetcher=prefetcher, system=system,
+            params=params, vectorized=vectorized, replacement=replacement,
+        ).run().to_dict()
+        for vectorized in (False, True)
+    )
     result_divergences = []
-    if vectorized:
-        params = SimulationParams(
-            instructions_per_core=instructions_per_core,
-            warmup_instructions=warmup_instructions,
-        )
-        scalar = SimulationEngine(
-            workload=workload_obj, prefetcher=prefetcher, system=system,
-            params=params, vectorized=False, replacement=replacement,
-        ).run()
-        vector = SimulationEngine(
-            workload=workload_obj, prefetcher=prefetcher, system=system,
-            params=params, vectorized=True, replacement=replacement,
-        ).run()
-        sd = scalar.to_dict()
-        for kind, other, what in (
-            ("observer", harnessed, "the harnessed run's"),
-            ("vector-replay", vector, "the fast loop's"),
-        ):
-            od = other.to_dict()
-            if od != sd:
-                keys = sorted(
-                    key for key in set(sd) | set(od) if sd.get(key) != od.get(key)
+    for kind, other, what in (
+        ("observer", harnessed.to_dict(), "the harnessed run's"),
+        ("vector-replay", vector, "the fast loop's"),
+    ):
+        if other != scalar:
+            keys = sorted(
+                key for key in set(scalar) | set(other)
+                if scalar.get(key) != other.get(key)
+            )
+            result_divergences.append(
+                Divergence(
+                    kind=kind,
+                    detail=(
+                        f"{what} SimResult differs from the unobserved "
+                        f"general loop's in fields: {', '.join(keys)}"
+                    ),
+                    event_index=-1,
                 )
-                result_divergences.append(
-                    Divergence(
-                        kind=kind,
-                        detail=(
-                            f"{what} SimResult differs from the unobserved "
-                            f"general loop's in fields: {', '.join(keys)}"
-                        ),
-                        event_index=-1,
-                    )
-                )
+            )
     return CheckReport(
         workload=workload,
         prefetcher=prefetcher,

@@ -21,8 +21,8 @@ Subcommands:
   (see ``docs/service.md``).
 * ``check`` — differential correctness harness: replays a (workload ×
   prefetcher) matrix against untimed reference models plus the runtime
-  invariant checker and reports the first divergence, if any (see
-  ``docs/correctness.md``).
+  invariant checker, holds the fast loop to the general loop, and
+  reports the first divergence, if any (``docs/correctness.md``).
 * ``serve`` — run the simulation daemon: async job queue + HTTP API
   with shared caches, retries, timeouts, and graceful SIGTERM drain
   (see ``docs/service.md``).
@@ -99,19 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--profile", action="store_true",
                        help="run under cProfile and print the hottest "
                             "functions (simulator performance debugging)")
-    run_p.add_argument("--no-compile", action="store_true",
-                       help="replay the live workload generators instead "
-                            "of a packed compiled trace (results are "
-                            "identical; see docs/performance.md)")
-    run_p.add_argument("--no-vectorized", action="store_true",
-                       help="run the engine's general loop instead of "
-                            "its fast loop (results are identical; see "
-                            "docs/performance.md)")
     run_p.add_argument("--replacement", default="lru",
                        choices=available_replacements(),
                        help="LLC replacement policy (default: lru; 'opt' "
-                            "is the Belady oracle and needs the compiled "
-                            "trace, i.e. not --no-compile)")
+                            "is the Belady oracle)")
 
     cmp_p = sub.add_parser("compare", help="compare prefetchers on a workload")
     cmp_p.add_argument("--workload", "-w", required=True)
@@ -122,9 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--seed", type=int, default=1234)
     cmp_p.add_argument("--workers", type=int, default=1,
                        help="worker processes for the independent runs")
-    cmp_p.add_argument("--no-compile", action="store_true",
-                       help="replay the live workload generators instead "
-                            "of a shared packed compiled trace")
     cmp_p.add_argument("--replacement", default="lru",
                        choices=available_replacements(),
                        help="LLC replacement policy for every run "
@@ -153,14 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="run every sweep point under the strict "
                               "runtime invariant checker (bypasses the "
                               "result cache)")
-    sweep_p.add_argument("--no-compile", action="store_true",
-                         help="replay the live workload generators instead "
-                              "of a shared packed compiled trace (the "
-                              "compiled-trace cache lives next to the "
-                              "result cache under $REPRO_CACHE_DIR)")
-    sweep_p.add_argument("--no-vectorized", action="store_true",
-                         help="run the engine's general loop instead of "
-                              "its fast loop for every sweep point")
     sweep_p.add_argument("--replacement", default="lru",
                          choices=available_replacements(),
                          help="LLC replacement policy for every sweep "
@@ -184,15 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--seed", type=int, default=11)
     check_p.add_argument("--scale", type=float, default=0.02,
                          help="workload footprint scale (default: 0.02)")
-    check_p.add_argument("--compiled", action="store_true",
-                         help="check the *compiled-trace* replay path: "
-                              "the differential harness consumes packed "
-                              "traces instead of live generators")
-    check_p.add_argument("--vectorized", action="store_true",
-                         help="check the engine's fast loop: the "
-                              "harnessed run, the same run unobserved "
-                              "and the fast loop's replay (implies "
-                              "--compiled) must match field for field")
     check_p.add_argument("--replacement", default="lru",
                          choices=available_replacements(),
                          help="LLC replacement policy for the checked "
@@ -370,8 +341,6 @@ def _cmd_run(args) -> int:
         warmup_instructions=warmup,
         seed=args.seed,
         scale=EXPERIMENT_SCALE,
-        compile=not args.no_compile,
-        vectorized=not args.no_vectorized,
         replacement=args.replacement,
     )
 
@@ -427,7 +396,6 @@ def _cmd_compare(args) -> int:
         seed=args.seed,
         scale=EXPERIMENT_SCALE,
         workers=args.workers,
-        compile=not args.no_compile,
         replacement=args.replacement,
     )
     baseline = results["none"]
@@ -484,8 +452,6 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         scale=EXPERIMENT_SCALE,
         executor=executor,
-        compile=not args.no_compile,
-        vectorized=not args.no_vectorized,
         replacement=args.replacement,
     )
     rows = []
@@ -537,9 +503,6 @@ def _cmd_check(args) -> int:
                 warmup_instructions=args.warmup,
                 seed=args.seed,
                 scale=args.scale,
-                compile=args.compiled or args.vectorized
-                or args.replacement == "opt",
-                vectorized=args.vectorized,
                 replacement=args.replacement,
             )
             print(report.summary())

@@ -28,7 +28,7 @@ generalises per node:
 Results are byte-identical to single-node runs — the job wire format,
 digests, and execution machinery are exactly the ones
 :mod:`repro.serve` already uses; the cluster only moves *where* a job
-runs.  ``tools/cluster_smoke.py`` proves that end to end.  See
+runs.  ``tools/serve_smoke.py cluster`` proves that end to end.  See
 ``docs/service.md`` (§Cluster).
 """
 

@@ -12,7 +12,8 @@ before it starts any thread; :meth:`WorkerAgent.stop` closes them.  A
 heartbeat thread renews the agent's liveness and its held leases; if
 the agent dies instead, the frontend's lease deadlines reclaim its
 jobs — the agent itself needs no shutdown handshake to be safe to
-SIGKILL, which is exactly what ``tools/cluster_smoke.py`` does to it.
+SIGKILL, which is exactly what ``tools/serve_smoke.py cluster`` does to
+it.
 Its workers exit on their own once their parent is gone (within a
 second when idle, else after the running job).
 

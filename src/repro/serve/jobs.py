@@ -37,10 +37,11 @@ from repro.workloads.registry import make_workload
 #: an older peer would misinterpret (renamed fields, changed units, new
 #: required keys).  Mismatched peers are rejected with a 409 at the API
 #: layer — a mixed-version cluster must fail fast and loudly, not
-#: corrupt results quietly.  Version 2 carries ``vectorized``: a
-#: version-1 peer would drop it, turning a general-loop job into a
-#: fast-loop one with a different digest.
-WIRE_VERSION = 2
+#: corrupt results quietly.  Version 3 drops ``compile`` and
+#: ``vectorized``: every served job runs the production path, and a
+#: version-2 peer's specs carry both fields, which this version
+#: refuses as unknown.
+WIRE_VERSION = 3
 
 
 class WireVersionMismatch(ValueError):
@@ -185,8 +186,6 @@ def job_to_wire(job: SimJob) -> Dict[str, Any]:
         "seed": job.seed,
         "scale": job.scale,
         "train_at": job.train_at,
-        "compile": job.compile,
-        "vectorized": job.vectorized,
         "replacement": job.replacement,
         "system": dataclasses.asdict(job.system),
         "obs": {"timeline_interval": job.obs.timeline_interval},
@@ -226,8 +225,8 @@ def _job_from_wire(payload: Dict[str, Any]) -> SimJob:
     payload = dict(payload)
     known = {
         "wire_version", "workload", "prefetcher", "prefetcher_kwargs",
-        "instructions", "warmup", "seed", "scale", "train_at", "compile",
-        "vectorized", "replacement", "system", "obs",
+        "instructions", "warmup", "seed", "scale", "train_at",
+        "replacement", "system", "obs",
     }
     unknown = set(payload) - known
     if unknown:
@@ -288,12 +287,6 @@ def _job_from_wire(payload: Dict[str, Any]) -> SimJob:
     # raises on a prefetcher name nothing registered, too
     check_runnable(built, system_cfg, prefetcher, kwargs)
 
-    # bool("false") is True: a flag must arrive as a JSON boolean
-    flags = {name: payload.get(name, True) for name in ("compile", "vectorized")}
-    for name, value in flags.items():
-        if not isinstance(value, bool):
-            raise ValueError(f"'{name}' must be true or false")
-
     return SimJob.build(
         workload=workload,
         prefetcher=prefetcher,
@@ -306,5 +299,4 @@ def _job_from_wire(payload: Dict[str, Any]) -> SimJob:
         train_at=train_at,
         obs=obs,
         replacement=replacement,
-        **flags,
     )

@@ -169,7 +169,7 @@ class SimulationEngine:
                 raise ValueError(
                     "replacement='opt' needs the packed trace arenas to "
                     "pre-scan next-use distances; run with a compiled "
-                    "workload (compile=True / --compiled)"
+                    "workload (repro.sim.compile.compile_workload)"
                 )
             oracle = TraceOracle(workload, self.system)
 

@@ -32,8 +32,6 @@ def run_simulation(
     train_at: str = "llc",
     obs=None,
     sink=None,
-    compile: bool = True,
-    vectorized: bool = True,
     replacement: str = "lru",
 ) -> SimResult:
     """Run one workload under one prefetcher; returns the measured window.
@@ -50,26 +48,21 @@ def run_simulation(
     tracing and/or timeline sampling; ``sink`` supplies a ready-made
     :class:`repro.obs.TraceSink` instead of a trace file.
 
-    ``compile`` (default on, as in :class:`repro.sim.executor.SimJob`)
-    packs the workload's streams into a compiled trace first (cached on
-    disk for named workloads, where the trace identity is fully known),
-    enabling the engine's fast loop; ``vectorized`` (default on) permits
-    that loop when the run qualifies, and ``False`` keeps the general
-    loop.  Results are identical either way.
+    The workload's streams are packed into a compiled trace first
+    (cached on disk for named workloads, where the trace identity is
+    fully known; in memory for a ``Workload`` object), so the engine
+    takes its fast loop whenever the run qualifies.
 
     ``replacement`` selects the LLC replacement policy by registry name
-    (:mod:`repro.memsys.replacement`); ``"opt"`` — the Belady oracle —
-    needs the packed trace to pre-scan, so keep ``compile`` on with it.
+    (:mod:`repro.memsys.replacement`).
     """
-    resolved = _resolve_workload(workload, seed, scale)
-    if compile:
-        from repro.sim.compile import compile_workload
+    from repro.sim.compile import compile_workload
 
-        resolved = compile_workload(
-            resolved,
-            records_per_core=instructions_per_core,
-            scale=scale if isinstance(workload, str) else None,
-        )
+    resolved = compile_workload(
+        _resolve_workload(workload, seed, scale),
+        records_per_core=instructions_per_core,
+        scale=scale if isinstance(workload, str) else None,
+    )
     engine = SimulationEngine(
         workload=resolved,
         prefetcher=prefetcher,
@@ -83,7 +76,6 @@ def run_simulation(
         train_at=train_at,
         obs=obs,
         sink=sink,
-        vectorized=vectorized,
         replacement=replacement,
     )
     return engine.run()
@@ -102,8 +94,6 @@ def compare_prefetchers(
     workers: int = 1,
     cache=None,
     executor=None,
-    compile: bool = True,
-    vectorized: bool = True,
     replacement: str = "lru",
 ) -> Dict[str, SimResult]:
     """Run a workload under several prefetchers (plus the baseline).
@@ -116,12 +106,8 @@ def compare_prefetchers(
     are independent, so they run as one batch of
     :class:`repro.sim.executor.SimJob`\\ s — pass ``workers`` (and
     optionally a ``repro.sim.executor.ResultCache`` as ``cache``) or a
-    pre-built ``executor`` to fan out / memoise.
-
-    ``compile`` (default on) replays each run from a packed compiled
-    trace — built once and shared by every prefetcher in the comparison
-    — instead of re-draining the workload generators per run; results
-    are identical either way.
+    pre-built ``executor`` to fan out / memoise.  Every run replays one
+    packed compiled trace, built once and shared by the comparison.
     """
     from repro.sim.executor import Executor, SimJob
 
@@ -139,8 +125,6 @@ def compare_prefetchers(
             seed=seed,
             scale=scale,
             prefetcher_kwargs=kwargs_by_name.get(name),
-            compile=compile,
-            vectorized=vectorized,
             replacement=replacement,
         )
         for name in names

@@ -48,8 +48,6 @@ def sweep_prefetcher_parameter(
     workers: int = 1,
     cache: Optional[ResultCache] = None,
     executor: Optional[Executor] = None,
-    compile: bool = True,
-    vectorized: bool = True,
     replacement: str = "lru",
 ) -> Dict[object, SimResult]:
     """Run the same (workload, prefetcher) across values of one parameter.
@@ -64,10 +62,9 @@ def sweep_prefetcher_parameter(
     optionally ``cache``) or a pre-built ``executor`` to fan out /
     memoise.
 
-    All sweep points share one workload trace, so with ``compile`` on
-    (the default) it is packed once, through the on-disk compiled-trace
-    cache, and every point replays the arena instead of re-draining the
-    generators.
+    All sweep points share one workload trace, so it is packed once,
+    through the on-disk compiled-trace cache, and every point replays
+    the arena instead of re-draining the generators.
     """
     values = list(values)
     jobs = []
@@ -84,8 +81,6 @@ def sweep_prefetcher_parameter(
                 seed=seed,
                 scale=scale,
                 prefetcher_kwargs=kwargs,
-                compile=compile,
-                vectorized=vectorized,
                 replacement=replacement,
             )
         )

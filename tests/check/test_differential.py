@@ -17,16 +17,12 @@ def test_real_runs_have_no_divergences(prefetcher):
     assert report.l1_divergences == 0
 
 
-@pytest.mark.parametrize(
-    "mode",
-    [{}, {"compile": True}, {"vectorized": True}, {"replacement": "arc"}],
-    ids=["generators", "compiled", "vectorized", "arc"],
-)
-def test_every_mode_checks_accesses(mode):
+@pytest.mark.parametrize("replacement", ["lru", "arc"])
+def test_every_mode_checks_accesses(replacement):
     """The L1 diff hangs off ``hierarchy.access``, which only the
-    general loop calls: every mode must run the harnessed engine there,
-    or it reports OK over zero checked accesses."""
-    report = run_check("streaming", "bingo", **QUICK, **mode)
+    general loop calls: the check must run the harnessed engine there
+    under every policy, or it reports OK over zero checked accesses."""
+    report = run_check("streaming", "bingo", **QUICK, replacement=replacement)
     assert report.ok, report.summary()
     assert report.accesses > 0
 
@@ -99,14 +95,14 @@ def test_detects_planted_counter_bug(monkeypatch):
 
 
 def test_vectorized_check_passes_on_a_stalling_workload():
-    report = run_check("oscillate", "bingo", vectorized=True)
+    report = run_check("oscillate", "bingo")
     assert report.ok, report.summary()
 
 
 def test_detects_a_perturbing_observer(monkeypatch):
     """Plant an MSHR probe that expires entries, as ``occupancy`` once
     did: the invariant checker then changes the run it checks, and the
-    vectorized check must report it rather than vouch for that run."""
+    check must report it rather than vouch for that run."""
     original = MshrFile.occupancy
 
     def expiring_occupancy(self, now):
@@ -114,5 +110,5 @@ def test_detects_a_perturbing_observer(monkeypatch):
         return original(self, now)
 
     monkeypatch.setattr(MshrFile, "occupancy", expiring_occupancy)
-    report = run_check("oscillate", "bingo", vectorized=True)
+    report = run_check("oscillate", "bingo")
     assert [d.kind for d in report.divergences] == ["observer"]

@@ -98,7 +98,6 @@ def _run(workload, label):
         warmup_instructions=1000,
         seed=11,
         scale=0.02,
-        compile=True,
     )
 
 

@@ -169,8 +169,8 @@ def test_experiment_space_against_a_live_service(capsys, tmp_path):
         "workloads": ["streaming"],
         "prefetchers": ["nextline"],
         "knobs": {"degree": [1, 2, 3, 4]},
-        "base": {"seed": 7, "scale": 0.02, "compile": False,
-                 "warmup": 500, "system": "experiment"},
+        "base": {"seed": 7, "scale": 0.02, "warmup": 500,
+                 "system": "experiment"},
     }))
     try:
         code = cli.main(
@@ -226,7 +226,7 @@ def test_run_with_replacement(capsys):
 
 
 def test_run_with_opt_forces_compilation(capsys):
-    """--replacement opt needs packed arenas; the CLI flips compile on."""
+    """--replacement opt pre-scans the packed arenas every run has."""
     code = cli.main(
         ["run", "-w", "streaming", "-p", "none",
          "--instructions", "3000", "--warmup", "500",
@@ -234,6 +234,32 @@ def test_run_with_opt_forces_compilation(capsys):
     )
     assert code == 0
     assert "coverage" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("run", "--no-compile"),
+        ("run", "--no-vectorized"),
+        ("compare", "--no-compile"),
+        ("sweep", "--no-compile"),
+        ("sweep", "--no-vectorized"),
+        ("check", "--compiled"),
+        ("check", "--vectorized"),
+    ],
+)
+def test_no_flag_picks_the_loop_or_the_source(capsys, command, flag):
+    argv = {
+        "run": ["run", "-w", "streaming"],
+        "compare": ["compare", "-w", "streaming"],
+        "sweep": ["sweep", "-w", "streaming", "--parameter", "degree",
+                  "--values", "1"],
+        "check": ["check"],
+    }[command]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv + [flag])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_run_rejects_unknown_replacement(capsys):

@@ -130,7 +130,6 @@ class TestJobSurface:
             warmup_instructions=200,
             seed=7,
             scale=SCALE,
-            compile=True,
             replacement=replacement,
         )
         spec.update(overrides)

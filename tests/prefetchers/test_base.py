@@ -4,7 +4,9 @@ import pytest
 
 from repro.common.config import small_system
 from repro.prefetchers.base import AccessInfo, NullPrefetcher, Prefetcher
-from repro.sim.runner import run_simulation
+from repro.sim.compile import compile_workload
+from repro.sim.engine import SimulationEngine, SimulationParams
+from repro.workloads.registry import make_workload
 
 
 def test_access_info_is_frozen():
@@ -47,21 +49,24 @@ class _PlainNextLine:
 
 
 @pytest.mark.parametrize(
-    "train_at, compile", [("llc", False), ("llc", True), ("l1", False)]
+    "train_at, vectorized", [("llc", False), ("llc", True), ("l1", False)]
 )
-def test_simulator_needs_only_the_contract_hooks(train_at, compile):
+def test_simulator_needs_only_the_contract_hooks(train_at, vectorized):
     """The whole prefetcher contract is on_access, on_eviction and
-    storage_bits: a run over plain objects completes and prefetches."""
-    result = run_simulation(
-        "streaming",
+    storage_bits: a run over plain objects completes and prefetches, on
+    either engine loop."""
+    workload = compile_workload(
+        make_workload("streaming", seed=7, scale=0.02), records_per_core=3000
+    )
+    result = SimulationEngine(
+        workload=workload,
         prefetchers=[_PlainNextLine() for _ in range(4)],
         system=small_system(num_cores=4),
-        instructions_per_core=3000,
-        warmup_instructions=500,
-        seed=7,
-        scale=0.02,
+        params=SimulationParams(
+            instructions_per_core=3000, warmup_instructions=500
+        ),
         train_at=train_at,
-        compile=compile,
-    )
+        vectorized=vectorized,
+    ).run()
     assert result.prefetches_issued > 0
     assert result.prefetcher_storage_bits == 0

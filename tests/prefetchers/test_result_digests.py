@@ -96,7 +96,6 @@ def _run(workload, prefetcher):
         warmup_instructions=1000,
         seed=11,
         scale=0.02,
-        compile=True,
     )
 
 

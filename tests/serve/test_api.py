@@ -33,7 +33,6 @@ def wire_spec(seed: int = 7, **overrides):
         "warmup": 0,
         "seed": seed,
         "scale": 0.02,
-        "compile": False,
         "system": dataclasses.asdict(small_system(num_cores=4)),
     }
     spec.update(overrides)
@@ -176,6 +175,16 @@ class TestBadRequests:
             client.submit(wire_spec(bogus_knob=1))
         assert excinfo.value.status == 400
         assert "bogus_knob" in str(excinfo.value)
+
+    @pytest.mark.parametrize("field", ["compile", "vectorized"])
+    def test_loop_switch_400_and_nothing_queued(self, api, field):
+        """No client picks the generator path or the general loop."""
+        _, client, _, _ = api
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(wire_spec(**{field: False}))
+        assert excinfo.value.status == 400
+        assert "unknown job field(s)" in str(excinfo.value)
+        assert client.jobs() == []
 
     @pytest.mark.parametrize(
         "field, value",

@@ -4,7 +4,7 @@ Everything here runs against an *unstarted* frontend-only service
 (``workers=0``): the queue, supervisor, and coordinator are live, but
 no slot or reaper threads — time advances only when the test says so.
 The full wire (HTTP, agents, subprocesses) is covered by
-``test_cluster_e2e.py`` and ``tools/cluster_smoke.py``.
+``test_cluster_e2e.py`` and ``tools/serve_smoke.py cluster``.
 """
 
 import pytest
@@ -47,7 +47,6 @@ def make_job(seed: int = 1) -> SimJob:
         instructions_per_core=1000,
         warmup_instructions=0,
         seed=seed,
-        compile=False,
     )
 
 

@@ -6,7 +6,7 @@ The invariant under test is the tentpole's: a job executed by a remote
 worker produces **byte-identical** results to the same job executed
 in-process — the cluster only changes *where* ``execute_job`` runs.
 Subprocess-level behaviour (SIGKILL, env isolation) lives in
-``tools/cluster_smoke.py``.
+``tools/serve_smoke.py cluster``.
 """
 
 import contextlib
@@ -33,7 +33,6 @@ def make_job(seed: int = 1) -> SimJob:
         instructions_per_core=1000,
         warmup_instructions=0,
         seed=seed,
-        compile=False,
     )
 
 

@@ -26,7 +26,6 @@ def wire_spec(**overrides):
         "warmup": 0,
         "seed": 7,
         "scale": 0.02,
-        "compile": False,
         "system": dataclasses.asdict(small_system(num_cores=4)),
     }
     spec.update(overrides)
@@ -41,12 +40,7 @@ class TestWireFormat:
         assert again == job
 
     def test_every_field_off_its_default_round_trips(self):
-        """Wire and drain/restore give back the same job, digest and all.
-
-        ``vectorized=False`` once came back True: the wire format did
-        not carry it, so a restored record or a leased job ran (and was
-        keyed as) a different job than the one queued.
-        """
+        """Wire and drain/restore give back the same job, digest and all."""
         job = SimJob.build(
             "em3d",
             prefetcher="bingo",
@@ -58,13 +52,11 @@ class TestWireFormat:
             prefetcher_kwargs={"short_match_policy": "most_recent"},
             train_at="l1",
             obs=ObservabilityConfig(timeline_interval=500),
-            compile=False,
-            vectorized=False,
             replacement="fifo",
         )
         defaults = SimJob.build("streaming")
-        for name in ("compile", "vectorized", "train_at", "replacement",
-                     "prefetcher_kwargs", "obs", "system"):
+        for name in ("train_at", "replacement", "prefetcher_kwargs", "obs",
+                     "system"):
             assert getattr(job, name) != getattr(defaults, name), name
         wired = job_from_wire(json.loads(json.dumps(job_to_wire(job))))
         assert wired == job
@@ -77,9 +69,11 @@ class TestWireFormat:
         assert restored.digest == record.digest == job.digest()
 
     @pytest.mark.parametrize("flag", ["compile", "vectorized"])
-    def test_flags_must_be_booleans(self, flag):
-        with pytest.raises(ValueError, match=f"'{flag}' must be true or false"):
-            job_from_wire(wire_spec(**{flag: "false"}))
+    def test_loop_switches_are_unknown_fields(self, flag):
+        """No spec picks the generator path or the general loop."""
+        for value in (False, True):
+            with pytest.raises(ValueError, match="unknown job field"):
+                job_from_wire(wire_spec(**{flag: value}))
 
     def test_custom_system_round_trips(self):
         custom = dataclasses.replace(
@@ -187,7 +181,6 @@ class TestWireFormat:
                 warmup_instructions=spec["warmup"],
                 seed=spec["seed"],
                 scale=spec["scale"],
-                compile=spec["compile"],
                 prefetcher_kwargs={
                     "kinds": (EventKind.PC_ADDRESS, EventKind.PC)
                 },
@@ -199,6 +192,27 @@ class TestWireFormat:
         )
         with pytest.raises(ValueError, match="nope"):
             execute_job(bad)
+
+    def test_multi_event_kinds_digest_as_values(self, tmp_path):
+        """Members and their wire values are one job: one digest, so a
+        result stored under either form is a cache hit for the other."""
+        from repro.core.events import EventKind
+        from repro.sim.executor import ResultCache
+
+        served = job_from_wire(
+            wire_spec(prefetcher="multi-event",
+                      prefetcher_kwargs={"kinds": ["pc+address", "pc"]})
+        )
+        in_process = dataclasses.replace(
+            served,
+            prefetcher_kwargs=(("kinds", (EventKind.PC_ADDRESS, EventKind.PC)),),
+        )
+        assert served.digest() == in_process.digest()
+        cache = ResultCache(tmp_path)
+        cache.store(in_process, execute_job(in_process))
+        hit = cache.load(served)
+        assert hit is not None
+        assert hit.to_dict() == cache.load(in_process).to_dict()
 
     @pytest.mark.parametrize(
         "overrides, reason",

@@ -31,11 +31,10 @@ from repro.serve import (
 from repro.sim.executor import Executor
 from repro.sim.results import SimResult
 
-#: shared base spec: tiny scaled workloads, uncompiled, experiment system
+#: shared base spec: tiny scaled workloads, experiment system
 BASE = {
     "seed": 7,
     "scale": 0.02,
-    "compile": False,
     "warmup": 500,
     "system": "experiment",
 }

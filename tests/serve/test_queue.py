@@ -27,7 +27,6 @@ def make_job(seed: int = 1, workload: str = "streaming") -> SimJob:
         instructions_per_core=1000,
         warmup_instructions=0,
         seed=seed,
-        compile=False,
     )
 
 
@@ -208,6 +207,23 @@ class TestPersistence:
         payload["jobs"].append({"id": "broken", "job": {"nope": 1}})
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert JobQueue().restore(path) == 1
+
+    def test_a_version_2_drain_file_restores_nothing(self, tmp_path):
+        """Version-2 records carry ``compile`` and ``vectorized``; each
+        fails to parse, and the file is consumed as usual."""
+        import json
+
+        queue = JobQueue()
+        queue.submit(record(seed=1))
+        queue.submit(record(seed=2))
+        path = tmp_path / "queue.json"
+        queue.persist(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        for data in payload["jobs"]:
+            data["job"].update(wire_version=2, compile=True, vectorized=True)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert JobQueue().restore(path) == 0
+        assert not path.exists()
 
     def test_records_no_constructor_can_take_do_not_sink_the_rest(
         self, tmp_path

@@ -56,12 +56,13 @@ def real_job(seed: int = 7) -> SimJob:
         warmup_instructions=0,
         seed=seed,
         scale=0.02,
-        compile=False,
     )
 
 
 def fault_job(workload: str, seed: int = 3) -> SimJob:
-    return SimJob.build(
+    # the generator path: a fault workload misbehaves each time its
+    # stream is built, which a cached compiled trace would hide
+    job = SimJob.build(
         workload,
         prefetcher="none",
         system=small_system(num_cores=1),
@@ -69,8 +70,8 @@ def fault_job(workload: str, seed: int = 3) -> SimJob:
         warmup_instructions=0,
         seed=seed,
         scale=1.0,
-        compile=False,
     )
+    return dataclasses.replace(job, compile=False)
 
 
 def wait_terminal(service, record, timeout: float = 60.0):
@@ -147,7 +148,6 @@ class TestHttpDedupAcceptance:
             "warmup": 0,
             "seed": 77,
             "scale": 0.02,
-            "compile": False,
             "system": dataclasses.asdict(small_system(num_cores=4)),
         }
         try:

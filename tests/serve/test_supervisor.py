@@ -27,7 +27,6 @@ def make_record(seed: int = 1, attempts: int = 1) -> JobRecord:
         instructions_per_core=1000,
         warmup_instructions=0,
         seed=seed,
-        compile=False,
     )
     return JobRecord(job=job, attempts=attempts)
 

@@ -37,17 +37,17 @@ from repro.workloads.registry import WORKLOAD_NAMES, make_workload
 SCALE = 0.02
 
 
-def quick_job(compile=True, prefetcher="bingo", **overrides):
+def quick_job(compile=True, prefetcher="bingo", vectorized=True, **overrides):
     spec = dict(
         system=small_system(num_cores=4),
         instructions_per_core=3000,
         warmup_instructions=500,
         seed=7,
         scale=SCALE,
-        compile=compile,
     )
     spec.update(overrides)
-    return SimJob.build("streaming", prefetcher=prefetcher, **spec)
+    job = SimJob.build("streaming", prefetcher=prefetcher, **spec)
+    return replace(job, compile=compile, vectorized=vectorized)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +329,8 @@ class TestFastPathEquivalence:
         assert compiled.to_dict() == generator.to_dict()
 
     def test_run_simulation_compile_flag_matches(self):
+        """``run_simulation`` always compiles; it matches the generator
+        path of the same job."""
         kwargs = dict(
             prefetcher="bingo",
             system=small_system(num_cores=4),
@@ -337,8 +339,10 @@ class TestFastPathEquivalence:
             seed=7,
             scale=SCALE,
         )
-        compiled = run_simulation("streaming", compile=True, **kwargs)
-        generator = run_simulation("streaming", compile=False, **kwargs)
+        compiled = run_simulation("streaming", **kwargs)
+        generator = execute_job(
+            replace(SimJob.build("streaming", **kwargs), compile=False)
+        )
         assert compiled.to_dict() == generator.to_dict()
 
 
@@ -379,6 +383,5 @@ class TestExecutorIntegration:
             prefetcher="bingo",
             instructions_per_core=3000,
             warmup_instructions=500,
-            compile=True,
         )
         assert report.ok, report.summary()

@@ -11,6 +11,7 @@ lifetime is bounded by the executor's (``close``, garbage collection)
 and by its parent's (a SIGKILLed owner leaves no orphan).
 """
 
+import dataclasses
 import gc
 import multiprocessing
 import multiprocessing.util
@@ -57,10 +58,12 @@ def fault_job(workload: str, seed: int = 3, **overrides) -> SimJob:
         warmup_instructions=0,
         seed=seed,
         scale=1.0,
-        compile=False,
     )
     spec.update(overrides)
-    return SimJob.build(workload, prefetcher="none", **spec)
+    # the generator path: a fault workload misbehaves each time its
+    # stream is built, which a cached compiled trace would hide
+    job = SimJob.build(workload, prefetcher="none", **spec)
+    return dataclasses.replace(job, compile=False)
 
 
 def ok_job(seed: int = 3, **overrides) -> SimJob:
@@ -70,7 +73,6 @@ def ok_job(seed: int = 3, **overrides) -> SimJob:
         warmup_instructions=0,
         seed=seed,
         scale=0.02,
-        compile=False,
     )
     spec.update(overrides)
     return SimJob.build("streaming", prefetcher="none", **spec)

@@ -11,6 +11,8 @@ L1 miss through the one ``MemoryHierarchy.l1_miss``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -346,11 +348,10 @@ class TestJobIntegration:
             warmup_instructions=300,
             seed=7,
             scale=SCALE,
-            compile=True,
-            vectorized=vectorized,
         )
         spec.update(overrides)
-        return SimJob.build("streaming", prefetcher="bingo", **spec)
+        job = SimJob.build("streaming", prefetcher="bingo", **spec)
+        return replace(job, vectorized=vectorized)
 
     def test_execute_job_matches_across_flag(self):
         """``vectorized=False`` runs the general loop: same result."""
@@ -379,6 +380,5 @@ class TestJobIntegration:
             warmup_instructions=300,
             seed=11,
             scale=SCALE,
-            vectorized=True,
         )
         assert report.ok, report.summary()
