@@ -3,9 +3,8 @@
 Section V trains Bingo at the LLC, and an LLC eviction ends each
 residency, so the replacement policy decides what every footprint
 holds.  This bench reruns Bingo, SMS and SPP over the ablation workloads
-under each registered policy (``lru-interface`` aside: it is ``lru``
-through the policy interface, byte-identical by the identity suite) and
-asserts that Bingo's Fig. 8 lead is not an artefact of LRU.
+under each registered policy and asserts that Bingo's Fig. 8 lead is not
+an artefact of LRU.
 
 The full-length run carries the claim.  At ``REPRO_QUICK=1`` the lead
 holds too, but the shorter runs evict little from the 1 MB LLC and the

@@ -40,7 +40,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 from repro.check.invariants import InvariantChecker
 from repro.check.reference import ReferenceL1, ReferenceLlc
 from repro.check.refbingo import ReferenceBingo, RefRegion
-from repro.common.bitvec import Footprint
 from repro.obs.events import TraceEvent
 from repro.obs.sinks import TraceSink
 
@@ -104,7 +103,6 @@ class DifferentialChecker(TraceSink):
         self._pending_train: Optional[Tuple[int, int, int]] = None
         self._current_core = 0
         self._ref_decision = None
-        self._ref_trigger: Optional[Tuple[int, int]] = None  # (region, offset)
         self._candidates: Deque[int] = deque()
         self._expected_commits: Deque[Tuple[int, int, RefRegion]] = deque()
         self._last_commit_core: Optional[int] = None

@@ -3,29 +3,26 @@
 Nearly every structure in the paper — the LLC, Bingo's filter, accumulation
 and history tables, SMS's history table, SPP's signature table, AMPM's
 access-map table — is a set-associative array of ``(tag, payload)`` entries
-with LRU replacement.  :class:`SetAssociativeTable` implements that once,
-with eviction callbacks so owners can commit state (e.g. Bingo moves an
-accumulation-table entry into the history table when it is evicted).  The
-LLC's block-keyed replacement policies live in
+with LRU replacement.  :class:`SetAssociativeTable` implements that once for
+every prefetcher's metadata, with eviction callbacks so owners can commit
+state (e.g. Bingo moves an accumulation-table entry into the history table
+when it is evicted).  Each set is an ``OrderedDict`` of ``tag -> payload``,
+least recent first — the representation :class:`repro.memsys.cache.Cache`
+keeps its sets in.  The LLC's block-keyed replacement policies live in
 :mod:`repro.memsys.replacement`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import OrderedDict
 from typing import Callable, Generic, List, Optional, Tuple, TypeVar
 
 from repro.common.hashing import fold
 
 P = TypeVar("P")
 
-
-@dataclass
-class Entry(Generic[P]):
-    """One valid table entry: a full tag plus an owner-defined payload."""
-
-    tag: int
-    payload: P
+#: tells an absent tag from a stored ``None`` payload
+_ABSENT = object()
 
 
 class SetAssociativeTable(Generic[P]):
@@ -34,7 +31,8 @@ class SetAssociativeTable(Generic[P]):
     Keys are arbitrary ints; the set index is a fold of the key unless the
     caller supplies an explicit index (Bingo indexes by a *different* event
     than it tags with, which is the whole storage trick of the paper — see
-    :class:`repro.core.history.BingoHistoryTable`).
+    :class:`repro.core.history.BingoHistoryTable`).  A fully associative
+    LRU set of ``N`` entries is ``SetAssociativeTable(sets=1, ways=N)``.
 
     Parameters
     ----------
@@ -59,22 +57,14 @@ class SetAssociativeTable(Generic[P]):
         self.ways = ways
         self.index_bits = sets.bit_length() - 1
         self.on_evict = on_evict
-        # A set's ways, and its LRU order over way indices (most recent
-        # first), are allocated on the set's first fill: None until then.
-        # Bingo and SMS keep 16 K-entry history tables on every core, and
-        # a short run fills a fraction of their sets.  A fill or a
-        # touching hit moves the way to the front of the order; an
-        # invalidation leaves it in place (the victim scan prefers
-        # invalid ways).
-        self._entries: List[Optional[List[Optional[Entry[P]]]]] = [None] * sets
-        self._recency: List[Optional[List[int]]] = [None] * sets
-        # Location index over the valid entries: (set, tag) -> way.  The
-        # tables sit on the simulator's miss path (every LLC eviction
-        # probes Bingo's filter *and* accumulation tables per core), so
-        # lookups must not pay a linear way scan.  Keyed by set as well
-        # as tag because split index/tag schemes (the history table) can
-        # legally hold the same tag in several sets.
-        self._where: dict = {}
+        # Each set is an OrderedDict tag -> payload, least recent first,
+        # allocated on its first fill: None until then.  Bingo and SMS
+        # keep 16 K-entry history tables on every core, and a short run
+        # fills a fraction of their sets.  A fill or a touching hit moves
+        # the tag to the end; a full set evicts its first.  Split
+        # index/tag schemes (the history table) can legally hold the same
+        # tag in several sets.
+        self._sets: List[Optional["OrderedDict[int, P]"]] = [None] * sets
         # fold() costs a SplitMix64 round plus up to 6 halving steps.
         # Keys recur heavily (spatial locality), so memoise the fold per
         # table.
@@ -82,7 +72,7 @@ class SetAssociativeTable(Generic[P]):
 
     # -- geometry -------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._where)
+        return sum(len(entries) for entries in self._sets if entries is not None)
 
     @property
     def capacity(self) -> int:
@@ -110,69 +100,38 @@ class SetAssociativeTable(Generic[P]):
         ``index`` overrides the set index (for split index/tag schemes);
         ``touch`` controls whether the hit updates recency.
         """
-        set_idx = self.set_index(key) if index is None else index
-        way = self._where.get((set_idx, key))
-        if way is None:
+        entries = self._sets[self.set_index(key) if index is None else index]
+        if entries is None or key not in entries:
             return None
         if touch:
-            order = self._recency[set_idx]
-            order.remove(way)
-            order.insert(0, way)
-        return self._entries[set_idx][way].payload
+            entries.move_to_end(key)
+        return entries[key]
 
-    def scan_set(self, index: int) -> List[Tuple[int, int, P]]:
-        """All valid entries of a set as ``(way, tag, payload)`` tuples.
-
-        Order is physical way order; combine with :meth:`recency_rank` to
-        sort by recency (Bingo's most-recent-match heuristic).
-        """
-        ways = self._entries[index]
-        if ways is None:
-            return []
-        return [
-            (way, entry.tag, entry.payload)
-            for way, entry in enumerate(ways)
-            if entry is not None
-        ]
-
-    def recency_rank(self, index: int, way: int) -> int:
-        """Recency of a way within its set (0 = MRU, ``ways - 1`` = LRU)."""
-        order = self._recency[index]
-        return way if order is None else order.index(way)
+    def scan_set(self, index: int) -> List[Tuple[int, P]]:
+        """All valid entries of a set as ``(tag, payload)`` pairs, least
+        recent first (Bingo's most-recent-match heuristic takes the last)."""
+        entries = self._sets[index]
+        return [] if entries is None else list(entries.items())
 
     # -- updates ----------------------------------------------------------------
     def insert(self, key: int, payload: P, index: Optional[int] = None) -> None:
         """Insert or overwrite the entry tagged ``key``.
 
         If the key is already present its payload is replaced in place and
-        recency updated; otherwise the victim is the lowest-index invalid
-        way, else the LRU way, and the displaced entry, if valid, is
-        reported through ``on_evict``.
+        recency updated; otherwise a full set evicts its least recent
+        entry, reported through ``on_evict``.
         """
         set_idx = self.set_index(key) if index is None else index
-        ways = self._entries[set_idx]
-        if ways is None:
-            ways = self._entries[set_idx] = [None] * self.ways
-            self._recency[set_idx] = list(range(self.ways))
-        order = self._recency[set_idx]
-        where = self._where
-        way = where.get((set_idx, key))
-        if way is not None:
-            ways[way].payload = payload
-        else:
-            for way, old in enumerate(ways):
-                if old is None:
-                    break
-            else:
-                way = order[-1]
-                old = ways[way]
-                del where[(set_idx, old.tag)]
-                if self.on_evict is not None:
-                    self.on_evict(old.tag, old.payload)
-            ways[way] = Entry(key, payload)
-            where[(set_idx, key)] = way
-        order.remove(way)
-        order.insert(0, way)
+        entries = self._sets[set_idx]
+        if entries is None:
+            entries = self._sets[set_idx] = OrderedDict()
+        if key in entries:
+            entries.move_to_end(key)
+        elif len(entries) >= self.ways:
+            tag, old = entries.popitem(last=False)
+            if self.on_evict is not None:
+                self.on_evict(tag, old)
+        entries[key] = payload
 
     def invalidate(self, key: int, index: Optional[int] = None) -> Optional[P]:
         """Remove the entry tagged ``key``; returns its payload if present.
@@ -180,34 +139,25 @@ class SetAssociativeTable(Generic[P]):
         The eviction callback fires for explicit invalidations too, since
         owners use it to commit in-flight state.
         """
-        set_idx = self.set_index(key) if index is None else index
-        way = self._where.pop((set_idx, key), None)
-        if way is None:
+        entries = self._sets[self.set_index(key) if index is None else index]
+        payload = _ABSENT if entries is None else entries.pop(key, _ABSENT)
+        if payload is _ABSENT:
             return None
-        ways = self._entries[set_idx]
-        entry = ways[way]
-        ways[way] = None
         if self.on_evict is not None:
-            self.on_evict(entry.tag, entry.payload)
-        return entry.payload
+            self.on_evict(key, payload)
+        return payload
 
     def pop(self, key: int, index: Optional[int] = None) -> Optional[P]:
         """Remove the entry tagged ``key`` *without* firing ``on_evict``."""
-        set_idx = self.set_index(key) if index is None else index
-        way = self._where.pop((set_idx, key), None)
-        if way is None:
-            return None
-        ways = self._entries[set_idx]
-        entry = ways[way]
-        ways[way] = None
-        return entry.payload
+        entries = self._sets[self.set_index(key) if index is None else index]
+        return None if entries is None else entries.pop(key, None)
 
     def items(self) -> List[Tuple[int, P]]:
-        """All valid ``(tag, payload)`` pairs, set-major order."""
+        """All valid ``(tag, payload)`` pairs, set-major, least recent
+        first within a set."""
         return [
-            (entry.tag, entry.payload)
-            for ways in self._entries
-            if ways is not None
-            for entry in ways
-            if entry is not None
+            pair
+            for entries in self._sets
+            if entries is not None
+            for pair in entries.items()
         ]

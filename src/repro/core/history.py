@@ -138,24 +138,22 @@ class BingoHistoryTable:
             )
 
         # Long event missed: rescan the same set matching only the
-        # short-event bits (the gray path of Fig. 5).
-        matches: List[tuple] = [
-            (way, entry_payload)
-            for way, _tag, entry_payload in self._table.scan_set(index)
+        # short-event bits (the gray path of Fig. 5).  The scan lists the
+        # set least recent first, so the most recent match is the last.
+        matches: List[_HistoryPayload] = [
+            entry_payload
+            for _tag, entry_payload in self._table.scan_set(index)
             if entry_payload.pc == pc and entry_payload.offset == offset
         ]
         if not matches:
             return None
         if len(matches) == 1 or self.short_match_policy == "most_recent":
-            way, payload = min(
-                matches, key=lambda m: self._table.recency_rank(index, m[0])
-            )
             return HistoryMatch(
-                footprint=payload.footprint.copy(),
+                footprint=matches[-1].footprint.copy(),
                 matched=EventKind.PC_OFFSET,
                 num_matches=len(matches),
             )
-        voted = vote([payload.footprint for _way, payload in matches],
+        voted = vote([payload.footprint for payload in matches],
                      self.vote_threshold)
         return HistoryMatch(
             footprint=voted, matched=EventKind.PC_OFFSET, num_matches=len(matches)

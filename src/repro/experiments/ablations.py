@@ -283,18 +283,14 @@ def run_replacement_policy(
 
     Section V trains Bingo at the LLC, and in this reproduction an LLC
     eviction ends each residency, so the policy decides what every
-    footprint holds.  One row per registered policy except
-    ``lru-interface``, which is ``lru`` through the policy interface
-    (the identity suite proves the two byte-identical).  Every cell goes
+    footprint holds.  One row per registered policy.  Every cell goes
     to the executor as one batch.
     """
     from repro.memsys.replacement import available_replacements
 
     params = params if params is not None else default_params()
     prefetchers = ("bingo", "sms", "spp")
-    policies = [
-        name for name in available_replacements() if name != "lru-interface"
-    ]
+    policies = available_replacements()
     cells = [
         (policy, workload, prefetcher)
         for policy in policies

@@ -20,7 +20,6 @@ import os
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.config import CacheConfig, SystemConfig
-from repro.common.stats import StatGroup
 from repro.sim.engine import SimulationParams
 from repro.sim.executor import Executor, ResultCache, SimJob
 from repro.sim.results import SimResult
@@ -85,13 +84,9 @@ def default_params(quick: Optional[bool] = None) -> SimulationParams:
 #   N worker processes (results are bit-identical to serial);
 # * ``REPRO_CACHE=1`` additionally memoises completed runs on disk
 #   (``REPRO_CACHE_DIR`` or ~/.cache/repro) across processes.
-#
-# EXECUTOR_STATS accumulates hit/miss/run counters for the whole process.
 # ---------------------------------------------------------------------------
 
 _MATRIX_CACHE: Dict[str, SimResult] = {}
-
-EXECUTOR_STATS = StatGroup("executor")
 
 
 def env_workers() -> int:
@@ -112,11 +107,10 @@ def env_cache() -> Optional[ResultCache]:
 def experiment_executor(
     workers: Optional[int] = None, cache: Optional[ResultCache] = None
 ) -> Executor:
-    """An executor wired to the env knobs and the shared stat group."""
+    """An executor wired to the env knobs."""
     return Executor(
         workers=workers if workers is not None else env_workers(),
         cache=cache if cache is not None else env_cache(),
-        stats=EXECUTOR_STATS,
     )
 
 

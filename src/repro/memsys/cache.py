@@ -1,10 +1,11 @@
 """A fast set-associative cache with prefetch-aware block metadata.
 
-This is the performance-critical inner loop of the simulator, so the
-implementation is bespoke rather than reusing the generic
-:class:`repro.common.table.SetAssociativeTable`: each set is an
-``OrderedDict`` keyed by block number, giving O(1) hit, fill, and true-LRU
-eviction via ``move_to_end``/``popitem``.
+Each set is an ``OrderedDict`` keyed by block number, giving O(1) hit,
+fill, and true-LRU eviction via ``move_to_end``/``popitem`` — the
+representation :class:`repro.common.table.SetAssociativeTable` keeps the
+prefetchers' metadata in.  This is the performance-critical inner loop of
+the simulator, so the cache shares that representation, not the table's
+code: routing every access through the table would add a Python call.
 
 Block metadata carries what the evaluation needs:
 

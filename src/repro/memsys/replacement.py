@@ -10,13 +10,13 @@ stress.  This module extracts the policy decision into an explicit
 interface and provides a zoo of implementations plus an OPT (Belady)
 oracle as the upper-bound baseline.
 
-The interface is *block-keyed*, not way-keyed (contrast
-:class:`repro.common.table.SetAssociativeTable`, the prefetchers'
-metadata tables, which keep a fixed LRU order over way indices and need
-no policy interface): the cache model stores residency in per-set dicts,
-so policies track recency/frequency state against block numbers and
-return a victim *block*.  The contract, enforced by the conformance
-suite (``tests/memsys/test_replacement_conformance.py``):
+The interface is *block-keyed*: the cache model stores residency in
+per-set dicts, so policies track recency/frequency state against block
+numbers and return a victim *block*.  (The prefetchers' metadata tables,
+:class:`repro.common.table.SetAssociativeTable`, keep the same per-set
+``OrderedDict`` with LRU fixed, and need no policy interface.)  The
+contract, enforced by the conformance suite
+(``tests/memsys/test_replacement_conformance.py``):
 
 * ``touch(set_index, block)`` — the resident block was referenced
   (lookup hit, or a fill of an already-resident block);
@@ -101,10 +101,12 @@ class LruReplacement(ReplacementPolicy):
 
     Byte-identical to the cache model's built-in fast path: the same
     container, the same ``move_to_end`` on touches, and ``victim`` is
-    the block ``popitem(last=False)`` would remove.  Registered twice —
-    as ``lru`` (which the hierarchy maps to the zero-overhead built-in)
-    and as ``lru-interface`` (forced through this interface), so the
-    differential suite can prove the generic path changes nothing.
+    the block ``popitem(last=False)`` would remove.  Registered as
+    ``lru``, which the hierarchy maps to the zero-overhead built-in;
+    ``make_replacement("lru")`` builds this class for the replay harness
+    and the conformance suite, and the identity suites register it
+    under a second name to force a run through this interface and prove
+    the generic path changes nothing.
     """
 
     name = "lru"
@@ -484,11 +486,9 @@ class BeladyReplacement(ReplacementPolicy):
 
 #: policies selectable by name everywhere a ``replacement=`` knob exists.
 #: ``lru`` is special-cased by the hierarchy to the cache model's native
-#: OrderedDict fast path; ``lru-interface`` is the same policy forced
-#: through this module's interface (differential testing).
+#: OrderedDict fast path.
 _REGISTRY: Dict[str, Callable[..., ReplacementPolicy]] = {
     "lru": LruReplacement,
-    "lru-interface": LruReplacement,
     "fifo": FifoReplacement,
     "lfu": LfuReplacement,
     "arc": ArcReplacement,

@@ -43,14 +43,6 @@ class TraceSink:
     def emit(self, event: TraceEvent) -> None:
         raise NotImplementedError
 
-    def flush(self) -> None:
-        """Push buffered events to durable storage (file sinks).
-
-        The simulation service calls this between jobs so a later crash
-        cannot truncate an earlier job's trace; in-memory sinks have
-        nothing to do.
-        """
-
     def close(self) -> None:
         """Flush and release resources (file sinks); idempotent."""
 
@@ -136,10 +128,6 @@ class TeeSink(TraceSink):
             if sink.enabled:
                 sink.emit(event)
 
-    def flush(self) -> None:
-        for sink in self.sinks:
-            sink.flush()
-
     def close(self) -> None:
         for sink in self.sinks:
             sink.close()
@@ -167,10 +155,6 @@ class JsonlSink(TraceSink):
         self.count += 1
         if self.limit and self.count >= self.limit:
             self.enabled = False
-
-    def flush(self) -> None:
-        if self._fh is not None:
-            self._fh.flush()
 
     def close(self) -> None:
         if self._fh is not None:

@@ -15,10 +15,10 @@ Per Section V, the map table is sized to cover the whole LLC capacity
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import List, Optional
 
 from repro.common.addresses import AddressMap
+from repro.common.table import SetAssociativeTable
 from repro.prefetchers.base import AccessInfo, Prefetcher
 
 
@@ -39,19 +39,17 @@ class AmpmPrefetcher(Prefetcher):
         self.zones = zones
         self.max_prefetches_per_access = max_prefetches_per_access
         self._blocks_per_zone = self.address_map.blocks_per_page
-        # zone -> (access_bits, prefetch_bits); OrderedDict as LRU.
-        self._maps: "OrderedDict[int, List[int]]" = OrderedDict()
+        # zone -> [access_bits, prefetch_bits], LRU-bounded.
+        self._maps: SetAssociativeTable[List[int]] = SetAssociativeTable(
+            sets=1, ways=zones
+        )
 
     # -- map maintenance ------------------------------------------------------
     def _zone_map(self, zone: int) -> List[int]:
-        entry = self._maps.get(zone)
+        entry = self._maps.lookup(zone)
         if entry is None:
             entry = [0, 0]
-            self._maps[zone] = entry
-            if len(self._maps) > self.zones:
-                self._maps.popitem(last=False)
-        else:
-            self._maps.move_to_end(zone)
+            self._maps.insert(zone, entry)
         return entry
 
     # -- the access path ---------------------------------------------------------

@@ -17,10 +17,10 @@ paper's evaluated set.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional
 
 from repro.common.addresses import AddressMap
+from repro.common.table import SetAssociativeTable
 from repro.prefetchers.base import AccessInfo, Prefetcher
 
 
@@ -43,7 +43,9 @@ class MarkovPrefetcher(Prefetcher):
         self.successors = successors
         self.degree = degree
         # block -> {successor block: count}, LRU-bounded.
-        self._table: "OrderedDict[int, Dict[int, int]]" = OrderedDict()
+        self._table: SetAssociativeTable[Dict[int, int]] = SetAssociativeTable(
+            sets=1, ways=entries
+        )
         self._last_block: Optional[int] = None
 
     # -- training -------------------------------------------------------------
@@ -52,14 +54,10 @@ class MarkovPrefetcher(Prefetcher):
         self._last_block = block
         if previous is None or previous == block:
             return
-        entry = self._table.get(previous)
+        entry = self._table.lookup(previous)
         if entry is None:
             entry = {}
-            self._table[previous] = entry
-            if len(self._table) > self.entries:
-                self._table.popitem(last=False)
-        else:
-            self._table.move_to_end(previous)
+            self._table.insert(previous, entry)
         entry[block] = entry.get(block, 0) + 1
         if len(entry) > self.successors:
             weakest = min(entry, key=entry.get)
@@ -72,7 +70,7 @@ class MarkovPrefetcher(Prefetcher):
         requests: List[int] = []
         block = info.block
         for _step in range(self.degree):
-            entry = self._table.get(block)
+            entry = self._table.lookup(block, touch=False)
             if not entry:
                 break
             block = max(entry, key=entry.get)

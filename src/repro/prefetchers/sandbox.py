@@ -11,38 +11,16 @@ real prefetches, with degree scaled by score.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import List, Optional
 
 from repro.common.addresses import AddressMap
+from repro.common.table import SetAssociativeTable
 from repro.prefetchers.base import AccessInfo, Prefetcher
 
 #: candidate offsets, in blocks (±1 … ±8, the original design's set)
 _DEFAULT_CANDIDATES = tuple(
     offset for magnitude in range(1, 9) for offset in (magnitude, -magnitude)
 )
-
-
-class _Sandbox:
-    """A recency-bounded set of block numbers (Bloom-filter stand-in)."""
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._entries: "OrderedDict[int, None]" = OrderedDict()
-
-    def add(self, block: int) -> None:
-        if block in self._entries:
-            self._entries.move_to_end(block)
-        else:
-            self._entries[block] = None
-            if len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def __contains__(self, block: int) -> bool:
-        return block in self._entries
-
-    def clear(self) -> None:
-        self._entries.clear()
 
 
 class SandboxPrefetcher(Prefetcher):
@@ -62,11 +40,17 @@ class SandboxPrefetcher(Prefetcher):
         super().__init__(address_map)
         if not candidates:
             raise ValueError("need at least one candidate offset")
+        if sandbox_capacity < 1:
+            raise ValueError(
+                f"sandbox_capacity must be at least 1, got {sandbox_capacity}"
+            )
         self.candidates = tuple(candidates)
         self.evaluation_period = evaluation_period
         self.score_threshold = score_threshold
         self.max_degree = max_degree
-        self._sandbox = _Sandbox(sandbox_capacity)
+        self._sandbox: SetAssociativeTable[bool] = SetAssociativeTable(
+            sets=1, ways=sandbox_capacity
+        )
         self._scores = {offset: 0 for offset in self.candidates}
         self._current = 0  # index of the candidate under evaluation
         self._accesses_in_period = 0
@@ -75,19 +59,19 @@ class SandboxPrefetcher(Prefetcher):
     def _rotate_candidate(self) -> None:
         self._current = (self._current + 1) % len(self.candidates)
         self._accesses_in_period = 0
-        self._sandbox.clear()
+        self._sandbox = SetAssociativeTable(sets=1, ways=self._sandbox.ways)
 
     def on_access(self, info: AccessInfo) -> List[int]:
         self.stats.add("accesses")
         candidate = self.candidates[self._current]
 
         # Score the candidate: did it sandbox-prefetch this block earlier?
-        if info.block in self._sandbox:
+        if self._sandbox.lookup(info.block, touch=False) is not None:
             self._scores[candidate] += 1
             self.stats.add("sandbox_hits")
 
         # Fake-prefetch with the candidate under test.
-        self._sandbox.add(info.block + candidate)
+        self._sandbox.insert(info.block + candidate, True)
         self._accesses_in_period += 1
         if self._accesses_in_period >= self.evaluation_period:
             self._rotate_candidate()

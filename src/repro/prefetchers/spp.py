@@ -17,7 +17,6 @@ pattern table, 1024-entry prefetch filter.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -77,24 +76,6 @@ class _PatternEntry:
         return delta, self.deltas[delta] / self.total
 
 
-class _PrefetchFilter:
-    """Recency-bounded set suppressing duplicate prefetch candidates."""
-
-    def __init__(self, entries: int) -> None:
-        self.entries = entries
-        self._set: "OrderedDict[int, None]" = OrderedDict()
-
-    def admit(self, block: int) -> bool:
-        """True if the block was not filtered (and record it)."""
-        if block in self._set:
-            self._set.move_to_end(block)
-            return False
-        self._set[block] = None
-        if len(self._set) > self.entries:
-            self._set.popitem(last=False)
-        return True
-
-
 class SppPrefetcher(Prefetcher):
     """Path-confidence lookahead prefetching over delta signatures."""
 
@@ -112,6 +93,10 @@ class SppPrefetcher(Prefetcher):
         super().__init__(address_map)
         if not 0 < confidence_threshold <= 1:
             raise ValueError("confidence_threshold must be in (0, 1]")
+        if filter_entries < 1:
+            raise ValueError(
+                f"filter_entries must be at least 1, got {filter_entries}"
+            )
         self.confidence_threshold = confidence_threshold
         self.max_depth = max_depth
         self.signature_entries = signature_entries
@@ -122,7 +107,10 @@ class SppPrefetcher(Prefetcher):
         self._patterns: SetAssociativeTable[_PatternEntry] = SetAssociativeTable(
             sets=max(1, pattern_entries // 4), ways=4
         )
-        self._filter = _PrefetchFilter(filter_entries)
+        # recency-bounded set suppressing duplicate prefetch candidates
+        self._filter: SetAssociativeTable[bool] = SetAssociativeTable(
+            sets=1, ways=filter_entries
+        )
         self._blocks_per_page = self.address_map.blocks_per_page
 
     # -- training -----------------------------------------------------------
@@ -176,7 +164,8 @@ class SppPrefetcher(Prefetcher):
             if not 0 <= current_offset < self._blocks_per_page:
                 break  # SPP's page-boundary stop (no cross-page bootstrap here)
             block = page_base_block + current_offset
-            if self._filter.admit(block):
+            if self._filter.lookup(block) is None:
+                self._filter.insert(block, True)
                 requests.append(block)
             signature = advance_signature(signature, delta)
         if requests:
@@ -187,5 +176,5 @@ class SppPrefetcher(Prefetcher):
     def storage_bits(self) -> int:
         st = self.signature_entries * (16 + 6 + _SIG_BITS)  # tag+offset+sig
         pt = self.pattern_entries * (_SIG_BITS + _DELTA_SLOTS * (7 + 4) + 4)
-        pf = self._filter.entries * 42
+        pf = self._filter.capacity * 42
         return st + pt + pf

@@ -30,6 +30,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import logging
 import os
 import tempfile
 import threading
@@ -41,6 +42,8 @@ from repro.serve.jobs import JobRecord, JobState
 
 #: bump when the persisted queue file layout changes
 QUEUE_SCHEMA = 1
+
+logger = logging.getLogger("repro.serve.queue")
 
 
 class JobQueue:
@@ -65,6 +68,8 @@ class JobQueue:
         #: digest -> id of the in-flight record to dedup against
         self._in_flight: Dict[str, str] = {}
         self._closed = False
+        #: drain-file records :meth:`restore` could not parse (lost)
+        self.dropped_jobs = 0
 
     # -- producers ----------------------------------------------------------
     def submit(self, record: JobRecord) -> Tuple[JobRecord, bool]:
@@ -328,7 +333,9 @@ class JobQueue:
         count.  The file is consumed (deleted) so a crash loop cannot
         double-submit.  A corrupt or schema-mismatched file restores
         nothing — mirroring every other cache in this codebase, a torn
-        file is an empty file.
+        file is an empty file.  A record that fails to parse (one from
+        another wire version) is skipped with a logged warning and
+        counted in :attr:`dropped_jobs`.
 
         A queue that is already closed (a drain raced the daemon start)
         restores nothing and deliberately leaves the file *intact* for
@@ -360,9 +367,15 @@ class JobQueue:
             try:
                 record = JobRecord.from_dict(data)
                 remaining = float(data.get("backoff_remaining", 0.0) or 0.0)
-            except Exception:
+            except Exception as exc:
                 # one bad record must not sink the rest: the file is
                 # already gone, so an escape here would lose them all
+                self.dropped_jobs += 1
+                logger.warning(
+                    "dropped drain-file record %r: %s",
+                    data.get("id") if isinstance(data, dict) else None,
+                    exc,
+                )
                 continue
             record.state = JobState.PENDING
             # re-derive the gate against *this* process's clock; submit

@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.stats import StatGroup
-from repro.sim.engine import engine_tier_counters
 from repro.sim.executor import Executor, JobFailure, ResultCache, SimJob
 from repro.sim.results import SimResult
 from repro.serve.cluster.coordinator import (
@@ -173,6 +172,8 @@ class SimulationService:
         restored = self.restore()
         if restored:
             self._count("restored_jobs", restored)
+        if self.queue.dropped_jobs:
+            self._count("dropped_jobs", self.queue.dropped_jobs)
         # fork before any thread of ours exists: a child forked from a
         # threaded process can inherit a lock held by a thread it lacks
         for executor in self._executors:
@@ -405,10 +406,6 @@ class SimulationService:
             "jobs_by_state": counts,
             "breaker_open_digests": self.supervisor.breaker.open_digests,
             "executor_totals": totals,
-            # which engine loop answered in-process runs, and how many
-            # fast-loop runs had an LLC policy interface attached (see
-            # repro.sim.engine._TIER_RUNS)
-            "engine_tiers": engine_tier_counters(),
             # the multi-node tier: per-node gauges, leases, steals
             "cluster": self.cluster.snapshot(),
             "admission": {

@@ -1,7 +1,7 @@
 """The generic set-associative table: lookups, eviction, callbacks."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.common.table import SetAssociativeTable
 
@@ -113,20 +113,17 @@ class TestSplitIndexTag:
         table.insert(1, "a", index=0)
         table.insert(2, "b", index=0)
         scanned = table.scan_set(0)
-        assert {(tag, payload) for _w, tag, payload in scanned} == {
+        assert {(tag, payload) for tag, payload in scanned} == {
             (1, "a"),
             (2, "b"),
         }
 
-    def test_recency_rank_orders_by_use(self):
+    def test_scan_set_lists_least_recent_first(self):
         table = SetAssociativeTable(sets=1, ways=3)
         table.insert(1, "a")
         table.insert(2, "b")
         table.lookup(1)
-        ranks = {
-            tag: table.recency_rank(0, way) for way, tag, _p in table.scan_set(0)
-        }
-        assert ranks[1] < ranks[2]
+        assert [tag for tag, _p in table.scan_set(0)] == [2, 1]
 
 
 class TestItems:
@@ -145,7 +142,7 @@ class TestLazySets:
         table.insert(1, "a", index=3)
         assert table.scan_set(0) == []
         assert table.scan_set(7) == []
-        assert [tag for _w, tag, _p in table.scan_set(3)] == [1]
+        assert [tag for tag, _p in table.scan_set(3)] == [1]
 
     def test_items_skip_never_filled_sets(self):
         table = SetAssociativeTable(sets=8, ways=2)
@@ -182,3 +179,108 @@ def test_within_capacity_nothing_is_lost(keys):
     if len(table) == len(keys):
         for key in keys:
             assert table.lookup(key) == key * 2
+
+
+class WaySlotModel:
+    """The way-slot table that each set's ``OrderedDict`` replaced.
+
+    A fill takes the lowest free way, else the LRU way; a fill or a
+    touching hit moves the way to the front of the set's recency order;
+    ``pop`` and ``invalidate`` free the way in place, leaving its stale
+    place in the order.
+    """
+
+    def __init__(self, sets, ways):
+        self.slots = [[None] * ways for _ in range(sets)]  # (tag, payload)
+        self.order = [list(range(ways)) for _ in range(sets)]  # MRU first
+        self.evicted = []
+
+    def _way(self, key, index):
+        for way, entry in enumerate(self.slots[index]):
+            if entry is not None and entry[0] == key:
+                return way
+        return None
+
+    def _to_front(self, index, way):
+        self.order[index].remove(way)
+        self.order[index].insert(0, way)
+
+    def lookup(self, key, index, touch):
+        way = self._way(key, index)
+        if way is None:
+            return None
+        if touch:
+            self._to_front(index, way)
+        return self.slots[index][way][1]
+
+    def insert(self, key, payload, index):
+        slots = self.slots[index]
+        way = self._way(key, index)
+        if way is None:
+            free = [w for w, entry in enumerate(slots) if entry is None]
+            way = free[0] if free else self.order[index][-1]
+            if slots[way] is not None:
+                self.evicted.append(slots[way])
+        slots[way] = (key, payload)
+        self._to_front(index, way)
+
+    def remove(self, key, index, fire):
+        way = self._way(key, index)
+        if way is None:
+            return None
+        entry, self.slots[index][way] = self.slots[index][way], None
+        if fire:
+            self.evicted.append(entry)
+        return entry[1]
+
+    def by_recency(self, index):
+        """Valid pairs by recency rank, highest rank (LRU) first."""
+        slots = self.slots[index]
+        return [slots[w] for w in reversed(self.order[index]) if slots[w]]
+
+
+@given(
+    ops=st.lists(
+        st.tuples(
+            # fills outnumber removals, so sets overflow and evict
+            st.sampled_from(
+                ["insert", "insert", "insert", "lookup", "peek", "pop", "invalidate"]
+            ),
+            st.integers(min_value=0, max_value=11),  # key
+            st.integers(min_value=0, max_value=3),  # explicit set index
+        ),
+        min_size=30,
+        max_size=200,
+    )
+)
+@settings(deadline=None)
+def test_matches_the_way_slot_table(ops):
+    """Same payloads, same victims in the same order, and each set listed
+    in the model's recency order, so ``scan_set(i)[-1]`` is the model's
+    rank-0 entry."""
+    evicted = []
+    table = SetAssociativeTable(
+        sets=4, ways=3, on_evict=lambda tag, payload: evicted.append((tag, payload))
+    )
+    model = WaySlotModel(sets=4, ways=3)
+    for step, (op, key, index) in enumerate(ops):
+        if op == "insert":
+            table.insert(key, step, index=index)
+            model.insert(key, step, index)
+        elif op in ("lookup", "peek"):
+            touch = op == "lookup"
+            assert table.lookup(key, index=index, touch=touch) == model.lookup(
+                key, index, touch
+            )
+        else:
+            remove = table.invalidate if op == "invalidate" else table.pop
+            assert remove(key, index=index) == model.remove(
+                key, index, fire=op == "invalidate"
+            )
+        assert evicted == model.evicted
+        for i in range(4):
+            assert table.scan_set(i) == model.by_recency(i)
+    assert sorted(table.items()) == sorted(
+        pair for i in range(4) for pair in model.by_recency(i)
+    )
+    assert len(table) == len(table.items())

@@ -118,6 +118,22 @@ def tiny_system():
     return small_system(num_cores=1)
 
 
+@pytest.fixture
+def lru_interface(monkeypatch):
+    """Register ``lru-interface``, native LRU forced through the LLC
+    policy interface, for one test.
+
+    The identity suites run it beside ``lru`` to prove the interface
+    changes nothing; it is no user-facing choice, so no other test (and
+    no CLI, wire or ablation run) sees the name.
+    """
+    from repro.memsys import replacement
+
+    monkeypatch.setitem(
+        replacement._REGISTRY, "lru-interface", replacement.LruReplacement
+    )
+
+
 # ---------------------------------------------------------------------------
 # Fault-injection workloads (executor crash isolation + serve supervisor)
 # ---------------------------------------------------------------------------

@@ -270,6 +270,7 @@ def test_run_rejects_unknown_replacement(capsys):
         )
 
 
+@pytest.mark.usefixtures("lru_interface")
 def test_check_with_replacement(capsys):
     code = cli.main(
         ["check", "-w", "streaming", "-p", "bingo",

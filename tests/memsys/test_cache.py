@@ -121,7 +121,7 @@ class TestNonTouchProbes:
     def test_probe_does_not_call_policy_touch(self):
         from repro.memsys.replacement import make_replacement
 
-        policy = make_replacement("lru-interface", num_sets=4, ways=2)
+        policy = make_replacement("lru", num_sets=4, ways=2)
         touches = []
         original = policy.touch
         policy.touch = lambda s, b: (touches.append((s, b)), original(s, b))

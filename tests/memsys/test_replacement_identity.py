@@ -21,7 +21,10 @@ from repro.workloads.registry import make_workload
 
 SCALE = 0.05
 
-NON_ORACLE = sorted(set(available_replacements()) - {"opt"})
+# every registered heuristic, plus native LRU forced through the interface
+NON_ORACLE = sorted({*available_replacements(), "lru-interface"} - {"opt"})
+
+pytestmark = pytest.mark.usefixtures("lru_interface")
 
 
 def run_tiers(replacement, instructions=2500, warmup=400, seed=7):

@@ -21,10 +21,9 @@ from repro.memsys.replacement import (
 )
 from tests.memsys.replay_harness import SequenceOracle, replay_trace
 
-HEURISTICS = sorted(
-    name for name in available_replacements()
-    if name not in ("opt", "lru-interface")
-)
+HEURISTICS = sorted(name for name in available_replacements() if name != "opt")
+
+pytestmark = pytest.mark.usefixtures("lru_interface")
 
 # small geometries + a tight block universe force frequent evictions,
 # which is where policies actually differ

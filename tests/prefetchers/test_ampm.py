@@ -54,7 +54,7 @@ class TestZoneManagement:
         feed(pf, [64])      # zone 1
         feed(pf, [128])     # zone 2 evicts zone 0
         assert len(pf._maps) == 2
-        assert 0 not in pf._maps
+        assert pf._maps.lookup(0, touch=False) is None
 
     def test_rejects_bad_zone_count(self):
         with pytest.raises(ValueError):

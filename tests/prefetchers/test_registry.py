@@ -108,11 +108,15 @@ def test_sfp_kwargs_check_refuses_the_kinds_it_fixes():
         ("bingo", {"history_entries": 0}, "entries"),
         ("multi-event", {"ways": 0}, "ways"),
         ("multi-event", {"entries_per_table": 0}, "entries"),
+        ("spp", {"filter_entries": 0}, "filter_entries"),
+        ("sandbox", {"sandbox_capacity": 0}, "sandbox_capacity"),
     ],
 )
 def test_history_geometry_is_checked_before_it_divides(name, kwargs, argument):
     """A zero-way or zero-entry history table is refused with a
-    ``ValueError`` naming the argument, not a ``ZeroDivisionError``."""
+    ``ValueError`` naming the argument, not a ``ZeroDivisionError``; so
+    is a zero-sized one-set LRU table (SPP's prefetch filter, the
+    sandbox), not built as a set that forgets every block at once."""
     with pytest.raises(ValueError, match=f"^{argument} must be at least 1"):
         make_prefetcher(name, **kwargs)
 

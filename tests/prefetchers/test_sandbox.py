@@ -1,25 +1,8 @@
 """Sandbox prefetcher: candidate evaluation and qualification."""
 
-from repro.prefetchers.sandbox import SandboxPrefetcher, _Sandbox
+from repro.prefetchers.sandbox import SandboxPrefetcher
 
 from tests.prefetchers.helpers import feed
-
-
-class TestSandboxStructure:
-    def test_recency_bounded(self):
-        sandbox = _Sandbox(capacity=2)
-        for block in (1, 2, 3):
-            sandbox.add(block)
-        assert 1 not in sandbox
-        assert 2 in sandbox and 3 in sandbox
-
-    def test_touch_refreshes(self):
-        sandbox = _Sandbox(capacity=2)
-        sandbox.add(1)
-        sandbox.add(2)
-        sandbox.add(1)  # refresh
-        sandbox.add(3)
-        assert 1 in sandbox and 2 not in sandbox
 
 
 class TestQualification:

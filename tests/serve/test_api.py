@@ -117,12 +117,9 @@ class TestRoutes:
         assert metrics["in_flight"] == 0
         assert "executor_totals" in metrics
         assert "counters" in metrics
-        assert set(metrics["engine_tiers"]) == {
-            "vectorized",
-            "general",
-            "demoted",
-            "demoted_ineligible_policy",
-        }
+        # served jobs run in forked workers, which a frontend-process
+        # tier counter cannot see
+        assert "engine_tiers" not in metrics
 
     def test_unknown_route_404(self, api):
         _, client, _, _ = api
@@ -207,6 +204,19 @@ class TestBadRequests:
         assert excinfo.value.status == 400
         assert "bad job spec" in str(excinfo.value)
         assert client.jobs() == []
+
+    def test_lru_interface_is_no_wire_choice_400(self, api):
+        """``lru-interface`` is a test-only registration, not a policy:
+        version 3 refuses it like any unknown name."""
+        from repro.serve.jobs import WIRE_VERSION
+
+        _, client, _, _ = api
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(wire_spec(replacement="lru-interface"))
+        assert excinfo.value.status == 400
+        assert "unknown replacement policy 'lru-interface'" in str(excinfo.value)
+        assert client.jobs() == []
+        assert WIRE_VERSION == 3
 
     @pytest.mark.parametrize(
         "overrides, reason",

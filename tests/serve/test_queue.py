@@ -208,21 +208,29 @@ class TestPersistence:
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert JobQueue().restore(path) == 1
 
-    def test_a_version_2_drain_file_restores_nothing(self, tmp_path):
+    def test_a_version_2_drain_file_restores_nothing(self, tmp_path, caplog):
         """Version-2 records carry ``compile`` and ``vectorized``; each
-        fails to parse, and the file is consumed as usual."""
+        fails to parse, is counted as dropped and logged by id, and the
+        file is consumed as usual."""
         import json
+        import logging
 
         queue = JobQueue()
-        queue.submit(record(seed=1))
-        queue.submit(record(seed=2))
+        ids = [queue.submit(record(seed=seed))[0].id for seed in (1, 2)]
         path = tmp_path / "queue.json"
         queue.persist(path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         for data in payload["jobs"]:
             data["job"].update(wire_version=2, compile=True, vectorized=True)
         path.write_text(json.dumps(payload), encoding="utf-8")
-        assert JobQueue().restore(path) == 0
+        restarted = JobQueue()
+        with caplog.at_level(logging.WARNING, logger="repro.serve.queue"):
+            assert restarted.restore(path) == 0
+        assert restarted.dropped_jobs == 2
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 2
+        for record_id, message in zip(ids, warnings):
+            assert repr(record_id) in message and "compile" in message
         assert not path.exists()
 
     def test_records_no_constructor_can_take_do_not_sink_the_rest(

@@ -330,6 +330,34 @@ class TestDrainAndRestore:
         restored_ids = {r.id for r in restarted.queue.records()}
         assert restored_ids == {r.id for r in pending}
 
+    def test_unparseable_drain_records_are_counted(self, tmp_path):
+        """A version-2 drain file restores nothing; the restarted
+        service says so in ``/metrics`` as ``counters.dropped_jobs``."""
+        import json
+
+        from repro.serve.jobs import JobRecord
+        from repro.serve.queue import JobQueue
+
+        queue = JobQueue()
+        for seed in (1, 2):
+            queue.submit(JobRecord(job=real_job(seed=seed)))
+        path = tmp_path / "queue.json"
+        queue.persist(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        for data in payload["jobs"]:
+            data["job"].update(wire_version=2, compile=True, vectorized=True)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        config = ServiceConfig(
+            workers=1, state_dir=str(tmp_path), cache_dir=None
+        )
+        service = SimulationService(config).start()
+        try:
+            counters = service.metrics()["counters"]
+            assert counters["dropped_jobs"] == 2
+            assert "restored_jobs" not in counters
+        finally:
+            drain_quietly(service)
+
     def test_drain_with_empty_queue_persists_nothing(self, tmp_path):
         config = ServiceConfig(
             workers=1, state_dir=str(tmp_path), cache_dir=None

@@ -220,6 +220,7 @@ class TestMissDenseStaysVectorized:
                 if name.startswith("l1d")
             ) > 0, event
 
+    @pytest.mark.usefixtures("lru_interface")
     def test_demotion_reasons_are_counted(self):
         """A miss-dense trace under an LLC policy interface (``arc``,
         ``lru-interface``) runs the fast loop, equal to the general loop,
