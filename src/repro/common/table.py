@@ -25,6 +25,23 @@ P = TypeVar("P")
 _ABSENT = object()
 
 
+def sets_for(keyword: str, entries: int, ways: int) -> int:
+    """Set count of a ``ways``-way table holding ``entries`` entries.
+
+    Raises ``ValueError`` naming ``keyword`` (the owner's size argument)
+    unless ``entries`` is ``ways`` times a power of two, so a table is
+    never built smaller or larger than its owner charges storage for.
+    """
+    if ways < 1:
+        raise ValueError(f"ways must be at least 1, got {ways}")
+    sets = entries // ways
+    if sets < 1 or sets * ways != entries or sets & (sets - 1):
+        raise ValueError(
+            f"{keyword} must be {ways} times a power of two, got {entries}"
+        )
+    return sets
+
+
 class SetAssociativeTable(Generic[P]):
     """Set-associative ``tag -> payload`` storage with LRU replacement.
 

@@ -33,11 +33,17 @@ class BlockState:
 
     __slots__ = ("prefetched", "used", "ready_time", "dirty")
 
-    def __init__(self, prefetched: bool = False, ready_time: float = 0.0) -> None:
+    def __init__(
+        self,
+        prefetched: bool = False,
+        ready_time: float = 0.0,
+        used: bool = False,
+        dirty: bool = False,
+    ) -> None:
         self.prefetched = prefetched
-        self.used = False
+        self.used = used
         self.ready_time = ready_time
-        self.dirty = False
+        self.dirty = dirty
 
     def __repr__(self) -> str:
         kind = "prefetched" if self.prefetched else "demand"

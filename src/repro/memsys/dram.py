@@ -14,7 +14,7 @@ Models the three effects the paper's evaluation depends on:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.common.config import CoreConfig, DramConfig
 from repro.common.hashing import mix64
@@ -44,6 +44,10 @@ class DramModel:
         self._open_row: List[Dict[int, int]] = [
             {} for _ in range(config.channels)
         ]
+        self._row_size = config.row_size_bytes
+        # row -> (channel, bank): the route is a pure function of the row,
+        # so each distinct row hashes once
+        self._routes: Dict[int, Tuple[int, int]] = {}
         # fast-path counter cells: one access() call per LLC miss/prefetch
         self._reads = self.stats.counter("reads")
         self._row_hits = self.stats.counter("row_hits")
@@ -60,33 +64,43 @@ class DramModel:
         self.occupancy_cycles = seconds_per_block * core.frequency_ghz * 1e9
 
     # -- address mapping ----------------------------------------------------
-    def _route(self, block_address: int) -> tuple:
-        """Map a block address to (channel, bank, row).
+    def _hash_route(self, row: int) -> Tuple[int, int]:
+        """Hash a row to its (channel, bank) and memoise the answer.
 
         Channel/bank bits are hashed from the row address so that pages
         spread evenly; blocks within one DRAM row stay in one bank, which
         is what makes row-buffer hits possible for footprint bursts.
         """
-        row = block_address // self.config.row_size_bytes
         h = mix64(row)
-        channel = h % self.config.channels
-        bank = (h >> 8) % self.config.banks_per_channel
+        route = self._routes[row] = (
+            h % self.config.channels,
+            (h >> 8) % self.config.banks_per_channel,
+        )
+        return route
+
+    def _route(self, block_address: int) -> tuple:
+        """Map a block address to (channel, bank, row)."""
+        row = block_address // self._row_size
+        channel, bank = self._routes.get(row) or self._hash_route(row)
         return channel, bank, row
 
     # -- the access path ------------------------------------------------------
     def access(self, now: float, block_address: int, is_prefetch: bool = False) -> float:
         """Issue one block read at cycle ``now``; returns its latency in cycles."""
-        channel, bank, row = self._route(block_address)
-        start = max(now, self._channel_busy[channel])
+        row = block_address // self._row_size
+        channel, bank = self._routes.get(row) or self._hash_route(row)
+        start = self._channel_busy[channel]
+        if not start > now:  # max(now, start)
+            start = now
         queue_delay = start - now
 
-        open_row = self._open_row[channel].get(bank)
-        if open_row == row:
+        open_rows = self._open_row[channel]
+        if open_rows.get(bank) == row:
             service = self.hit_cycles
             self._row_hits.value += 1
         else:
             service = self.miss_cycles
-            self._open_row[channel][bank] = row
+            open_rows[bank] = row
             self._row_misses.value += 1
 
         self._channel_busy[channel] = start + self.occupancy_cycles

@@ -317,10 +317,10 @@ class MemoryHierarchy:
             latency = llc_hit_latency + self.dram.access(
                 issue + llc_hit_latency, block << self._block_bits
             )
-            fill_state = BlockState(ready_time=issue + latency)
-            fill_state.used = True
-            fill_state.dirty = is_write
-            self.llc.fill(block, fill_state)
+            # a demand fill: used, and dirty when a store missed
+            self.llc.fill(
+                block, BlockState(False, issue + latency, True, is_write)
+            )
 
         # ---- train / trigger the prefetcher (LLC placement) ----
         if self.prefetchers and self.train_at == "llc":
@@ -356,7 +356,7 @@ class MemoryHierarchy:
                 issue_time, block << self._block_bits, is_prefetch=True
             )
             ready = issue_time + latency
-            self.llc.fill(block, BlockState(prefetched=True, ready_time=ready))
+            self.llc.fill(block, BlockState(True, ready))
             self._c_prefetches_issued.value += 1
             if sink.enabled:
                 # The latency model materialises the fill at issue, so

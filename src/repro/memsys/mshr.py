@@ -30,16 +30,16 @@ class MshrFile:
     ``(start, block)`` in start order.  Times are core cycles (floats are
     accepted; ordering is what matters).
 
-    Each merge or reservation at ``now`` first pops the prefix of
+    Each :meth:`acquire` at ``now`` first pops the prefix of
     ``_live`` that completed at or before ``now`` and the prefix of
     ``_stalled`` whose starts ``now`` has reached.  A stalled miss starts
     before it finishes, so ``_stalled`` never holds more entries than
     ``_live``.
 
     A stalled reservation never removes the blocking entries: they remain
-    visible to :meth:`merge` until their real completion times, exactly
-    like hardware, where a stalled miss waits in the queue while the
-    oldest outstanding miss finishes its fill.
+    visible to :meth:`acquire`'s merge probe until their real completion
+    times, exactly like hardware, where a stalled miss waits in the
+    queue while the oldest outstanding miss finishes its fill.
 
     :meth:`occupancy` and :meth:`outstanding` only read: probing the file
     at any time leaves every later answer unchanged.
@@ -56,18 +56,9 @@ class MshrFile:
         # High-water mark of ``now``: a committed start after it is a
         # stall still waiting for its entry.
         self._clock = -_INF
-
-    def _expire(self, now: float) -> None:
-        live = self._live
-        if live and live[0][0] <= now:
-            inflight = self._inflight
-            while live and live[0][0] <= now:
-                del inflight[live.pop(0)[1]]
-        if now > self._clock:
-            self._clock = now
-            stalled = self._stalled
-            while stalled and stalled[0][0] <= now:
-                del stalled[0]
+        # the ``allocations`` cell, made at the first commit so the
+        # counter joins the group where ``stats.add`` would put it
+        self._allocations = None
 
     def outstanding(self, now: float) -> int:
         """Number of registered misses still in flight at ``now``."""
@@ -100,12 +91,20 @@ class MshrFile:
         this one gets an entry.  A reservation is finished by
         :meth:`commit` with the same ``start``.
         """
-        self._expire(now)
+        live = self._live
+        if live and live[0][0] <= now:
+            inflight = self._inflight
+            while live and live[0][0] <= now:
+                del inflight[live.pop(0)[1]]
+        if now > self._clock:
+            self._clock = now
+            stalled = self._stalled
+            while stalled and stalled[0][0] <= now:
+                del stalled[0]
         finish = self._inflight.get(block)
         if finish is not None:
             self.stats.add("merges")
             return finish, now
-        live = self._live
         overflow = len(live) - self.entries + 1
         if overflow <= 0:
             return None, now
@@ -113,25 +112,13 @@ class MshrFile:
         # after expiry every live finish is later than ``now``
         return None, live[overflow - 1][0]
 
-    def merge(self, block: int, now: float) -> Optional[float]:
-        """Merge with an in-flight miss; returns its completion time or None."""
-        self._expire(now)
-        finish = self._inflight.get(block)
-        if finish is not None:
-            self.stats.add("merges")
-        return finish
-
-    def reserve(self, now: float) -> float:
-        """The earliest time a new miss can issue (see :meth:`acquire`)."""
-        return self.acquire(None, now)[1]  # block None is never in flight
-
     def commit(self, block: int, finish: float, start: Optional[float] = None) -> None:
         """Register an issued miss that will complete at ``finish``.
 
         ``start`` is when the miss actually claims its entry (the value
-        :meth:`acquire` or :meth:`reserve` returned); omitted, the entry
-        is treated as occupied from registration, which is exact for
-        unstalled misses.  Re-registering a block replaces its entry.
+        :meth:`acquire` returned); omitted, the entry is treated as
+        occupied from registration, which is exact for unstalled misses.
+        Re-registering a block replaces its entry.
         """
         inflight = self._inflight
         old = inflight.get(block)
@@ -147,15 +134,7 @@ class MshrFile:
         insort(self._live, (finish, block))
         if start is not None and self._clock < start < finish:
             insort(self._stalled, (start, block))
-        self.stats.add("allocations")
-
-    def allocate(self, block: int, now: float, completion: float) -> float:
-        """Reserve an entry for a new miss; returns the *stall-adjusted* start.
-
-        Convenience wrapper over :meth:`reserve` + :meth:`commit` for
-        callers whose downstream latency is already known: the completion
-        time is shifted by any stall the reservation incurred.
-        """
-        start = self.reserve(now)
-        self.commit(block, completion + (start - now), start=start)
-        return start
+        cell = self._allocations
+        if cell is None:
+            cell = self._allocations = self.stats.counter("allocations")
+        cell.value += 1

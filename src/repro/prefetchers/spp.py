@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.common.addresses import AddressMap
-from repro.common.table import SetAssociativeTable
+from repro.common.table import SetAssociativeTable, sets_for
 from repro.prefetchers.base import AccessInfo, Prefetcher
 
 _SIG_BITS = 12
@@ -102,10 +102,10 @@ class SppPrefetcher(Prefetcher):
         self.signature_entries = signature_entries
         self.pattern_entries = pattern_entries
         self._signatures: SetAssociativeTable[_SignatureEntry] = SetAssociativeTable(
-            sets=max(1, signature_entries // 4), ways=4
+            sets=sets_for("signature_entries", signature_entries, 4), ways=4
         )
         self._patterns: SetAssociativeTable[_PatternEntry] = SetAssociativeTable(
-            sets=max(1, pattern_entries // 4), ways=4
+            sets=sets_for("pattern_entries", pattern_entries, 4), ways=4
         )
         # recency-bounded set suppressing duplicate prefetch candidates
         self._filter: SetAssociativeTable[bool] = SetAssociativeTable(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common.addresses import AddressMap
-from repro.common.table import SetAssociativeTable
+from repro.common.table import SetAssociativeTable, sets_for
 from repro.prefetchers.base import AccessInfo, Prefetcher
 
 _CONF_MAX = 3
@@ -44,7 +44,7 @@ class StridePrefetcher(Prefetcher):
         self.degree = degree
         self.entries = entries
         self._table: SetAssociativeTable[_StrideEntry] = SetAssociativeTable(
-            sets=max(1, entries // ways), ways=ways
+            sets=sets_for("entries", entries, ways), ways=ways
         )
 
     def on_access(self, info: AccessInfo) -> List[int]:

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 from repro.common.addresses import AddressMap
 from repro.common.hashing import combine
-from repro.common.table import SetAssociativeTable
+from repro.common.table import SetAssociativeTable, sets_for
 from repro.prefetchers.base import AccessInfo, Prefetcher
 
 
@@ -61,16 +61,16 @@ class VldpPrefetcher(Prefetcher):
         self.opt_entries = opt_entries
         self.dpt_entries = dpt_entries
         self._dhb: SetAssociativeTable[_DhbEntry] = SetAssociativeTable(
-            sets=max(1, dhb_entries // 4), ways=4
+            sets=sets_for("dhb_entries", dhb_entries, 4), ways=4
         )
         # offset -> first delta
         self._opt: SetAssociativeTable[int] = SetAssociativeTable(
-            sets=max(1, opt_entries // 4), ways=4
+            sets=sets_for("opt_entries", opt_entries, 4), ways=4
         )
         # one DPT per history length (1, 2, 3): key = hashed delta tuple
+        dpt_sets = sets_for("dpt_entries", dpt_entries, 4)
         self._dpts: List[SetAssociativeTable[int]] = [
-            SetAssociativeTable(sets=max(1, dpt_entries // 4), ways=4)
-            for _ in range(3)
+            SetAssociativeTable(sets=dpt_sets, ways=4) for _ in range(3)
         ]
         self._blocks_per_page = self.address_map.blocks_per_page
 

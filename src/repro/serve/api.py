@@ -6,6 +6,10 @@ Routes (all JSON in, JSON out):
   or a batch (``{"jobs": [{...}, ...]}``).  Returns 202 with one entry
   per job: ``{"id", "state", "deduped"}``.  A deduplicated submission
   returns the *existing* record's id — both clients poll the same job.
+  Within one batch, a spec named again answers with the batch's first
+  record for it, ``deduped: true``, whatever state that record has
+  reached (a slot may finish it before the repeat is entered); across
+  requests, only an in-flight record is deduplicated onto.
   429 when the circuit breaker has the spec quarantined, 503 while
   draining, 400 for malformed specs.
 * ``GET /jobs/<id>`` — full record: state, attempts, timestamps, typed
@@ -236,8 +240,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
         accepted = []
         try:
-            for job in jobs:
-                record, deduped = self.service.submit(job, priority=priority)
+            for record, deduped in self.service.submit_batch(jobs, priority):
                 accepted.append(
                     {
                         "id": record.id,

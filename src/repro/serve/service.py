@@ -35,7 +35,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.stats import StatGroup
 from repro.sim.executor import Executor, JobFailure, ResultCache, SimJob
@@ -262,6 +262,30 @@ class SimulationService:
         if deduped:
             self._count("dedup_hits")
         return record, deduped
+
+    def submit_batch(
+        self, jobs: Sequence[SimJob], priority: int = 0
+    ) -> Iterator[Tuple[JobRecord, bool]]:
+        """Queue a batch one job at a time, yielding ``(record, deduped)``.
+
+        A digest the batch names again answers with the batch's first
+        record for it, deduplicated, whatever state that record has
+        reached: a slot may finish the first copy before the second is
+        entered, and the queue dedups in-flight records only.  Each job
+        raises what :meth:`submit` raises, when the iteration reaches it.
+        """
+        firsts: Dict[str, JobRecord] = {}
+        for job in jobs:
+            digest = job.digest()
+            first = firsts.get(digest)
+            if first is None:
+                record, deduped = self.submit(job, priority=priority)
+                firsts[digest] = record
+                yield record, deduped
+            else:
+                self._count("submitted")
+                self._count("dedup_hits")
+                yield first, True
 
     # -- the worker slots ---------------------------------------------------
     def _worker_loop(self, executor: Executor) -> None:

@@ -20,19 +20,28 @@ general loop's outcome depends on it:
 * **The walk.**  :meth:`VectorReplay._walk` is the general loop's
   per-record arithmetic verbatim — Python floats through the same
   operations in the same order — over plain-list mirrors of
-  :class:`~repro.cpu.core.CoreTimingModel` state.  Each memory record's
-  frame comes straight from the translator's ``(core, vpage) -> frame``
-  map, reusing the previous record's frame while the page repeats; an
-  unmapped page ends the stretch as a barrier, so first-touch
-  allocation stays behind ``translator.translate`` and the shared PRNG
-  draws frames in the general loop's order.
+  :class:`~repro.cpu.core.CoreTimingModel` state.  A run of compute
+  records retires in one tight loop: its end is one ``bytes.find`` in a
+  byte-per-record kind map, and a run longer than the ROB is split where
+  the retire ring wraps, so each slot is read before the record ``rob``
+  positions later overwrites it.  The ring starts at ``0.0`` and every
+  dispatch time is positive, so the first ``rob`` records need no
+  guard.
 
-* **List L1s.**  Each core's L1D is a residency dict (block -> flat
-  ``set * ways + way`` slot) over per-slot tag and LRU *stamp* lists.
-  A stamp holds the instruction index of the block's last touch;
-  indices are unique per core, so the minimum stamp of a full set is
-  exactly the ``OrderedDict`` LRU victim.  The real L1 ``Cache``
-  objects are never touched (only their counters).
+* **List L1s.**  Each core's L1D is a residency dict (virtual block ->
+  flat ``set * ways + way`` slot) over per-slot tag and LRU *stamp*
+  lists.  Frames are drawn without replacement and a core maps each
+  page once, so within one core a virtual block names exactly one
+  physical block: an L1 hit needs no page translation, and a block of
+  an unmapped page is never resident, so its first touch ends the
+  stretch as a miss.  The barrier resolves the frame (``translate`` on
+  first touch, so the shared PRNG draws frames in the general loop's
+  order), and the set index and LRU victim stay physical.  A stamp
+  holds the instruction index of the block's last touch; indices are
+  unique per core, so the minimum stamp of a full set is exactly the
+  ``OrderedDict`` LRU victim.  The real L1 ``Cache`` objects are never
+  touched (only their counters; accesses, hits and misses are added at
+  the end of each :meth:`~VectorReplay.advance`).
 
 * **One miss tail.**  Each barrier is serviced by
   :meth:`MemoryHierarchy.l1_miss <repro.memsys.hierarchy.MemoryHierarchy.l1_miss>`,
@@ -49,6 +58,10 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional
 
+#: ``bytes.translate`` table of the kind map: compute (flag 0) -> 0,
+#: memory -> 1
+_KIND = bytes([0] + [1] * 255)
+
 
 class _CoreState:
     """Private replay state of one core: trace views, timing, list L1."""
@@ -58,6 +71,7 @@ class _CoreState:
         "pcs",
         "addrs",
         "flags",
+        "kinds",
         "count",
         "ring",
         "rob",
@@ -70,8 +84,7 @@ class _CoreState:
         "valid_count",
         "resident",
         "pend_hits",
-        "vpage",
-        "fblock",
+        "pend_misses",
     )
 
     def __init__(self, core_id, arena, core, sets, ways) -> None:
@@ -81,6 +94,9 @@ class _CoreState:
         self.pcs = arena.pcs
         self.addrs = arena.addresses
         self.flags = arena.flags
+        # one byte per record, 1 at memory records: a compute run ends
+        # at the next 1
+        self.kinds = bytes(arena.flags).translate(_KIND)
         self.count = core._count
         self.rob = core._rob
         self.interval = core._dispatch_interval
@@ -89,6 +105,7 @@ class _CoreState:
         self.last_dispatch = core._last_dispatch
         self.last_retire = core._last_retire
         self.last_llc = core._last_load_complete
+        # slot -> resident virtual block
         self.tags = [0] * (sets * ways)
         self.stamp = [0] * (sets * ways)
         # valid bits never clear, so ways fill strictly in index order
@@ -96,10 +113,9 @@ class _CoreState:
         self.valid_count = [0] * sets
         # caches start empty when the replay is built, so empty is exact
         self.resident = {}
+        # L1 hits and misses since the last writeback
         self.pend_hits = 0
-        # the last resolved page and its frame's first block number
-        self.vpage = -1
-        self.fblock = 0
+        self.pend_misses = 0
 
 
 class VectorReplay:
@@ -167,7 +183,7 @@ class VectorReplay:
     # -- running a core to its next barrier -------------------------------
     def _walk(self, cs: _CoreState, budget: int) -> Optional[float]:
         """Retire the core's L1 hits and compute records up to its next
-        barrier (an L1 miss or an unmapped page) or the budget.
+        barrier (an L1 miss, a page's first touch included) or the budget.
 
         Returns the barrier's dispatch time for the global order heap,
         or None when the core has retired its budget first.  The barrier
@@ -177,68 +193,69 @@ class VectorReplay:
         if i >= budget:
             return None
         flags = cs.flags
+        find_memory = cs.kinds.find
         addrs = cs.addrs
         ring = cs.ring
         rob = cs.rob
         interval = cs.interval
         resident = cs.resident
         stamp = cs.stamp
-        mapping = self.mapping
-        core_id = cs.core_id
-        page_bits = self.page_bits
         block_bits = self.block_bits
-        frame_shift = self.frame_shift
-        page_blocks = self.page_blocks
         lat = self.hit_lat
-        vpage = cs.vpage
-        fblock = cs.fblock
         last_dispatch = cs.last_dispatch
         last_retire = cs.last_retire
         last_llc = cs.last_llc
         pend = 0
         barrier = None
         while i < budget:
-            dispatch = last_dispatch + interval
-            if i >= rob:
-                ready = ring[i % rob]
-                if ready > dispatch:
-                    dispatch = ready
             bits = flags[i]
-            if bits:  # memory instruction
-                vaddr = addrs[i]
-                page = vaddr >> page_bits
-                if page != vpage:
-                    frame = mapping.get((core_id, page))
-                    if frame is None:
-                        barrier = dispatch
-                        break
-                    vpage = page
-                    fblock = frame << frame_shift
-                slot = resident.get(fblock | (vaddr >> block_bits & page_blocks), -1)
-                if slot < 0:
-                    barrier = dispatch
-                    break
-                issue = dispatch
-                if bits & 4 and last_llc > issue:  # depends_on_prev_load
-                    issue = last_llc
-                complete = issue + lat
-                if not bits & 2:  # a load
-                    last_llc = complete
-                stamp[slot] = i
-                pend += 1
-            else:
-                complete = dispatch + 1.0  # CoreTimingModel.ALU_LATENCY
+            if not bits:
+                # a compute run: retire it up to the next memory record,
+                # one stretch per ring wrap
+                end = find_memory(1, i, budget)
+                if end < 0:
+                    end = budget
+                while i < end:
+                    r = i % rob
+                    stop = i + rob - r
+                    if stop > end:
+                        stop = end
+                    for r in range(r, r + stop - i):
+                        dispatch = last_dispatch + interval
+                        if ring[r] > dispatch:
+                            dispatch = ring[r]
+                        complete = dispatch + 1.0  # CoreTimingModel.ALU_LATENCY
+                        if complete > last_retire:
+                            last_retire = complete
+                        ring[r] = last_retire
+                        last_dispatch = dispatch
+                    i = stop
+                continue
+            r = i % rob
+            dispatch = last_dispatch + interval
+            if ring[r] > dispatch:
+                dispatch = ring[r]
+            slot = resident.get(addrs[i] >> block_bits, -1)
+            if slot < 0:
+                barrier = dispatch
+                break
+            issue = dispatch
+            if bits & 4 and last_llc > issue:  # depends_on_prev_load
+                issue = last_llc
+            complete = issue + lat
+            if not bits & 2:  # a load
+                last_llc = complete
+            stamp[slot] = i
+            pend += 1
             if complete > last_retire:
                 last_retire = complete
-            ring[i % rob] = last_retire
+            ring[r] = last_retire
             i += 1
             last_dispatch = dispatch
         cs.count = i
         cs.last_dispatch = last_dispatch
         cs.last_retire = last_retire
         cs.last_llc = last_llc
-        cs.vpage = vpage
-        cs.fblock = fblock
         cs.pend_hits += pend
         return barrier
 
@@ -251,7 +268,6 @@ class VectorReplay:
         prefetchers and the translator's PRNG see byte-identical call
         streams in byte-identical global order.
         """
-        h = self.h
         index = cs.count
         bits = cs.flags[index]
         is_write = bool(bits & 2)
@@ -261,23 +277,39 @@ class VectorReplay:
             issue = cs.last_llc
 
         vaddr = cs.addrs[index]
-        page = vaddr >> self.page_bits
-        if page != cs.vpage:
+        vblock = vaddr >> self.block_bits
+        frame = self.mapping.get((core_id, vaddr >> self.page_bits))
+        if frame is None:
             # first touch: the real translator allocates.  Only this
             # core's barriers map its pages, and a fresh frame's blocks
             # are in no cache, so the access is an L1 miss.
-            paddr = self.translator.translate(core_id, vaddr)
-            cs.vpage = page
-            cs.fblock = paddr >> self.page_bits << self.frame_shift
-        block = cs.fblock | (vaddr >> self.block_bits & self.page_blocks)
+            block = self.translator.translate(core_id, vaddr) >> self.block_bits
+        else:
+            block = frame << self.frame_shift | (vblock & self.page_blocks)
 
-        h._l1_accesses[core_id].value += 1
-        h._l1_misses[core_id].value += 1
+        cs.pend_misses += 1
         latency, outcome = self.l1_miss(
             core_id, cs.pcs[index], block, issue, is_write
         )
-        if outcome:  # not merged into an in-flight miss
-            self._fill(cs, block, index)
+        if outcome:  # not merged into an in-flight miss: fill the list L1
+            # LRU victim by stamp, mirroring ``Cache.fill``
+            l1 = self.h.l1ds[core_id]
+            ways = self.ways
+            set_index = block & self.set_mask
+            base = set_index * ways
+            filled = cs.valid_count[set_index]
+            if filled == ways:
+                stamps = cs.stamp[base : base + ways]
+                slot = base + stamps.index(min(stamps))
+                del cs.resident[cs.tags[slot]]
+                l1._evictions.value += 1
+            else:
+                slot = base + filled
+                cs.valid_count[set_index] = filled + 1
+            cs.tags[slot] = vblock
+            cs.stamp[slot] = index
+            cs.resident[vblock] = slot
+            l1._fills.value += 1
         complete = issue + latency
         if not is_write:
             cs.last_llc = complete
@@ -289,33 +321,13 @@ class VectorReplay:
         cs.last_dispatch = dispatch
         cs.last_retire = retire
 
-    def _fill(self, cs: _CoreState, block: int, index: int) -> None:
-        """List-L1 fill: LRU victim by stamp, mirroring ``Cache.fill``."""
-        l1 = self.h.l1ds[cs.core_id]
-        ways = self.ways
-        set_index = block & self.set_mask
-        base = set_index * ways
-        filled = cs.valid_count[set_index]
-        if filled == ways:
-            stamps = cs.stamp[base : base + ways]
-            slot = base + stamps.index(min(stamps))
-            del cs.resident[cs.tags[slot]]
-            l1._evictions.value += 1
-        else:
-            slot = base + filled
-            cs.valid_count[set_index] = filled + 1
-        cs.tags[slot] = block
-        cs.stamp[slot] = index
-        cs.resident[block] = slot
-        l1._fills.value += 1
-
     # -- state writeback --------------------------------------------------
     def _writeback(self) -> None:
         """Mirror replay state back into the real objects.
 
         Runs at the end of every :meth:`advance` (even on error), before
-        any snapshot can observe the cores: identical post-state to the
-        general loop.
+        any snapshot can observe the cores or the L1 counters: identical
+        post-state to the general loop.
         """
         h = self.h
         for cs, core in zip(self.cores, self.engine.cores):
@@ -325,7 +337,9 @@ class VectorReplay:
             core._last_load_complete = cs.last_llc
             core._stat_instructions.value = cs.count
             core._stat_cycles.value = cs.last_retire
-            if cs.pend_hits:
-                h._l1_accesses[cs.core_id].value += cs.pend_hits
-                h._l1_hits[cs.core_id].value += cs.pend_hits
-                cs.pend_hits = 0
+            hits, misses = cs.pend_hits, cs.pend_misses
+            if hits or misses:
+                h._l1_accesses[cs.core_id].value += hits + misses
+                h._l1_hits[cs.core_id].value += hits
+                h._l1_misses[cs.core_id].value += misses
+                cs.pend_hits = cs.pend_misses = 0

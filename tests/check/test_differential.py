@@ -106,7 +106,9 @@ def test_detects_a_perturbing_observer(monkeypatch):
     original = MshrFile.occupancy
 
     def expiring_occupancy(self, now):
-        self._expire(now)
+        live = self._live
+        while live and live[0][0] <= now:
+            del self._inflight[live.pop(0)[1]]
         return original(self, now)
 
     monkeypatch.setattr(MshrFile, "occupancy", expiring_occupancy)

@@ -1,4 +1,10 @@
-"""MSHR file: merging, back-pressure, expiry."""
+"""MSHR file: merging, back-pressure, expiry.
+
+:meth:`MshrFile.acquire` both merges and reserves: ``acquire(block,
+now)`` answers ``(finish, now)`` when ``block`` is in flight, else
+``(None, start)``; ``acquire(None, now)[1]`` is a bare reservation
+(block ``None`` is never in flight).
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -11,36 +17,39 @@ class TestMerge:
     def test_merge_returns_completion(self):
         mshr = MshrFile(entries=4)
         mshr.commit(block=10, finish=100.0)
-        assert mshr.merge(10, now=50.0) == 100.0
+        assert mshr.acquire(10, now=50.0) == (100.0, 50.0)
+        assert mshr.stats.get("merges") == 1
 
     def test_completed_miss_does_not_merge(self):
         mshr = MshrFile(entries=4)
         mshr.commit(block=10, finish=100.0)
-        assert mshr.merge(10, now=150.0) is None
+        assert mshr.acquire(10, now=150.0) == (None, 150.0)
+        assert mshr.stats.get("merges") == 0
 
     def test_unrelated_block_does_not_merge(self):
         mshr = MshrFile(entries=4)
         mshr.commit(block=10, finish=100.0)
-        assert mshr.merge(11, now=50.0) is None
+        assert mshr.acquire(11, now=50.0) == (None, 50.0)
 
 
 class TestBackPressure:
     def test_reserve_without_pressure_is_immediate(self):
         mshr = MshrFile(entries=2)
-        assert mshr.reserve(now=5.0) == 5.0
+        assert mshr.acquire(None, now=5.0) == (None, 5.0)
+        assert mshr.stats.get("stalls") == 0
 
     def test_full_file_stalls_until_oldest_retires(self):
         mshr = MshrFile(entries=2)
         mshr.commit(1, finish=100.0)
         mshr.commit(2, finish=200.0)
-        start = mshr.reserve(now=10.0)
+        start = mshr.acquire(None, now=10.0)[1]
         assert start == 100.0  # waits for the oldest outstanding miss
         assert mshr.stats.get("stalls") == 1
 
     def test_expired_entries_free_slots(self):
         mshr = MshrFile(entries=1)
         mshr.commit(1, finish=50.0)
-        assert mshr.reserve(now=60.0) == 60.0  # entry already expired
+        assert mshr.acquire(2, now=60.0) == (None, 60.0)  # entry expired
 
     def test_outstanding_counts_live_entries(self):
         mshr = MshrFile(entries=4)
@@ -49,13 +58,15 @@ class TestBackPressure:
         assert mshr.outstanding(now=75.0) == 1
         assert mshr.outstanding(now=150.0) == 0
 
-    def test_allocate_combines_reserve_and_commit(self):
+    def test_a_stalled_miss_commits_after_its_stall(self):
+        """A 300-cycle miss stalled 90 cycles, as ``l1_miss`` issues it."""
         mshr = MshrFile(entries=1)
         mshr.commit(1, finish=100.0)
-        start = mshr.allocate(2, now=10.0, completion=310.0)
-        assert start == 100.0
-        # The completion was shifted by the 90-cycle stall.
-        assert mshr.merge(2, now=150.0) == 400.0
+        merged, start = mshr.acquire(2, now=10.0)
+        assert (merged, start) == (None, 100.0)
+        mshr.commit(2, finish=start + 300.0, start=start)
+        assert mshr.acquire(2, now=150.0) == (400.0, 150.0)
+        assert mshr.stats.get("allocations") == 2
 
     def test_rejects_zero_entries(self):
         with pytest.raises(ValueError):
@@ -69,11 +80,11 @@ class TestReRegistration:
         mshr = MshrFile(entries=4)
         mshr.commit(1, finish=50.0)
         mshr.commit(1, finish=200.0)  # re-registered
-        assert mshr.merge(1, now=100.0) == 200.0
+        assert mshr.acquire(1, now=100.0) == (200.0, 100.0)
 
 
 class TestReserveKeepsEntries:
-    """Regression: ``reserve`` on a full file used to *pop* the blocking
+    """Regression: a reservation on a full file used to *pop* the blocking
     entries, so a stalled miss destroyed the merge window of every miss
     still in flight and re-registered blocks could charge several stalls
     for one reservation."""
@@ -82,32 +93,32 @@ class TestReserveKeepsEntries:
         mshr = MshrFile(entries=2)
         mshr.commit(1, finish=100.0)
         mshr.commit(2, finish=200.0)
-        assert mshr.reserve(now=10.0) == 100.0
+        assert mshr.acquire(3, now=10.0) == (None, 100.0)
         # the blocking misses are still in flight and must keep merging
-        assert mshr.merge(1, now=50.0) == 100.0
-        assert mshr.merge(2, now=50.0) == 200.0
+        assert mshr.acquire(1, now=50.0) == (100.0, 50.0)
+        assert mshr.acquire(2, now=50.0) == (200.0, 50.0)
 
     def test_one_stall_per_reservation_despite_stale_heap_entries(self):
         mshr = MshrFile(entries=1)
         mshr.commit(1, finish=50.0)
         mshr.commit(1, finish=200.0)  # stale (50.0, 1) left in the heap
-        assert mshr.reserve(now=10.0) == 200.0
+        assert mshr.acquire(None, now=10.0) == (None, 200.0)
         assert mshr.stats.get("stalls") == 1
 
     def test_repeated_reserves_see_the_same_entries(self):
         mshr = MshrFile(entries=2)
         mshr.commit(1, finish=100.0)
         mshr.commit(2, finish=200.0)
-        assert mshr.reserve(now=10.0) == 100.0
+        assert mshr.acquire(3, now=10.0) == (None, 100.0)
         # nothing was consumed: a second reservation waits on the same miss
-        assert mshr.reserve(now=20.0) == 100.0
+        assert mshr.acquire(3, now=20.0) == (None, 100.0)
         assert mshr.stats.get("stalls") == 2
 
     def test_occupancy_never_exceeds_entries_during_stall(self):
         mshr = MshrFile(entries=2)
         mshr.commit(1, finish=100.0)
         mshr.commit(2, finish=200.0)
-        start = mshr.reserve(now=10.0)
+        _, start = mshr.acquire(3, now=10.0)
         mshr.commit(3, finish=300.0, start=start)
         # three registered misses, but only two physically hold entries
         assert mshr.outstanding(now=50.0) == 3
@@ -184,7 +195,9 @@ class TestOccupancyIsNotALinearScan:
                     mshr, next_probe
                 )
                 next_probe = next(probe_iter, None)
-            mshr.allocate(block, now=now, completion=completion)
+            # a miss of ``completion - now`` cycles, shifted by its stall
+            _, start = mshr.acquire(block, now)
+            mshr.commit(block, completion + (start - now), start)
         while next_probe is not None:
             assert mshr.occupancy(next_probe) == _reference_occupancy(
                 mshr, next_probe
@@ -216,14 +229,22 @@ class TestProbesAreReadOnly:
         for mshr in (probed, plain):
             mshr.commit(1, finish=100.0)
         assert probed.occupancy(now=150.0) == 0
-        assert probed.merge(1, now=50.0) == plain.merge(1, now=50.0) == 100.0
+        assert (
+            probed.acquire(1, now=50.0)
+            == plain.acquire(1, now=50.0)
+            == (100.0, 50.0)
+        )
 
     def test_outstanding_leaves_a_later_reservation_unchanged(self):
         probed, plain = MshrFile(entries=1), MshrFile(entries=1)
         for mshr in (probed, plain):
             mshr.commit(1, finish=100.0)
         assert probed.outstanding(now=150.0) == 0
-        assert probed.reserve(now=50.0) == plain.reserve(now=50.0) == 100.0
+        assert (
+            probed.acquire(2, now=50.0)
+            == plain.acquire(2, now=50.0)
+            == (None, 100.0)
+        )
 
 
 class _ModelMshr:
@@ -300,8 +321,11 @@ _operations = st.lists(
         st.tuples(
             st.just("commit"), _blocks, _times, st.one_of(st.none(), _times)
         ),
-        st.tuples(st.just("merge"), _blocks, _times),
-        st.tuples(st.just("reserve"), _times),
+        # an acquire never committed: a merge probe, or with block None
+        # a bare reservation
+        st.tuples(
+            st.just("probe"), st.one_of(st.none(), _blocks), _times
+        ),
         st.tuples(st.just("occupancy"), _times),
         st.tuples(st.just("outstanding"), _times),
     ),
@@ -329,6 +353,8 @@ def test_matches_a_brute_force_model(entries, operations):
             block, finish, start = args
             mshr.commit(block, finish, start)
             model.commit(block, finish, start)
+        elif op == "probe":
+            assert mshr.acquire(*args) == model.acquire(*args)
         else:
             assert getattr(mshr, op)(*args) == getattr(model, op)(*args), op
         stats = mshr.stats

@@ -110,14 +110,28 @@ def test_sfp_kwargs_check_refuses_the_kinds_it_fixes():
         ("multi-event", {"entries_per_table": 0}, "entries"),
         ("spp", {"filter_entries": 0}, "filter_entries"),
         ("sandbox", {"sandbox_capacity": 0}, "sandbox_capacity"),
+        ("spp", {"signature_entries": 12}, "signature_entries"),
+        ("spp", {"pattern_entries": 2}, "pattern_entries"),
+        ("vldp", {"dhb_entries": 12}, "dhb_entries"),
+        ("vldp", {"opt_entries": 24}, "opt_entries"),
+        ("vldp", {"dpt_entries": 6}, "dpt_entries"),
+        ("stride", {"entries": 12}, "entries"),
+        ("stride", {"ways": 0}, "ways"),
     ],
 )
 def test_history_geometry_is_checked_before_it_divides(name, kwargs, argument):
     """A zero-way or zero-entry history table is refused with a
     ``ValueError`` naming the argument, not a ``ZeroDivisionError``; so
     is a zero-sized one-set LRU table (SPP's prefetch filter, the
-    sandbox), not built as a set that forgets every block at once."""
-    with pytest.raises(ValueError, match=f"^{argument} must be at least 1"):
+    sandbox), not built as a set that forgets every block at once.  A
+    size that is not the table's ways times a power of two (SPP's,
+    VLDP's and the stride table's) is refused naming the argument, not
+    built with a different size than ``storage_bits`` charges for."""
+    (size,) = kwargs.values()
+    rule = "at least 1" if size < 1 else r"\d+ times a power of two"
+    with pytest.raises(
+        ValueError, match=f"^{argument} must be {rule}, got {size}$"
+    ):
         make_prefetcher(name, **kwargs)
 
 

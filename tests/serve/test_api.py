@@ -23,6 +23,7 @@ from repro.serve import (
     make_server,
 )
 from repro.serve.api import MAX_BODY_BYTES
+from repro.sim.executor import execute_job
 
 
 def wire_spec(seed: int = 7, **overrides):
@@ -158,6 +159,38 @@ class TestSubmission:
         assert second["id"] == first["id"]
         assert second["deduped"] is True
         assert len(client.jobs()) == 1
+
+    def test_a_batch_repeat_dedups_onto_a_finished_first_copy(
+        self, api, monkeypatch
+    ):
+        """A slot may pop, run and finish a batch's first copy of a spec
+        before the handler enters the second: the repeat still answers
+        with the first record, ``deduped: true``, and counts one dedup
+        hit.  The slot's turn is forced between the two submissions."""
+        service, client, _, _ = api
+        real_submit = service.submit
+        submitted = []
+
+        def submit_then_run(job, *args, **kwargs):
+            record, deduped = real_submit(job, *args, **kwargs)
+            if not submitted:
+                popped = service.queue.pop(timeout=0)
+                assert popped is record
+                assert service.resolve_outcome(
+                    popped, execute_job(popped.job)
+                ) == "done"
+            submitted.append(record.id)
+            return record, deduped
+
+        monkeypatch.setattr(service, "submit", submit_then_run)
+        spec = wire_spec(seed=11)
+        first, second = client.submit_many([spec, spec])
+        assert submitted == [first["id"]]
+        assert second["id"] == first["id"]
+        assert (first["deduped"], second["deduped"]) == (False, True)
+        assert second["state"] == "done"
+        assert len(client.jobs()) == 1
+        assert client.metrics()["counters"]["dedup_hits"] == 1
 
     def test_priority_visible_on_record(self, api):
         _, client, _, _ = api
