@@ -75,7 +75,8 @@ class InvariantChecker(TraceSink):
     def attach(self, hierarchy) -> None:
         """Bind to the :class:`~repro.memsys.hierarchy.MemoryHierarchy`
         whose live counters the event stream will be diffed against.
-        Must happen before the run emits its first event."""
+        Must happen before the run emits its first event; ``None``
+        unbinds the checker, which then only tallies."""
         self._hierarchy = hierarchy
 
     # -- the sink ------------------------------------------------------------

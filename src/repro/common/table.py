@@ -4,26 +4,24 @@ Nearly every structure in the paper — the LLC, Bingo's filter, accumulation
 and history tables, SMS's history table, SPP's signature table, AMPM's
 access-map table — is a set-associative array of ``(tag, payload)`` entries
 with LRU replacement.  :class:`SetAssociativeTable` implements that once for
-every prefetcher's metadata, with eviction callbacks so owners can commit
-state (e.g. Bingo moves an accumulation-table entry into the history table
-when it is evicted).  Each set is an ``OrderedDict`` of ``tag -> payload``,
-least recent first — the representation :class:`repro.memsys.cache.Cache`
-keeps its sets in.  The LLC's block-keyed replacement policies live in
-:mod:`repro.memsys.replacement`.
+every prefetcher's metadata.  Evictions are return values, so owners can
+commit state right after the call that displaced it (e.g. Bingo moves an
+accumulation-table entry into the history table when it is evicted): an
+``insert`` into a full set returns the entry it displaced, and ``pop``
+returns the entry it removed.  Each set is an ``OrderedDict`` of
+``tag -> payload``, least recent first — the representation
+:class:`repro.memsys.cache.Cache` keeps its sets in.  The LLC's block-keyed
+replacement policies live in :mod:`repro.memsys.replacement`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Generic, List, Optional, Tuple, TypeVar
+from typing import Generic, List, Optional, Tuple, TypeVar
 
 from repro.common.hashing import fold
 
 P = TypeVar("P")
-
-#: tells an absent tag from a stored ``None`` payload
-_ABSENT = object()
-
 
 def sets_for(keyword: str, entries: int, ways: int) -> int:
     """Set count of a ``ways``-way table holding ``entries`` entries.
@@ -55,17 +53,9 @@ class SetAssociativeTable(Generic[P]):
     ----------
     sets, ways:
         Geometry; ``sets`` must be a power of two, ``ways`` positive.
-    on_evict:
-        Optional callback ``(tag, payload) -> None`` invoked whenever a
-        valid entry is displaced or explicitly invalidated.
     """
 
-    def __init__(
-        self,
-        sets: int,
-        ways: int,
-        on_evict: Optional[Callable[[int, P], None]] = None,
-    ) -> None:
+    def __init__(self, sets: int, ways: int) -> None:
         if sets <= 0 or sets & (sets - 1):
             raise ValueError(f"sets must be a positive power of two, got {sets}")
         if ways <= 0:
@@ -73,7 +63,6 @@ class SetAssociativeTable(Generic[P]):
         self.sets = sets
         self.ways = ways
         self.index_bits = sets.bit_length() - 1
-        self.on_evict = on_evict
         # Each set is an OrderedDict tag -> payload, least recent first,
         # allocated on its first fill: None until then.  Bingo and SMS
         # keep 16 K-entry history tables on every core, and a short run
@@ -117,7 +106,11 @@ class SetAssociativeTable(Generic[P]):
         ``index`` overrides the set index (for split index/tag schemes);
         ``touch`` controls whether the hit updates recency.
         """
-        entries = self._sets[self.set_index(key) if index is None else index]
+        if index is None:
+            index = self._fold_memo.get(key)
+            if index is None:
+                index = self.set_index(key)
+        entries = self._sets[index]
         if entries is None or key not in entries:
             return None
         if touch:
@@ -131,43 +124,42 @@ class SetAssociativeTable(Generic[P]):
         return [] if entries is None else list(entries.items())
 
     # -- updates ----------------------------------------------------------------
-    def insert(self, key: int, payload: P, index: Optional[int] = None) -> None:
+    def insert(
+        self, key: int, payload: P, index: Optional[int] = None
+    ) -> Optional[Tuple[int, P]]:
         """Insert or overwrite the entry tagged ``key``.
 
         If the key is already present its payload is replaced in place and
         recency updated; otherwise a full set evicts its least recent
-        entry, reported through ``on_evict``.
+        entry.  Returns the displaced ``(tag, payload)``, or None.
         """
-        set_idx = self.set_index(key) if index is None else index
-        entries = self._sets[set_idx]
+        if index is None:
+            index = self._fold_memo.get(key)
+            if index is None:
+                index = self.set_index(key)
+        entries = self._sets[index]
         if entries is None:
-            entries = self._sets[set_idx] = OrderedDict()
+            entries = self._sets[index] = OrderedDict()
+        victim = None
         if key in entries:
             entries.move_to_end(key)
         elif len(entries) >= self.ways:
-            tag, old = entries.popitem(last=False)
-            if self.on_evict is not None:
-                self.on_evict(tag, old)
+            victim = entries.popitem(last=False)
         entries[key] = payload
-
-    def invalidate(self, key: int, index: Optional[int] = None) -> Optional[P]:
-        """Remove the entry tagged ``key``; returns its payload if present.
-
-        The eviction callback fires for explicit invalidations too, since
-        owners use it to commit in-flight state.
-        """
-        entries = self._sets[self.set_index(key) if index is None else index]
-        payload = _ABSENT if entries is None else entries.pop(key, _ABSENT)
-        if payload is _ABSENT:
-            return None
-        if self.on_evict is not None:
-            self.on_evict(key, payload)
-        return payload
+        return victim
 
     def pop(self, key: int, index: Optional[int] = None) -> Optional[P]:
-        """Remove the entry tagged ``key`` *without* firing ``on_evict``."""
-        entries = self._sets[self.set_index(key) if index is None else index]
+        """Remove the entry tagged ``key``; returns its payload, or None."""
+        if index is None:
+            index = self._fold_memo.get(key)
+            if index is None:
+                index = self.set_index(key)
+        entries = self._sets[index]
         return None if entries is None else entries.pop(key, None)
+
+    #: the hardware name for removing an entry: ending a region's
+    #: residency invalidates its accumulation entry
+    invalidate = pop
 
     def items(self) -> List[Tuple[int, P]]:
         """All valid ``(tag, payload)`` pairs, set-major, least recent

@@ -25,9 +25,10 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.common.addresses import AddressMap
+from repro.core.events import MATCHED_STAT
 from repro.core.history import BingoHistoryTable
 from repro.core.regions import RegionPrefetcher
-from repro.obs.events import HistoryEvict, VoteDecision
+from repro.obs.events import VoteDecision
 
 
 class BingoPrefetcher(RegionPrefetcher):
@@ -60,13 +61,7 @@ class BingoPrefetcher(RegionPrefetcher):
             blocks_per_region=self.blocks_per_region,
             vote_threshold=vote_threshold,
             short_match_policy=short_match_policy,
-            on_evict=self._history_evicted,
         )
-
-    def _history_evicted(self, key: int, pc: int, offset: int) -> None:
-        """History-table capacity displaced a stored footprint."""
-        if self.sink.enabled:
-            self.sink.emit(HistoryEvict(key=key, pc=pc, offset=offset))
 
     def _predict(
         self, pc: int, block: int, region: int, offset: int
@@ -90,7 +85,7 @@ class BingoPrefetcher(RegionPrefetcher):
                 )
             return []
         self.stats.add("lookup_hits")
-        self.stats.add(f"matched_{match.matched.name.lower()}")
+        self.stats.add(MATCHED_STAT[match.matched])
         requests = self._requests(region, offset, match.footprint)
         if sink.enabled:
             sink.emit(

@@ -48,6 +48,9 @@ class EventKind(enum.Enum):
         return _LENGTH[self]
 
 
+#: the stat a history match of each kind counts, built once
+MATCHED_STAT = {kind: f"matched_{kind.name.lower()}" for kind in EventKind}
+
 _LENGTH = {
     EventKind.PC_ADDRESS: 3,  # instruction + page + offset
     EventKind.PC_OFFSET: 2,
@@ -117,3 +120,14 @@ def event_key(kind: EventKind, pc: int, block: int, offset: int) -> int:
     if kind is EventKind.ADDRESS:
         return combine_from(_ADDRESS_SEED, block)
     return combine_from(_OFFSET_SEED, offset)  # EventKind.OFFSET
+
+
+def pc_address_head(pc: int) -> int:
+    """The first round of every ``PC+Address`` key of ``pc``.
+
+    ``combine_from`` is a left fold, so ``combine_from(pc_address_head(pc),
+    block) == event_key(EventKind.PC_ADDRESS, pc, block, offset)``: a
+    history table memoises the head per trigger PC and hashes only the
+    block per trigger.
+    """
+    return combine_from(_PC_ADDRESS_SEED, pc)

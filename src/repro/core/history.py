@@ -16,16 +16,22 @@ of one trigger hash to the same set by construction).  When several short
 matches exist, a block is prefetched if it appears in at least
 ``vote_threshold`` (20 %) of the matching footprints — the heuristic the
 paper found best — or, optionally, the most recent match wins.
+
+Trigger PCs and offsets recur (a program has few load sites), so each
+table hashes them once: the set index is memoised per ``(pc, offset)``
+and the long event's first round per ``pc``.  :meth:`BingoHistoryTable.
+insert` returns what it displaced, and the owner traces it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.common.bitvec import Footprint, vote
+from repro.common.hashing import combine_from
 from repro.common.table import SetAssociativeTable
-from repro.core.events import EventKind, event_key
+from repro.core.events import EventKind, event_key, pc_address_head
 
 
 @dataclass
@@ -37,8 +43,7 @@ class _HistoryPayload:
     footprint: Footprint
 
 
-@dataclass(frozen=True)
-class HistoryMatch:
+class HistoryMatch(NamedTuple):
     """Result of a history lookup."""
 
     footprint: Footprint
@@ -64,7 +69,6 @@ class BingoHistoryTable:
         blocks_per_region: int = 32,
         vote_threshold: float = 0.20,
         short_match_policy: str = "vote",
-        on_evict: Optional[Callable[[int, int, int], None]] = None,
     ) -> None:
         if ways < 1:
             raise ValueError(f"ways must be at least 1, got {ways}")
@@ -86,56 +90,63 @@ class BingoHistoryTable:
         self.vote_threshold = vote_threshold
         self.short_match_policy = short_match_policy
         self._sets = sets
-        # ``on_evict(key, pc, offset)`` reports a capacity-displaced entry
-        # by its long-event tag and short-event components; the check
-        # harness mirrors the displacement in its unbounded reference.
-        self._on_evict = on_evict
         self._table: SetAssociativeTable[_HistoryPayload] = SetAssociativeTable(
-            sets=sets,
-            ways=ways,
-            on_evict=self._handle_evict if on_evict is not None else None,
+            sets=sets, ways=ways
         )
-
-    def _handle_evict(self, tag: int, payload: _HistoryPayload) -> None:
-        self._on_evict(tag, payload.pc, payload.offset)
+        # (pc, offset) -> set index, and pc -> the long event's first
+        # round; both are bounded by the program's load sites
+        self._index_memo: dict = {}
+        self._head_memo: dict = {}
 
     # -- event plumbing ------------------------------------------------------
-    def _set_index(self, pc: int, offset: int) -> int:
-        """Set index: hash of the *short* event only (Section IV)."""
-        return self._table.set_index(event_key(EventKind.PC_OFFSET, pc, 0, offset))
-
-    @staticmethod
-    def _long_key(pc: int, block: int, offset: int) -> int:
-        return event_key(EventKind.PC_ADDRESS, pc, block, offset)
+    def _events(self, pc: int, block: int, offset: int) -> Tuple[int, int]:
+        """A trigger's set index, a hash of the *short* event only
+        (Section IV), and its long-event tag."""
+        index = self._index_memo.get((pc, offset))
+        if index is None:
+            index = self._index_memo[pc, offset] = self._table.set_index(
+                event_key(EventKind.PC_OFFSET, pc, 0, offset)
+            )
+        head = self._head_memo.get(pc)
+        if head is None:
+            head = self._head_memo[pc] = pc_address_head(pc)
+        return index, combine_from(head, block)
 
     # -- training ----------------------------------------------------------------
-    def insert(self, pc: int, block: int, offset: int, footprint: Footprint) -> None:
+    def insert(
+        self, pc: int, block: int, offset: int, footprint: Footprint
+    ) -> Optional[Tuple[int, int, int]]:
         """File a footprint under its trigger's long event.
 
         Stored once — tagged ``PC+Address``, placed in the set chosen by
         ``PC+Offset`` — which is exactly how the redundancy of the naive
-        two-table design is eliminated.
+        two-table design is eliminated.  Returns the ``(key, pc, offset)``
+        of the entry a full set displaced (its long-event tag and
+        short-event components), or None.
         """
         if footprint.width != self.blocks_per_region:
             raise ValueError(
                 f"footprint width {footprint.width} != region blocks "
                 f"{self.blocks_per_region}"
             )
-        index = self._set_index(pc, offset)
-        payload = _HistoryPayload(pc=pc, offset=offset, footprint=footprint.copy())
-        self._table.insert(self._long_key(pc, block, offset), payload, index=index)
+        index, long_key = self._events(pc, block, offset)
+        displaced = self._table.insert(
+            long_key,
+            _HistoryPayload(pc, offset, footprint.copy()),
+            index=index,
+        )
+        if displaced is None:
+            return None
+        key, payload = displaced
+        return key, payload.pc, payload.offset
 
     # -- prediction -----------------------------------------------------------------
     def lookup(self, pc: int, block: int, offset: int) -> Optional[HistoryMatch]:
         """Dual lookup: long event first, then short within the same set."""
-        index = self._set_index(pc, offset)
-        long_key = self._long_key(pc, block, offset)
-
+        index, long_key = self._events(pc, block, offset)
         payload = self._table.lookup(long_key, index=index)
         if payload is not None:
-            return HistoryMatch(
-                footprint=payload.footprint.copy(), matched=EventKind.PC_ADDRESS
-            )
+            return HistoryMatch(payload.footprint.copy(), EventKind.PC_ADDRESS)
 
         # Long event missed: rescan the same set matching only the
         # short-event bits (the gray path of Fig. 5).  The scan lists the
@@ -149,15 +160,11 @@ class BingoHistoryTable:
             return None
         if len(matches) == 1 or self.short_match_policy == "most_recent":
             return HistoryMatch(
-                footprint=matches[-1].footprint.copy(),
-                matched=EventKind.PC_OFFSET,
-                num_matches=len(matches),
+                matches[-1].footprint.copy(), EventKind.PC_OFFSET, len(matches)
             )
         voted = vote([payload.footprint for payload in matches],
                      self.vote_threshold)
-        return HistoryMatch(
-            footprint=voted, matched=EventKind.PC_OFFSET, num_matches=len(matches)
-        )
+        return HistoryMatch(voted, EventKind.PC_OFFSET, len(matches))
 
     # -- reporting ---------------------------------------------------------------------
     def __len__(self) -> int:

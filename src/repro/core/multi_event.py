@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Union
 
 from repro.common.addresses import AddressMap
-from repro.core.events import EventKind, LONGEST_TO_SHORTEST
+from repro.core.events import MATCHED_STAT, EventKind, LONGEST_TO_SHORTEST
 from repro.core.multi_history import CascadedHistoryTables
 from repro.core.regions import RegionPrefetcher
 
@@ -74,7 +74,7 @@ class MultiEventSpatialPrefetcher(RegionPrefetcher):
             self.stats.add("lookup_misses")
             return []
         self.stats.add("lookup_hits")
-        self.stats.add(f"matched_{match.matched.name.lower()}")
+        self.stats.add(MATCHED_STAT[match.matched])
         return self._requests(region, offset, match.footprint)
 
     def _record_redundancy(self, pc: int, block: int, offset: int) -> None:

@@ -12,16 +12,27 @@ module implements that design faithfully because the paper needs it twice:
 Entries in tables whose event does not pin the trigger offset (the bare
 ``PC`` table) remember the recorded trigger offset so predictions can be
 re-anchored at use (see :meth:`repro.common.bitvec.Footprint.shifted`).
+
+The ``PC+Offset`` key is memoised per ``(pc, offset)`` and the
+``PC+Address`` key's first round per ``pc``, as in
+:class:`repro.core.history.BingoHistoryTable`; the other kinds hash with
+:func:`repro.core.events.event_key`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.bitvec import Footprint
+from repro.common.hashing import combine_from
 from repro.common.table import SetAssociativeTable
-from repro.core.events import EventKind, LONGEST_TO_SHORTEST, event_key
+from repro.core.events import (
+    EventKind,
+    LONGEST_TO_SHORTEST,
+    event_key,
+    pc_address_head,
+)
 
 
 @dataclass
@@ -30,8 +41,7 @@ class _CascadePayload:
     trigger_offset: int
 
 
-@dataclass(frozen=True)
-class CascadeMatch:
+class CascadeMatch(NamedTuple):
     """A prediction from one of the cascaded tables."""
 
     footprint: Footprint  # already re-anchored to the new trigger
@@ -77,6 +87,25 @@ class CascadedHistoryTables:
             kind: SetAssociativeTable(sets=sets, ways=ways)
             for kind in self.kinds
         }
+        # (pc, offset) -> PC+Offset key, and pc -> the PC+Address key's
+        # first round; both are bounded by the program's load sites
+        self._short_memo: dict = {}
+        self._head_memo: dict = {}
+
+    def _key(self, kind: EventKind, pc: int, block: int, offset: int) -> int:
+        """``event_key(kind, pc, block, offset)``, memoised for the two
+        PC-led kinds."""
+        if kind is EventKind.PC_OFFSET:
+            key = self._short_memo.get((pc, offset))
+            if key is None:
+                key = self._short_memo[pc, offset] = event_key(kind, pc, 0, offset)
+            return key
+        if kind is EventKind.PC_ADDRESS:
+            head = self._head_memo.get(pc)
+            if head is None:
+                head = self._head_memo[pc] = pc_address_head(pc)
+            return combine_from(head, block)
+        return event_key(kind, pc, block, offset)
 
     # -- training ----------------------------------------------------------
     def insert(self, pc: int, block: int, offset: int, footprint: Footprint) -> None:
@@ -86,22 +115,22 @@ class CascadedHistoryTables:
                 f"footprint width {footprint.width} != {self.blocks_per_region}"
             )
         for kind in self.kinds:
-            payload = _CascadePayload(
-                footprint=footprint.copy(), trigger_offset=offset
+            self._tables[kind].insert(
+                self._key(kind, pc, block, offset),
+                _CascadePayload(footprint.copy(), offset),
             )
-            self._tables[kind].insert(event_key(kind, pc, block, offset), payload)
 
     # -- prediction ----------------------------------------------------------
     def _match(
         self, kind: EventKind, pc: int, block: int, offset: int
     ) -> Optional[CascadeMatch]:
-        payload = self._tables[kind].lookup(event_key(kind, pc, block, offset))
+        payload = self._tables[kind].lookup(self._key(kind, pc, block, offset))
         if payload is None:
             return None
         footprint = payload.footprint
         if not kind.includes_offset and payload.trigger_offset != offset:
             footprint = footprint.shifted(offset - payload.trigger_offset)
-        return CascadeMatch(footprint=footprint.copy(), matched=kind)
+        return CascadeMatch(footprint.copy(), kind)
 
     def lookup(self, pc: int, block: int, offset: int) -> Optional[CascadeMatch]:
         """TAGE-style cascade: first matching table, longest event first."""

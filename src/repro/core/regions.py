@@ -23,13 +23,13 @@ itself needs the entry back (capacity eviction).
 the commit into ``self.history`` and the storage model of the two
 auxiliary tables.  Each table is a plain
 :class:`~repro.common.table.SetAssociativeTable` of
-:class:`RegionRecord` entries keyed by region number.  Their ``on_evict``
-callbacks carry the asymmetry: a filter entry displaced by capacity is
-traced as a :class:`~repro.obs.events.RegionDrop` and trains nothing
-(graduation and end of residency remove it silently with ``pop``),
-while an accumulation entry commits its footprint whether capacity
-displaces it or ``invalidate`` ends its residency.  A subclass supplies
-the history table and its ``_predict``.
+:class:`RegionRecord` entries keyed by region number, and the entries
+they give back carry the asymmetry: a filter entry that an ``insert``
+displaces is traced as a :class:`~repro.obs.events.RegionDrop` and
+trains nothing (graduation and end of residency remove it silently with
+``pop``), while an accumulation entry commits its footprint whether an
+``insert`` displaces it or ``invalidate`` ends its residency.  A
+subclass supplies the history table and its ``_predict``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import List, Optional
 from repro.common.addresses import AddressMap
 from repro.common.bitvec import Footprint
 from repro.common.table import SetAssociativeTable
-from repro.obs.events import RegionCommit, RegionDrop
+from repro.obs.events import HistoryEvict, RegionCommit, RegionDrop
 from repro.prefetchers.base import AccessInfo, Prefetcher
 
 
@@ -62,9 +62,11 @@ class RegionPrefetcher(Prefetcher):
     """A per-page-history prefetcher: region front end over a history.
 
     A subclass builds ``self.history`` — anything with ``insert(pc,
-    block, offset, footprint)`` and ``storage_bits`` — after calling
-    this constructor, and implements :meth:`_predict`, which consults
-    the history at a trigger access.
+    block, offset, footprint)``, returning the ``(key, pc, offset)`` of
+    an entry it displaced (traced as a
+    :class:`~repro.obs.events.HistoryEvict`) or None, and
+    ``storage_bits`` — after calling this constructor, and implements
+    :meth:`_predict`, which consults the history at a trigger access.
     """
 
     #: modelled bits per filter/accumulation entry beyond the footprint:
@@ -82,23 +84,20 @@ class RegionPrefetcher(Prefetcher):
         super().__init__(address_map)
         self.blocks_per_region = self.address_map.blocks_per_region
         # both map a region number to its RegionRecord
-        self.filter_table = SetAssociativeTable(
-            sets=filter_sets, ways=filter_ways, on_evict=self._filter_dropped
-        )
+        self.filter_table = SetAssociativeTable(sets=filter_sets, ways=filter_ways)
         self.accumulation_table = SetAssociativeTable(
-            sets=accumulation_sets,
-            ways=accumulation_ways,
-            on_evict=self._commit_region,
+            sets=accumulation_sets, ways=accumulation_ways
         )
         self._region_shift = self.blocks_per_region.bit_length() - 1
-        # Why the next commit happened; on_eviction flips this to
-        # "residency" around the explicit invalidate so traced RegionCommits
-        # carry their cause (capacity commits come from table pressure).
-        self._commit_cause = "capacity"
+        self._offset_mask = self.blocks_per_region - 1
 
     # -- training plumbing --------------------------------------------------
-    def _commit_region(self, region: int, record: RegionRecord) -> None:
-        """End of residency: move the footprint into the history table."""
+    def _commit_region(self, region: int, record: RegionRecord, cause: str) -> None:
+        """Move a region's footprint into the history table.
+
+        ``cause`` is ``"residency"`` when a recorded block left the cache
+        and ``"capacity"`` when the accumulation table displaced the entry.
+        """
         if self.sink.enabled:
             self.sink.emit(
                 RegionCommit(
@@ -107,58 +106,57 @@ class RegionPrefetcher(Prefetcher):
                     offset=record.trigger_offset,
                     trigger_block=record.trigger_block,
                     footprint=record.footprint.bits,
-                    cause=self._commit_cause,
+                    cause=cause,
                 )
             )
-        self.history.insert(
+        displaced = self.history.insert(
             record.trigger_pc,
             record.trigger_block,
             record.trigger_offset,
             record.footprint,
         )
+        if displaced is not None and self.sink.enabled:
+            key, pc, offset = displaced
+            self.sink.emit(HistoryEvict(key=key, pc=pc, offset=offset))
         self.stats.add("commits")
-
-    def _filter_dropped(self, region: int, record: RegionRecord) -> None:
-        """Filter-table capacity displaced a single-access region."""
-        if self.sink.enabled:
-            self.sink.emit(RegionDrop(region=region))
 
     # -- the access path -----------------------------------------------------
     def on_access(self, info: AccessInfo) -> List[int]:
-        amap = self.address_map
-        region = amap.region_of_block(info.block)
-        offset = amap.offset_of_block(info.block)
+        pc, block = info
+        region = block >> self._region_shift
+        offset = block & self._offset_mask
 
         # Region already accumulating: just record the access.
         record = self.accumulation_table.lookup(region)
         if record is not None:
-            record.footprint.set(offset)
+            record.footprint.bits |= 1 << offset
             return []
 
         # Region in the filter table: second access graduates it.
-        record = self.filter_table.lookup(region)
+        filter_table = self.filter_table
+        record = filter_table.lookup(region)
         if record is not None:
             if record.trigger_offset == offset:
                 return []  # re-touching the trigger block: still one block
-            self.filter_table.pop(region)
-            record.footprint.set(offset)
-            self.accumulation_table.insert(region, record)
+            filter_table.pop(region)
+            record.footprint.bits |= 1 << offset
+            displaced = self.accumulation_table.insert(region, record)
+            if displaced is not None:
+                self._commit_region(*displaced, "capacity")
             return []
 
         # Trigger access: start tracking and consult the history.
-        footprint = Footprint(self.blocks_per_region)
-        footprint.set(offset)
-        self.filter_table.insert(
+        displaced = filter_table.insert(
             region,
             RegionRecord(
-                trigger_pc=info.pc,
-                trigger_offset=offset,
-                trigger_block=info.block,
-                footprint=footprint,
+                pc, offset, block, Footprint(self.blocks_per_region, 1 << offset)
             ),
         )
+        if displaced is not None and self.sink.enabled:
+            # filter-table capacity displaced a single-access region
+            self.sink.emit(RegionDrop(region=displaced[0]))
         self.stats.add("triggers")
-        return self._predict(info.pc, info.block, region, offset)
+        return self._predict(pc, block, region, offset)
 
     def _predict(
         self, pc: int, block: int, region: int, offset: int
@@ -169,9 +167,16 @@ class RegionPrefetcher(Prefetcher):
     def _requests(
         self, region: int, offset: int, footprint: Footprint
     ) -> List[int]:
-        """Every block of ``footprint`` in ``region`` except the trigger."""
+        """Every block of ``footprint`` in ``region`` except the trigger,
+        ascending."""
         region_base_block = region << self._region_shift
-        return [region_base_block + o for o in footprint.offsets() if o != offset]
+        bits = footprint.bits & ~(1 << offset)
+        requests = []
+        while bits:
+            low = bits & -bits
+            requests.append(region_base_block + low.bit_length() - 1)
+            bits ^= low
+        return requests
 
     # -- residency tracking ---------------------------------------------------
     def on_eviction(self, block: int, was_used: bool) -> None:
@@ -182,17 +187,14 @@ class RegionPrefetcher(Prefetcher):
         rejected prefetch) leaving the cache says nothing about the live
         blocks, and closing on it would commit truncated footprints.
         """
-        region = self.address_map.region_of_block(block)
-        offset = self.address_map.offset_of_block(block)
+        region = block >> self._region_shift
+        offset = block & self._offset_mask
         record = self.accumulation_table.lookup(region, touch=False)
         if record is not None:
-            if record.footprint.test(offset):
-                self._commit_cause = "residency"
-                try:
-                    # commits via the on_evict callback
-                    self.accumulation_table.invalidate(region)
-                finally:
-                    self._commit_cause = "capacity"
+            if record.footprint.bits >> offset & 1:
+                self._commit_region(
+                    region, self.accumulation_table.invalidate(region), "residency"
+                )
             else:
                 self.stats.add("residency_early_close")
             return

@@ -14,12 +14,17 @@ Block metadata carries what the evaluation needs:
 * ``ready_time`` — fill-completion cycle, so a demand access arriving
   before an in-flight prefetch completes pays the *remaining* latency
   (a "late prefetch").
+
+An eviction is reported by return value: :meth:`Cache.fill` returns its
+victim, which the owner (:class:`repro.memsys.hierarchy.MemoryHierarchy`)
+handles right after the call.  The cache keeps no reference to its
+owner, so a finished run is freed by reference counting alone.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.common.config import CacheConfig
 from repro.common.stats import StatGroup
@@ -50,17 +55,11 @@ class BlockState:
         return f"BlockState({kind}, used={self.used}, ready={self.ready_time})"
 
 
-EvictionCallback = Callable[[int, BlockState], None]
-
-
 class Cache:
     """Set-associative, true-LRU cache over block numbers.
 
     The cache is indexed by *block number* (byte address >> 6); the caller
     does the shifting once via :class:`repro.common.addresses.AddressMap`.
-    An optional ``on_evict(block, state)`` callback lets the hierarchy
-    notify prefetchers of end-of-residency events (Bingo and SMS train on
-    them) and count overpredictions.
 
     With ``policy=None`` (the default) the set's ``OrderedDict`` order *is*
     the policy — true LRU with zero extra bookkeeping, the original inner
@@ -74,14 +73,12 @@ class Cache:
         self,
         config: CacheConfig,
         name: str = "cache",
-        on_evict: Optional[EvictionCallback] = None,
         stats: Optional[StatGroup] = None,
         sink: TraceSink = NULL_SINK,
         policy: Optional[ReplacementPolicy] = None,
     ) -> None:
         self.config = config
         self.name = name
-        self.on_evict = on_evict
         self.stats = stats if stats is not None else StatGroup(name)
         # end-of-residency trace events; NULL_SINK keeps the eviction
         # path at one attribute check when observability is off
@@ -166,8 +163,6 @@ class Cache:
                         used=victim_state.used,
                     )
                 )
-            if self.on_evict is not None:
-                self.on_evict(victim_block, victim_state)
         entries[block] = state
         if policy is not None:
             policy.insert(set_index, block)
@@ -175,7 +170,7 @@ class Cache:
         return victim
 
     def invalidate(self, block: int) -> Optional[BlockState]:
-        """Remove ``block`` if resident; fires the eviction callback."""
+        """Remove ``block`` if resident; returns its state, else None."""
         entries = self._sets[block & self._set_mask]
         state = entries.pop(block, None)
         if state is not None:
@@ -191,8 +186,6 @@ class Cache:
                         used=state.used,
                     )
                 )
-            if self.on_evict is not None:
-                self.on_evict(block, state)
         return state
 
     # -- introspection -------------------------------------------------------

@@ -126,14 +126,8 @@ class MemoryHierarchy:
         self._oracle_observe = (
             replacement_oracle.observe if replacement_oracle is not None else None
         )
-        l1_on_evict = self._handle_l1_eviction if train_at == "l1" else None
         self.l1ds = [
-            Cache(
-                config.l1d,
-                name=f"l1d{i}",
-                on_evict=l1_on_evict,
-                stats=self.stats.child(f"l1d{i}"),
-            )
+            Cache(config.l1d, name=f"l1d{i}", stats=self.stats.child(f"l1d{i}"))
             for i in range(config.num_cores)
         ]
         self.l1_mshrs = [
@@ -143,7 +137,6 @@ class MemoryHierarchy:
         self.llc = Cache(
             config.llc,
             name="llc",
-            on_evict=self._handle_llc_eviction,
             stats=self.stats.child("llc"),
             sink=self.sink,
             policy=llc_policy,
@@ -177,6 +170,9 @@ class MemoryHierarchy:
         self._l1_misses = [l1.stats.counter("misses") for l1 in self.l1ds]
 
     # -- eviction plumbing ---------------------------------------------------
+    # A cache reports its victim as the return value of ``fill``; each
+    # fill site hands it here right after the call, so a cache holds no
+    # reference back to the hierarchy and a finished run frees itself.
     def _handle_llc_eviction(self, block: int, state: BlockState) -> None:
         if state.prefetched and not state.used:
             self._c_overpredictions.value += 1
@@ -184,10 +180,6 @@ class MemoryHierarchy:
             self.dram.writeback(self._now, block << self._block_bits)
         if self.train_at == "llc":
             self._notify_eviction(block, state.used)
-
-    def _handle_l1_eviction(self, block: int, state: BlockState) -> None:
-        """L1-training mode: L1 evictions end region residencies."""
-        self._notify_eviction(block, was_used=True)
 
     def _notify_eviction(self, block: int, was_used: bool) -> None:
         for pf in self._eviction_listeners:
@@ -228,8 +220,11 @@ class MemoryHierarchy:
 
         latency, outcome = self.l1_miss(core_id, pc, block, now, is_write)
         if outcome:  # not merged into an in-flight miss
-            # Fill the L1 (non-inclusive victim handling: L1 victims vanish).
-            l1.fill(block, BlockState())
+            # Fill the L1 (non-inclusive victim handling: L1 victims
+            # vanish); in L1-training mode they end region residencies.
+            victim = l1.fill(block, BlockState())
+            if victim is not None and self.train_at == "l1":
+                self._notify_eviction(victim[0], True)
         return latency, outcome
 
     def l1_miss(
@@ -318,9 +313,11 @@ class MemoryHierarchy:
                 issue + llc_hit_latency, block << self._block_bits
             )
             # a demand fill: used, and dirty when a store missed
-            self.llc.fill(
+            victim = self.llc.fill(
                 block, BlockState(False, issue + latency, True, is_write)
             )
+            if victim is not None:
+                self._handle_llc_eviction(*victim)
 
         # ---- train / trigger the prefetcher (LLC placement) ----
         if self.prefetchers and self.train_at == "llc":
@@ -356,7 +353,9 @@ class MemoryHierarchy:
                 issue_time, block << self._block_bits, is_prefetch=True
             )
             ready = issue_time + latency
-            self.llc.fill(block, BlockState(True, ready))
+            victim = self.llc.fill(block, BlockState(True, ready))
+            if victim is not None:
+                self._handle_llc_eviction(*victim)
             self._c_prefetches_issued.value += 1
             if sink.enabled:
                 # The latency model materialises the fill at issue, so
@@ -384,11 +383,16 @@ class MemoryHierarchy:
 
         These are neither covered misses nor (yet) overpredictions; the
         accuracy metric treats them as unused, matching the paper's
-        "used before eviction" definition.
+        "used before eviction" definition.  A prefetch fills only a
+        non-resident block, a demand fill only a missing one, and nothing
+        else removes an LLC block, so each issued prefetch is now either
+        covered (its first demand use), an overprediction (evicted
+        unused) or still resident unused: the whole-run counters give
+        the count without scanning the LLC.
         """
-        unused = 0
-        for set_entries in self.llc._sets:
-            for state in set_entries.values():
-                if state.prefetched and not state.used:
-                    unused += 1
-        self._llc_stats.set("prefetch_unused_at_end", unused)
+        self._llc_stats.set(
+            "prefetch_unused_at_end",
+            self._c_prefetches_issued.value
+            - self._c_covered.value
+            - self._c_overpredictions.value,
+        )

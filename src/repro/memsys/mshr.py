@@ -56,8 +56,11 @@ class MshrFile:
         # High-water mark of ``now``: a committed start after it is a
         # stall still waiting for its entry.
         self._clock = -_INF
-        # the ``allocations`` cell, made at the first commit so the
-        # counter joins the group where ``stats.add`` would put it
+        # the ``merges``, ``stalls`` and ``allocations`` cells, each made
+        # at its first count so the counter joins the group where
+        # ``stats.add`` would put it
+        self._merges = None
+        self._stalls = None
         self._allocations = None
 
     def outstanding(self, now: float) -> int:
@@ -103,12 +106,18 @@ class MshrFile:
                 del stalled[0]
         finish = self._inflight.get(block)
         if finish is not None:
-            self.stats.add("merges")
+            cell = self._merges
+            if cell is None:
+                cell = self._merges = self.stats.counter("merges")
+            cell.value += 1
             return finish, now
         overflow = len(live) - self.entries + 1
         if overflow <= 0:
             return None, now
-        self.stats.add("stalls")
+        cell = self._stalls
+        if cell is None:
+            cell = self._stalls = self.stats.counter("stalls")
+        cell.value += 1
         # after expiry every live finish is later than ``now``
         return None, live[overflow - 1][0]
 

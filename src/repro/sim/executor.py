@@ -386,7 +386,12 @@ def execute_job_checked(job: SimJob) -> SimResult:
     finally:
         if obs_sink is not None:
             obs_sink.close()
-    checker.finalize()
+    try:
+        checker.finalize()
+    finally:
+        # the checker and the hierarchy's sink reference each other:
+        # unbound, the finished run is freed by reference counting
+        checker.attach(None)
     return result
 
 

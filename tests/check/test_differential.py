@@ -41,12 +41,9 @@ def test_detects_planted_residency_bug(monkeypatch):
     def buggy_on_eviction(self, block, was_used):
         region = self.address_map.region_of_block(block)
         offset = self.address_map.offset_of_block(block)
-        if self.accumulation_table.lookup(region, touch=False) is not None:
-            self._commit_cause = "residency"
-            try:
-                self.accumulation_table.invalidate(region)
-            finally:
-                self._commit_cause = "capacity"
+        record = self.accumulation_table.invalidate(region)
+        if record is not None:
+            self._commit_region(region, record, "residency")
             return
         record = self.filter_table.lookup(region, touch=False)
         if record is not None and record.trigger_offset == offset:
@@ -81,9 +78,9 @@ def test_detects_planted_counter_bug(monkeypatch):
     region_commit events invariant."""
     original = BingoPrefetcher._commit_region
 
-    def uncounted_commit(self, region, record):
+    def uncounted_commit(self, region, record, cause):
         before = self.stats.get("commits")
-        original(self, region, record)
+        original(self, region, record, cause)
         self.stats.add("commits", before - self.stats.get("commits"))
 
     monkeypatch.setattr(BingoPrefetcher, "_commit_region", uncounted_commit)

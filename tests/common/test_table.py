@@ -49,46 +49,34 @@ class TestEviction:
         assert table.lookup(2, touch=False) is None
         assert table.lookup(1, touch=False) == "a"
 
-    def test_eviction_callback_fires(self):
-        evicted = []
-        table = SetAssociativeTable(
-            sets=1, ways=1, on_evict=lambda tag, payload: evicted.append((tag, payload))
-        )
-        table.insert(1, "a")
-        table.insert(2, "b")
-        assert evicted == [(1, "a")]
+    def test_insert_reports_the_victim(self):
+        table = SetAssociativeTable(sets=1, ways=1)
+        assert table.insert(1, "a") is None
+        assert table.insert(2, "b") == (1, "a")
+        assert table.insert(2, "c") is None  # an overwrite displaces nothing
 
-    def test_invalidate_fires_callback(self):
-        evicted = []
-        table = SetAssociativeTable(
-            sets=1, ways=2, on_evict=lambda t, p: evicted.append(t)
-        )
+    def test_invalidate_reports_the_payload(self):
+        table = SetAssociativeTable(sets=1, ways=2)
         table.insert(1, "a")
         assert table.invalidate(1) == "a"
-        assert evicted == [1]
         assert table.lookup(1) is None
 
     def test_pop_is_silent(self):
-        evicted = []
-        table = SetAssociativeTable(
-            sets=1, ways=2, on_evict=lambda t, p: evicted.append(t)
-        )
+        """``pop`` removes only the entry asked for."""
+        table = SetAssociativeTable(sets=1, ways=2)
         table.insert(1, "a")
+        table.insert(2, "b")
         assert table.pop(1) == "a"
-        assert evicted == []
+        assert table.items() == [(2, "b")]
 
     def test_invalidated_way_refilled_before_any_eviction(self):
-        evicted = []
-        table = SetAssociativeTable(
-            sets=1, ways=2, on_evict=lambda t, p: evicted.append(t)
-        )
+        table = SetAssociativeTable(sets=1, ways=2)
         table.insert(1, "a")
         table.insert(2, "b")
         table.lookup(1)  # 2 is now the LRU entry
         table.pop(1)  # frees the MRU way
-        table.insert(3, "c")
         # the freed way takes the fill; the LRU entry is not evicted
-        assert evicted == []
+        assert table.insert(3, "c") is None
         assert table.lookup(2, touch=False) == "b"
         assert table.lookup(3, touch=False) == "c"
 
@@ -257,15 +245,16 @@ class WaySlotModel:
 def test_matches_the_way_slot_table(ops):
     """Same payloads, same victims in the same order, and each set listed
     in the model's recency order, so ``scan_set(i)[-1]`` is the model's
-    rank-0 entry."""
+    rank-0 entry.  The victims are what ``insert`` and ``invalidate``
+    return."""
     evicted = []
-    table = SetAssociativeTable(
-        sets=4, ways=3, on_evict=lambda tag, payload: evicted.append((tag, payload))
-    )
+    table = SetAssociativeTable(sets=4, ways=3)
     model = WaySlotModel(sets=4, ways=3)
     for step, (op, key, index) in enumerate(ops):
         if op == "insert":
-            table.insert(key, step, index=index)
+            victim = table.insert(key, step, index=index)
+            if victim is not None:
+                evicted.append(victim)
             model.insert(key, step, index)
         elif op in ("lookup", "peek"):
             touch = op == "lookup"
@@ -274,9 +263,10 @@ def test_matches_the_way_slot_table(ops):
             )
         else:
             remove = table.invalidate if op == "invalidate" else table.pop
-            assert remove(key, index=index) == model.remove(
-                key, index, fire=op == "invalidate"
-            )
+            payload = remove(key, index=index)
+            assert payload == model.remove(key, index, fire=op == "invalidate")
+            if payload is not None and op == "invalidate":
+                evicted.append((key, payload))
         assert evicted == model.evicted
         for i in range(4):
             assert table.scan_set(i) == model.by_recency(i)

@@ -7,8 +7,10 @@ from repro.core.events import (
     Event,
     EventKind,
     LONGEST_TO_SHORTEST,
+    event_key,
 )
 from repro.core.history import BingoHistoryTable
+from repro.core.multi_history import CascadedHistoryTables
 
 
 class TestOrdering:
@@ -96,10 +98,34 @@ class TestPinnedKeys:
                                          long_key):
         table = BingoHistoryTable()  # 16 K entries, 16 ways: 1,024 sets
         for _ in range(2):  # computed, then memoised
-            assert table._set_index(pc, offset) == set_index
-            assert table._long_key(pc, block, offset) == long_key
+            assert table._events(pc, block, offset) == (set_index, long_key)
 
     def test_small_history_table_index(self):
         table = BingoHistoryTable(entries=64, ways=4)  # 16 sets
-        assert table._set_index(0x401A2C, 5) == 3
-        assert table._set_index(0, 0) == 12
+        assert table._events(0x401A2C, 0, 5)[0] == 3
+        assert table._events(0, 0, 0)[0] == 12
+
+
+# PCs reach past 64 bits and below zero: the mixers mask to 64 bits, and
+# a memoised key must mask the same way.
+pcs = st.integers(min_value=-(2**70), max_value=2**70)
+blocks = st.integers(min_value=0, max_value=2**48)
+offsets = st.integers(min_value=0, max_value=31)
+
+
+@given(pc=pcs, block=blocks, offset=offsets)
+def test_memoised_history_keys_match_event_key(pc, block, offset):
+    """The history tables hash each PC and offset once; what they
+    memoise must equal ``event_key`` and the table's ``set_index``."""
+    bingo = BingoHistoryTable(entries=256, ways=4)
+    cascade = CascadedHistoryTables(entries=256, ways=4)
+    short = event_key(EventKind.PC_OFFSET, pc, 0, offset)
+    long = event_key(EventKind.PC_ADDRESS, pc, block, offset)
+    for _ in range(2):  # computed, then memoised
+        assert bingo._events(pc, block, offset) == (
+            bingo._table.set_index(short), long
+        )
+        for kind in EventKind:
+            assert cascade._key(kind, pc, block, offset) == event_key(
+                kind, pc, block, offset
+            )

@@ -1,9 +1,12 @@
 """Filter and accumulation tables: graduation and residency commits.
 
 Each is a plain :class:`SetAssociativeTable` of region records, built
-the way :class:`RegionPrefetcher` builds it: ``pop`` removes silently,
-``invalidate`` and capacity replacement fire ``on_evict``.
+the way :class:`RegionPrefetcher` builds it: ``invalidate`` returns the
+record it removed and a capacity-displacing ``insert`` the region and
+record it displaced, which the front end commits.
 """
+
+from hypothesis import given, strategies as st
 
 from repro.common.bitvec import Footprint
 from repro.common.table import SetAssociativeTable
@@ -45,34 +48,22 @@ class TestAccumulationTable:
         assert pf.accumulation_table.lookup(5).footprint.offsets() == [1, 3]
 
     def test_explicit_evict_commits(self):
-        commits = []
-        table = SetAssociativeTable(
-            sets=2,
-            ways=2,
-            on_evict=lambda r, rec: commits.append((r, rec.footprint.offsets())),
-        )
+        table = SetAssociativeTable(sets=2, ways=2)
         table.insert(5, make_record(offset=1))
         table.lookup(5).footprint.set(2)
-        table.invalidate(5)
-        assert commits == [(5, [1, 2])]
+        assert table.invalidate(5).footprint.offsets() == [1, 2]
         assert table.lookup(5) is None
 
     def test_capacity_replacement_commits(self):
-        commits = []
-        table = SetAssociativeTable(
-            sets=1, ways=2, on_evict=lambda r, rec: commits.append(r)
-        )
-        for region in (1, 2, 3):
-            table.insert(region, make_record())
-        assert commits == [1]  # LRU displaced
+        table = SetAssociativeTable(sets=1, ways=2)
+        assert table.insert(1, make_record()) is None
+        assert table.insert(2, make_record()) is None
+        assert table.insert(3, make_record())[0] == 1  # LRU displaced
 
     def test_evict_missing_is_noop(self):
-        commits = []
-        table = SetAssociativeTable(
-            sets=1, ways=2, on_evict=lambda r, rec: commits.append(r)
-        )
+        table = SetAssociativeTable(sets=1, ways=2)
         assert table.invalidate(9) is None
-        assert commits == []
+        assert len(table) == 0
 
     def test_items(self):
         table = SetAssociativeTable(sets=2, ways=2)
@@ -84,15 +75,11 @@ class TestAccumulationTable:
 class TestCommitExactlyOnce:
     def test_capacity_and_explicit_evictions_never_double_commit(self):
         commits = []
-        table = SetAssociativeTable(
-            sets=1,
-            ways=2,
-            on_evict=lambda region, record: commits.append(region),
-        )
+        table = SetAssociativeTable(sets=1, ways=2)
         for region in (1, 2, 3):
             footprint = Footprint(32)
             footprint.set(region)
-            table.insert(
+            displaced = table.insert(
                 region,
                 RegionRecord(
                     trigger_pc=0x400,
@@ -101,26 +88,40 @@ class TestCommitExactlyOnce:
                     footprint=footprint,
                 ),
             )
+            if displaced is not None:
+                commits.append(displaced[0])
         # inserting 3 into the full single set displaced exactly the LRU
         assert commits == [1]
-        table.invalidate(2)
-        table.invalidate(3)
+
+        def invalidate(region):
+            if table.invalidate(region) is not None:
+                commits.append(region)
+
+        invalidate(2)
+        invalidate(3)
         assert commits == [1, 2, 3]
         # regions already committed are gone: re-evicting is a no-op
-        table.invalidate(1)
-        table.invalidate(2)
+        invalidate(1)
+        invalidate(2)
         assert commits == [1, 2, 3]
 
     def test_peek_does_not_perturb_replacement(self):
-        commits = []
-        table = SetAssociativeTable(
-            sets=1,
-            ways=2,
-            on_evict=lambda region, record: commits.append(region),
-        )
+        table = SetAssociativeTable(sets=1, ways=2)
         table.insert(1, make_record(1))
         table.insert(2, make_record(2))
         # eviction-path inspection must not refresh LRU
         table.lookup(1, touch=False)
-        table.insert(3, make_record(3))
-        assert commits == [1]
+        assert table.insert(3, make_record(3))[0] == 1
+
+
+@given(
+    bits=st.integers(min_value=0, max_value=2**32 - 1),
+    region=st.integers(min_value=0, max_value=2**36),
+    offset=st.integers(min_value=0, max_value=31),
+)
+def test_requests_walk_the_set_bits(bits, region, offset):
+    """``_requests`` lists the footprint's blocks but the trigger's,
+    ascending, as the offsets-based list did."""
+    footprint = Footprint(32, bits)
+    expected = [region * 32 + o for o in footprint.offsets() if o != offset]
+    assert RegionPrefetcher()._requests(region, offset, footprint) == expected

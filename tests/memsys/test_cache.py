@@ -1,4 +1,4 @@
-"""The cache model: hits, LRU eviction, prefetch metadata, callbacks."""
+"""The cache model: hits, LRU eviction, prefetch metadata, victims."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,9 +7,9 @@ from repro.common.config import CacheConfig
 from repro.memsys.cache import BlockState, Cache
 
 
-def tiny_cache(on_evict=None) -> Cache:
+def tiny_cache() -> Cache:
     """4 sets x 2 ways of 64 B blocks."""
-    return Cache(CacheConfig(size_bytes=512, ways=2), on_evict=on_evict)
+    return Cache(CacheConfig(size_bytes=512, ways=2))
 
 
 class TestLookupFill:
@@ -47,22 +47,20 @@ class TestEviction:
         assert victim[0] == 4
         assert cache.contains(0) and cache.contains(8)
 
-    def test_eviction_callback(self):
-        evicted = []
-        cache = tiny_cache(on_evict=lambda block, state: evicted.append(block))
-        cache.fill(0, BlockState())
-        cache.fill(4, BlockState())
-        cache.fill(8, BlockState())
-        assert evicted == [0]
+    def test_fill_reports_the_victim(self):
+        cache = tiny_cache()
+        first = BlockState()
+        assert cache.fill(0, first) is None
+        assert cache.fill(4, BlockState()) is None
+        assert cache.fill(8, BlockState()) == (0, first)
 
     def test_invalidate(self):
-        evicted = []
-        cache = tiny_cache(on_evict=lambda block, state: evicted.append(block))
-        cache.fill(3, BlockState())
-        state = cache.invalidate(3)
-        assert state is not None
-        assert evicted == [3]
+        cache = tiny_cache()
+        filled = BlockState()
+        cache.fill(3, filled)
+        assert cache.invalidate(3) is filled
         assert not cache.contains(3)
+        assert cache.invalidate(3) is None
 
     def test_invalidate_missing(self):
         assert tiny_cache().invalidate(42) is None
@@ -151,11 +149,7 @@ def test_capacity_invariant(blocks):
 @given(blocks=st.lists(st.integers(min_value=0, max_value=255), max_size=200))
 def test_set_isolation(blocks):
     """Evictions only displace blocks of the same set."""
-    evictions = []
-    cache = Cache(
-        CacheConfig(size_bytes=512, ways=2),
-        on_evict=lambda b, s: evictions.append(b),
-    )
+    cache = tiny_cache()
     filled = []
     for block in blocks:
         if not cache.contains(block):

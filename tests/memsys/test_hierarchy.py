@@ -15,6 +15,10 @@ from repro.memsys.hierarchy import (
     MemoryHierarchy,
 )
 from repro.prefetchers.base import AccessInfo, Prefetcher
+from repro.prefetchers.registry import available_prefetchers
+from repro.sim.compile import compile_workload
+from repro.sim.engine import SimulationEngine, SimulationParams
+from repro.workloads.registry import make_workload
 
 
 def tiny_config(num_cores=1) -> SystemConfig:
@@ -211,3 +215,36 @@ class TestConfigValidation:
         hierarchy.access(0, pc=1, vaddr=0x1000, now=0.0)
         hierarchy.access(0, pc=1, vaddr=0x1000, now=1000.0)  # L1 hit
         assert len(pf.seen) == 1
+
+
+@pytest.mark.parametrize(
+    "prefetcher, replacement",
+    [(name, "lru") for name in available_prefetchers()]
+    + [("bingo", "arc"), ("bingo", "opt")],
+)
+def test_unused_at_end_matches_a_scan(prefetcher, replacement):
+    """``finalize`` derives the resident unused prefetches from the
+    whole-run counters (issued - covered - overpredictions); on an LLC
+    small enough to evict prefetched blocks, a scan of its sets agrees."""
+    system = SystemConfig(
+        llc=CacheConfig(size_bytes=32 * 1024, ways=8, hit_latency=15,
+                        mshr_entries=64),
+    )
+    engine = SimulationEngine(
+        compile_workload(make_workload("mix3"), records_per_core=3500),
+        prefetcher,
+        system=system,
+        params=SimulationParams(instructions_per_core=3000,
+                                warmup_instructions=500),
+        replacement=replacement,
+    )
+    engine.run()
+    llc = engine.hierarchy.llc
+    scanned = sum(
+        state.prefetched and not state.used
+        for entries in llc._sets
+        for state in entries.values()
+    )
+    assert llc.stats.get("prefetch_unused_at_end") == scanned
+    if llc.stats.get("prefetches_issued"):
+        assert llc.stats.get("overpredictions") > 0

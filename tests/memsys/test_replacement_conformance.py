@@ -101,16 +101,12 @@ class TestContract:
         the policy's victim."""
         sink = RecordingSink()
         evicted = []
-        cache = Cache(
-            config(),
-            name="llc",
-            on_evict=lambda block, state: evicted.append(block),
-            sink=sink,
-            policy=fresh_policy(name),
-        )
+        cache = Cache(config(), name="llc", sink=sink, policy=fresh_policy(name))
         for block in stream(seed=4, length=1500, universe=128):
             if cache.lookup(block) is None:
-                cache.fill(block, BlockState())
+                victim = cache.fill(block, BlockState())
+                if victim is not None:
+                    evicted.append(victim[0])
         events = [e for e in sink.events if e.kind == "eviction"]
         assert [e.block for e in events] == evicted
         assert len(events) == cache.stats.get("evictions")
