@@ -27,6 +27,7 @@ import pytest
 
 from repro.common.config import small_system
 from repro.core.events import EventKind
+from repro.obs.sinks import RecordingSink
 from repro.sim.runner import run_simulation
 
 CONFIGS = {
@@ -122,3 +123,60 @@ def test_pins_exercise_the_front_end(label):
         assert c.get("residency_early_close", 0) > 0
     if label == "multi-event-fig4":
         assert sum(c.get("redundancy_lookups", 0) for c in counters) > 0
+
+
+#: tables small enough that every eviction report the front end traces
+#: occurs: filter drops, capacity and residency commits and, for Bingo,
+#: history evictions
+SMALL_TABLES = {
+    "history_entries": 64,
+    "history_ways": 4,
+    "filter_sets": 2,
+    "filter_ways": 2,
+    "accumulation_sets": 1,
+    "accumulation_ways": 4,
+}
+
+STREAM_DIGESTS = {
+    ("bingo", "l1"):
+        "712aacb7eb78478f019f2b94f8fda7726425483e581581f798c16c8b9232c77f",
+    ("bingo", "llc"):
+        "3490f3c53a2588492ce37f3ef61c9a31788a535ccf943eee9d460e6ac5b9edfd",
+    ("sms", "l1"):
+        "db9272e4231c1000faa400d8799a52013109323f3c743ba324676e61e8b3f03e",
+    ("sms", "llc"):
+        "abe45176070726caba7d8d6209f621a0f7ea4d0abb216f619575acfdc96cb5e7",
+}
+
+
+@pytest.mark.parametrize("prefetcher, train_at", sorted(STREAM_DIGESTS))
+def test_event_stream_matches_pinned_digest(prefetcher, train_at):
+    """The whole trace stream of a small-table run, in order, so every
+    eviction report (an ``Eviction`` and the ``RegionCommit`` or
+    ``HistoryEvict`` it causes) lands where it always has between the
+    events around it."""
+    sink = RecordingSink()
+    run_simulation(
+        "mix3",
+        prefetcher=prefetcher,
+        prefetcher_kwargs=SMALL_TABLES,
+        system=small_system(num_cores=4),
+        instructions_per_core=6000,
+        warmup_instructions=1000,
+        seed=11,
+        scale=0.02,
+        train_at=train_at,
+        sink=sink,
+    )
+    kinds = {event.kind for event in sink.events}
+    assert {"eviction", "region_drop", "region_commit"} <= kinds
+    assert ("history_evict" in kinds) == (prefetcher == "bingo")
+    causes = {e.cause for e in sink.events if e.kind == "region_commit"}
+    assert causes == {"capacity", "residency"}
+    digest = hashlib.sha256()
+    for event in sink.events:
+        digest.update(
+            json.dumps(event.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+        )
+    assert digest.hexdigest() == STREAM_DIGESTS[prefetcher, train_at]
+
