@@ -7,8 +7,8 @@ with LRU replacement.  :class:`SetAssociativeTable` implements that once for
 every prefetcher's metadata.  Evictions are return values, so owners can
 commit state right after the call that displaced it (e.g. Bingo moves an
 accumulation-table entry into the history table when it is evicted): an
-``insert`` into a full set returns the entry it displaced, and ``pop``
-returns the entry it removed.  Each set is an ``OrderedDict`` of
+``insert`` into a full set returns the ``(tag, payload)`` it displaced,
+and ``pop`` the payload it removed.  Each set is an ``OrderedDict`` of
 ``tag -> payload``, least recent first — the representation
 :class:`repro.memsys.cache.Cache` keeps its sets in.  The LLC's block-keyed
 replacement policies live in :mod:`repro.memsys.replacement`.
