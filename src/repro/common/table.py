@@ -10,8 +10,11 @@ accumulation-table entry into the history table when it is evicted): an
 ``insert`` into a full set returns the ``(tag, payload)`` it displaced,
 and ``pop`` the payload it removed.  Each set is an ``OrderedDict`` of
 ``tag -> payload``, least recent first — the representation
-:class:`repro.memsys.cache.Cache` keeps its sets in.  The LLC's block-keyed
-replacement policies live in :mod:`repro.memsys.replacement`.
+:class:`repro.memsys.cache.Cache` keeps its sets in.  Both start every
+set as :data:`EMPTY_SET`, one shared ``OrderedDict`` that is never
+filled, and give a set its own at its first fill, so reads need no
+test.  The LLC's block-keyed replacement policies live in
+:mod:`repro.memsys.replacement`.
 """
 
 from __future__ import annotations
@@ -22,6 +25,14 @@ from typing import Generic, List, Optional, Tuple, TypeVar
 from repro.common.hashing import fold
 
 P = TypeVar("P")
+
+#: the set in every slot of a fresh table or cache: shared by all of
+#: them and never filled (``insert`` and ``Cache.fill`` replace it with
+#: a set of its own first).  Bingo and SMS keep 16 K-entry history tables
+#: on every core and the paper's LLC has 8 K sets; a short run fills a
+#: fraction of them.
+EMPTY_SET: "OrderedDict" = OrderedDict()
+
 
 def sets_for(keyword: str, entries: int, ways: int) -> int:
     """Set count of a ``ways``-way table holding ``entries`` entries.
@@ -64,13 +75,11 @@ class SetAssociativeTable(Generic[P]):
         self.ways = ways
         self.index_bits = sets.bit_length() - 1
         # Each set is an OrderedDict tag -> payload, least recent first,
-        # allocated on its first fill: None until then.  Bingo and SMS
-        # keep 16 K-entry history tables on every core, and a short run
-        # fills a fraction of their sets.  A fill or a touching hit moves
+        # EMPTY_SET until its first fill.  A fill or a touching hit moves
         # the tag to the end; a full set evicts its first.  Split
         # index/tag schemes (the history table) can legally hold the same
         # tag in several sets.
-        self._sets: List[Optional["OrderedDict[int, P]"]] = [None] * sets
+        self._sets: List["OrderedDict[int, P]"] = [EMPTY_SET] * sets
         # fold() costs a SplitMix64 round plus up to 6 halving steps.
         # Keys recur heavily (spatial locality), so memoise the fold per
         # table.
@@ -78,7 +87,7 @@ class SetAssociativeTable(Generic[P]):
 
     # -- geometry -------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(len(entries) for entries in self._sets if entries is not None)
+        return sum(len(entries) for entries in self._sets)
 
     @property
     def capacity(self) -> int:
@@ -111,7 +120,7 @@ class SetAssociativeTable(Generic[P]):
             if index is None:
                 index = self.set_index(key)
         entries = self._sets[index]
-        if entries is None or key not in entries:
+        if key not in entries:
             return None
         if touch:
             entries.move_to_end(key)
@@ -120,8 +129,7 @@ class SetAssociativeTable(Generic[P]):
     def scan_set(self, index: int) -> List[Tuple[int, P]]:
         """All valid entries of a set as ``(tag, payload)`` pairs, least
         recent first (Bingo's most-recent-match heuristic takes the last)."""
-        entries = self._sets[index]
-        return [] if entries is None else list(entries.items())
+        return list(self._sets[index].items())
 
     # -- updates ----------------------------------------------------------------
     def insert(
@@ -138,13 +146,13 @@ class SetAssociativeTable(Generic[P]):
             if index is None:
                 index = self.set_index(key)
         entries = self._sets[index]
-        if entries is None:
-            entries = self._sets[index] = OrderedDict()
         victim = None
         if key in entries:
             entries.move_to_end(key)
         elif len(entries) >= self.ways:
             victim = entries.popitem(last=False)
+        elif entries is EMPTY_SET:
+            entries = self._sets[index] = OrderedDict()
         entries[key] = payload
         return victim
 
@@ -154,8 +162,7 @@ class SetAssociativeTable(Generic[P]):
             index = self._fold_memo.get(key)
             if index is None:
                 index = self.set_index(key)
-        entries = self._sets[index]
-        return None if entries is None else entries.pop(key, None)
+        return self._sets[index].pop(key, None)
 
     #: the hardware name for removing an entry: ending a region's
     #: residency invalidates its accumulation entry
@@ -164,9 +171,4 @@ class SetAssociativeTable(Generic[P]):
     def items(self) -> List[Tuple[int, P]]:
         """All valid ``(tag, payload)`` pairs, set-major, least recent
         first within a set."""
-        return [
-            pair
-            for entries in self._sets
-            if entries is not None
-            for pair in entries.items()
-        ]
+        return [pair for entries in self._sets for pair in entries.items()]

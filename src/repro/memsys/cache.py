@@ -3,9 +3,13 @@
 Each set is an ``OrderedDict`` keyed by block number, giving O(1) hit,
 fill, and true-LRU eviction via ``move_to_end``/``popitem`` — the
 representation :class:`repro.common.table.SetAssociativeTable` keeps the
-prefetchers' metadata in.  This is the performance-critical inner loop of
-the simulator, so the cache shares that representation, not the table's
-code: routing every access through the table would add a Python call.
+prefetchers' metadata in.  Every set starts as the table module's shared,
+never-filled :data:`~repro.common.table.EMPTY_SET`, and :meth:`Cache.fill`
+gives a set its own ``OrderedDict`` at its first fill, so a short run
+allocates only the sets it touches.  This is the performance-critical
+inner loop of the simulator, so the cache shares that representation,
+not the table's code: routing every access through the table would add
+a Python call.
 
 Block metadata carries what the evaluation needs:
 
@@ -28,6 +32,7 @@ from typing import Iterator, Optional, Tuple
 
 from repro.common.config import CacheConfig
 from repro.common.stats import StatGroup
+from repro.common.table import EMPTY_SET
 from repro.memsys.replacement import ReplacementError, ReplacementPolicy
 from repro.obs.events import Eviction
 from repro.obs.sinks import NULL_SINK, TraceSink
@@ -86,7 +91,7 @@ class Cache:
         self.num_sets = config.sets
         self.ways = config.ways
         self._set_mask = self.num_sets - 1
-        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        self._sets = [EMPTY_SET] * self.num_sets
         if policy is not None and (
             policy.num_sets != self.num_sets or policy.ways != self.ways
         ):
@@ -163,6 +168,8 @@ class Cache:
                         used=victim_state.used,
                     )
                 )
+        elif entries is EMPTY_SET:
+            entries = self._sets[set_index] = OrderedDict()
         entries[block] = state
         if policy is not None:
             policy.insert(set_index, block)

@@ -42,7 +42,7 @@ Cluster routes (worker agents only; see :mod:`repro.serve.cluster`):
 * ``POST /cluster/heartbeat`` — renew liveness + held leases.
 * ``GET/PUT /cluster/cache/<digest>`` — get/put on the service's
   result cache, the one the local slots use (404 on miss; best-effort
-  by design).
+  by design).  Agents only ``GET``: a job's report stores its result.
 
 The server is a ``ThreadingHTTPServer``: handler threads only touch the
 thread-safe service object, while simulations run in the service's own

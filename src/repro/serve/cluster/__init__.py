@@ -14,9 +14,9 @@ generalises per node:
 * the per-digest circuit breaker gains a per-*node* sibling, so a box
   that keeps crashing or timing out stops being offered work;
 * the frontend's :class:`~repro.sim.executor.ResultCache` is the one
-  result store: agents read and write it over
-  ``/cluster/cache/<digest>`` behind a local-disk tier
-  (:mod:`repro.serve.cluster.shard`), so a re-run anywhere, on an
+  result store: agents read it over ``GET /cluster/cache/<digest>``
+  behind a local-disk tier (:mod:`repro.serve.cluster.shard`), and a
+  job's report is its one write there, so a re-run anywhere, on an
   agent or on a frontend slot, dedupes;
 * idle workers **steal** from the backoff-gated backlog — a retry
   delay exists to protect the node that just failed the job, not to

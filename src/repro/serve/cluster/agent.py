@@ -19,10 +19,14 @@ second when idle, else after the running job).
 
 Cache traffic goes through a :class:`~repro.serve.cluster.shard.TieredCache`
 lease-scoped handle: local disk first, then the frontend's result cache
-(``GET/PUT /cluster/cache/<digest>``), so a job re-run anywhere in the
-cluster dedupes.  Transport failures never fail a lease — every client
-call here degrades to "back off and try again", with deterministic
-jitter reusing :class:`~repro.serve.supervisor.RetryPolicy`.
+(``GET /cluster/cache/<digest>``), so a job re-run anywhere in the
+cluster dedupes.  The report is a job's one write to the frontend's
+store (the frontend stores a reported result before it resolves the
+job), and the agent writes its local tier only once the report has gone
+out — delivered, stale or lost — so a lease's critical path is lease,
+cache probe, execute, report.  Transport failures never fail a lease —
+every client call here degrades to "back off and try again", with
+deterministic jitter reusing :class:`~repro.serve.supervisor.RetryPolicy`.
 
 A wire-version mismatch (:class:`~repro.serve.client.WireVersionError`)
 is the one *fatal* error: a mixed-version cluster must fail loudly at
@@ -261,11 +265,10 @@ class WorkerAgent:
         with self._lock:
             self._held.add(lease_id)
         self.stats.add("leases")
+        cache = self._cache_handle()
         try:
             outcome = executor.run_job_guarded(
-                job,
-                timeout=self.job_timeout or None,
-                cache=self._cache_handle(),
+                job, timeout=self.job_timeout or None, cache=cache
             )
             if isinstance(outcome, SimResult):
                 accepted = self._report(
@@ -280,6 +283,13 @@ class WorkerAgent:
         finally:
             with self._lock:
                 self._held.discard(lease_id)
+        if cache is not None:
+            # after the report, so the local write delays no job; a
+            # disk-full store costs the entry, as in run_job_guarded
+            try:
+                cache.flush()
+            except OSError:
+                executor.stats.add("cache_store_errors")
 
     def _report(
         self,

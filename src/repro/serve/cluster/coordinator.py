@@ -383,8 +383,8 @@ class ClusterCoordinator:
             return False
 
         if result is not None:
-            # store the result so a re-run anywhere dedupes even if the
-            # worker's own PUT was lost with the worker
+            # the report is the job's one write to the store, made
+            # before it resolves: a job that reads done is a cache hit
             if record.job.cacheable:
                 try:
                     self.cache_put(record.digest, result)

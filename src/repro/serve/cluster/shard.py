@@ -11,19 +11,22 @@ onto it:
   :meth:`~repro.sim.executor.Executor.run_job_guarded` accepts it as a
   lease-scoped override;
 * :class:`TieredCache` — the worker's local disk in front of the
-  frontend's store: a local hit never touches the network, a remote hit
-  backfills the local tier, and a store populates both, so the next
+  frontend's store, which it only reads: a local hit never touches the
+  network, and a remote hit or an executed result waits for
+  :meth:`TieredCache.flush`, which the agent calls after its report.
+  The report is the job's one write to the frontend, so the next
   identical job on *any* node, or on a frontend slot, reads the result
   instead of simulating it.
 
 Cache traffic is best-effort by design: an unreachable frontend turns
-``load`` into a miss and ``store`` into a no-op, never into a failed
-job.
+``load`` into a miss, never into a failed job.  Nothing in ``src/``
+calls ``ClusterCacheClient.store`` (``PUT /cluster/cache/<digest>``);
+it stays while the benchmark's tracer wraps it by name.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.sim.executor import SimJob
 from repro.sim.results import SimResult
@@ -80,30 +83,39 @@ class TieredCache:
 
     The lease-scoped cache handle a worker hands to
     :meth:`~repro.sim.executor.Executor.run_job_guarded`: ``load``
-    probes the worker-local store first, then the frontend (backfilling
-    the local tier on a remote hit); ``store`` populates both, so the
-    next identical job anywhere in the cluster — not just on this node —
-    short-circuits to a cache read.
+    probes the worker-local store first, then the frontend.  The
+    frontend tier is read-through: ``store`` and a remote hit's
+    backfill only hold their result for the local tier, and the agent
+    writes it with :meth:`flush` once its report has gone out, so the
+    report is the job's one write to the frontend and no local write
+    delays it.
     """
 
     def __init__(self, local, remote) -> None:
         self.local = local
         self.remote = remote
+        #: ``(job, result)`` held for the local tier until :meth:`flush`
+        self._held: Optional[Tuple[SimJob, SimResult]] = None
 
     def load(self, job: SimJob) -> Optional[SimResult]:
         if self.local is not None:
             hit = self.local.load(job)
             if hit is not None:
                 return hit
-        if self.remote is not None:
-            hit = self.remote.load(job)
-            if hit is not None and self.local is not None:
-                self.local.store(job, hit)
-            return hit
-        return None
+        if self.remote is None:
+            return None
+        hit = self.remote.load(job)
+        if hit is not None:
+            self.store(job, hit)
+        return hit
 
     def store(self, job: SimJob, result: SimResult) -> None:
         if self.local is not None:
-            self.local.store(job, result)
-        if self.remote is not None:
-            self.remote.store(job, result)
+            self._held = (job, result)
+
+    def flush(self) -> None:
+        """Write the held result to the local tier; an ``OSError`` (disk
+        full) propagates, and the result is not held again."""
+        held, self._held = self._held, None
+        if held is not None:
+            self.local.store(*held)

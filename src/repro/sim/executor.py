@@ -463,7 +463,9 @@ class ResultCache:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle)
+                # json.dump streams through the pure-Python encoder;
+                # dumps takes the C one and writes the same text
+                handle.write(json.dumps(entry))
             os.replace(tmp_name, path)
         except BaseException:
             _unlink_quietly(tmp_name)
@@ -730,9 +732,12 @@ class Executor:
                 delta = value - compiles_before[counter]
                 if delta:
                     self.stats.add(counter, delta)
-            for job, result in zip(pending_jobs, executed):
+            # pending lists each pending job's digest in pending_jobs' order
+            for job, result, indexes in zip(
+                pending_jobs, executed, pending.values()
+            ):
                 self._settle(self.cache, job, result)
-                for index in pending[job.digest()]:
+                for index in indexes:
                     results[index] = result
         if not return_failures:
             failures = [r for r in results if isinstance(r, JobFailure)]
@@ -770,7 +775,9 @@ class Executor:
         (``None`` disables caching for the call).  Cluster worker agents
         pass a lease-scoped :class:`~repro.serve.cluster.shard.TieredCache`
         here so a single executor can serve leases whose cache topology
-        depends on the frontend that granted them.
+        depends on the frontend that granted them.  Its ``store`` only
+        holds the result: the agent writes it to its local tier after
+        reporting, and counts a failed write as ``cache_store_errors``.
         """
         if cache is Executor._CACHE_DEFAULT:
             cache = self.cache

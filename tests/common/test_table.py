@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.table import SetAssociativeTable
+from repro.common.table import EMPTY_SET, SetAssociativeTable
 
 
 class TestBasics:
@@ -123,7 +123,30 @@ class TestItems:
 
 
 class TestLazySets:
-    """A set's storage is allocated on its first fill."""
+    """Every set starts as the shared, never-filled ``EMPTY_SET``; a set's
+    storage is allocated on its first fill."""
+
+    def test_fresh_table_holds_no_set_of_its_own(self):
+        table = SetAssociativeTable(sets=8, ways=2)
+        assert all(entries is EMPTY_SET for entries in table._sets)
+
+    def test_first_fill_allocates_exactly_its_set(self):
+        table = SetAssociativeTable(sets=8, ways=2)
+        table.insert(5, "a", index=6)
+        table.insert(7, "b", index=6)
+        own = [i for i, e in enumerate(table._sets) if e is not EMPTY_SET]
+        assert own == [6]
+        assert not EMPTY_SET
+
+    def test_reads_and_removals_leave_the_shared_set_empty(self):
+        table = SetAssociativeTable(sets=4, ways=2)
+        assert table.lookup(3) is None
+        assert table.lookup(3, index=1, touch=False) is None
+        assert table.pop(3) is None
+        assert table.invalidate(3, index=2) is None
+        assert table.scan_set(1) == []
+        assert len(table) == 0
+        assert not EMPTY_SET
 
     def test_never_filled_set_scans_empty(self):
         table = SetAssociativeTable(sets=8, ways=4)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.config import CacheConfig
+from repro.common.table import EMPTY_SET
 from repro.memsys.cache import BlockState, Cache
 
 
@@ -34,6 +35,27 @@ class TestLookupFill:
         assert victim is None
         assert not cache.lookup(5).prefetched
         assert len(cache) == 1
+
+
+class TestLazySets:
+    """Every set starts as the shared, never-filled ``EMPTY_SET``."""
+
+    def test_fresh_cache_holds_no_set_of_its_own(self):
+        cache = tiny_cache()
+        assert all(entries is EMPTY_SET for entries in cache._sets)
+        assert cache.lookup(5) is None and not cache.contains(5)
+        assert cache.invalidate(5) is None
+        assert len(cache) == 0 and list(cache.resident_blocks()) == []
+        assert not EMPTY_SET
+
+    def test_fill_allocates_exactly_its_set(self):
+        cache = tiny_cache()
+        cache.fill(6, BlockState())
+        cache.fill(10, BlockState())  # the same set: 10 & 3 == 6 & 3
+        own = [i for i, e in enumerate(cache._sets) if e is not EMPTY_SET]
+        assert own == [cache.set_index(6)]
+        assert list(cache.resident_blocks()) == [6, 10]
+        assert not EMPTY_SET
 
 
 class TestEviction:

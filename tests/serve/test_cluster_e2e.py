@@ -11,6 +11,7 @@ Subprocess-level behaviour (SIGKILL, env isolation) lives in
 
 import contextlib
 import threading
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.serve import (
     WorkerAgent,
     make_server,
 )
+from repro.serve.jobs import JobState
 from repro.sim.executor import SimJob, execute_job
 
 
@@ -72,11 +74,33 @@ def frontend(tmp_path):
         yield running
 
 
-def start_agent(url, tmp_path, name, **kwargs) -> WorkerAgent:
+def make_agent(url, tmp_path, name, **kwargs) -> WorkerAgent:
+    """An agent not yet started, so a test can patch it before it leases."""
     kwargs.setdefault("cache_dir", str(tmp_path / name))
     kwargs.setdefault("lease_wait", 0.5)
     kwargs.setdefault("job_timeout", 60.0)
-    return WorkerAgent(url, node_id=name, **kwargs).start()
+    return WorkerAgent(url, node_id=name, **kwargs)
+
+
+def start_agent(url, tmp_path, name, **kwargs) -> WorkerAgent:
+    return make_agent(url, tmp_path, name, **kwargs).start()
+
+
+def disk_full(digest, result):
+    raise OSError(28, "No space left on device")
+
+
+def slot_counters(agent) -> dict:
+    return agent.snapshot()["counters"].get("executor", {}).get("slot0", {})
+
+
+def wait_until(predicate, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
 
 
 class TestRemoteExecution:
@@ -148,6 +172,96 @@ class TestRemoteExecution:
         assert slot_alive, "the store error ended the slot thread"
         slot = agent.snapshot()["counters"]["executor"]["slot0"]
         assert slot["cache_store_errors"] == 1
+
+    def test_local_backfill_error_neither_loses_the_result_nor_the_slot(
+        self, frontend, tmp_path
+    ):
+        """A remote hit whose local backfill fails still reports the
+        frontend's result, and the slot lives on to lease again."""
+        service, url = frontend
+        job = make_job(seed=6)
+        expected = execute_job(job).to_dict()
+        service.cluster.cache_put(job.digest(), expected)
+        agent = make_agent(url, tmp_path, "agent-backfill")
+        agent._local_cache.put = disk_full
+        agent.start()
+        try:
+            record, _ = service.submit(job)
+            final = ServiceClient(url, timeout=10.0).wait(
+                record.id, timeout=20.0
+            )
+            counted = wait_until(
+                lambda: slot_counters(agent).get("cache_store_errors", 0) >= 1
+            )
+            slots = [t for t in agent._threads if t.name == "worker-slot-0"]
+            slot_alive = slots[0].is_alive()
+        finally:
+            agent.stop(timeout=10.0)
+        assert final["state"] == "done", final.get("error")
+        assert final["result"] == expected
+        assert counted, "the failed backfill was not counted"
+        assert slot_alive, "the backfill error ended the slot thread"
+        slot = slot_counters(agent)
+        assert slot["cache_hits"] == 1
+        assert slot.get("executed", 0) == 0
+        assert slot["cache_store_errors"] == 1
+
+
+class TestOneFrontendWrite:
+    """A cold job's report is its one write to the frontend's store, and
+    the agent writes its own cache only after the report."""
+
+    def test_cold_job_stores_once_and_the_agent_never_puts(
+        self, frontend, tmp_path
+    ):
+        service, url = frontend
+        agent = make_agent(url, tmp_path, "agent-once")
+        puts = []
+        forward = agent.client.cache_put
+
+        def cache_put(digest, result):
+            puts.append(digest)
+            return forward(digest, result)
+
+        agent.client.cache_put = cache_put
+        before = service.metrics()["counters"].get("cluster", {})
+        agent.start()
+        try:
+            record, _ = service.submit(make_job(seed=7))
+            final = ServiceClient(url, timeout=10.0).wait(
+                record.id, timeout=60.0
+            )
+        finally:
+            agent.stop(timeout=10.0)
+        assert final["state"] == "done", final.get("error")
+        after = service.metrics()["counters"]["cluster"]
+        assert after["cache_puts"] - before.get("cache_puts", 0) == 1
+        assert puts == []
+        assert slot_counters(agent)["executed"] == 1
+
+    def test_the_local_write_finds_the_job_done(self, frontend, tmp_path):
+        service, url = frontend
+        record, _ = service.submit(make_job(seed=8))
+        agent = make_agent(url, tmp_path, "agent-after")
+        states = []
+        store = agent._local_cache.put
+
+        def put(digest, result):
+            states.append(service.get(record.id).state)
+            return store(digest, result)
+
+        agent._local_cache.put = put
+        agent.start()
+        try:
+            final = ServiceClient(url, timeout=10.0).wait(
+                record.id, timeout=60.0
+            )
+        finally:
+            agent.stop(timeout=10.0)  # joins the slot after its write
+        assert final["state"] == "done", final.get("error")
+        assert states == [JobState.DONE]
+        assert agent._local_cache.get(final["digest"]) == final["result"]
+
 
 class TestSharedResultCache:
     def test_second_node_dedupes_via_frontend_cache(self, frontend, tmp_path):

@@ -100,6 +100,14 @@ class TestResultCache:
         path.write_text(json.dumps(entry), encoding="utf-8")
         assert cache.load(job) is None
 
+    def test_put_writes_json_dumps_of_the_entry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        job = quick_job()
+        result = execute_job(job).to_dict()
+        path = cache.put(job.digest(), result)
+        entry = {"schema": CACHE_SCHEMA, "digest": job.digest(), "result": result}
+        assert path.read_bytes() == json.dumps(entry).encode("utf-8")
+
     def test_default_dir_honours_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
         assert default_cache_dir() == tmp_path / "elsewhere"

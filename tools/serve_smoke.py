@@ -37,8 +37,10 @@ real HTTP, real signals.  Two scenarios, chosen by argument:
    executed nothing (``workers=0``);
 6. assert the frontend kept one result store: every job's result reads
    back by digest from ``ResultCache(<frontend --cache-dir>)``, the
-   store its local slots would use, and no per-node ``cluster/`` store
-   exists under that directory;
+   store its local slots would use, no per-node ``cluster/`` store
+   exists under that directory, and ``counters.cluster.cache_puts``
+   equals the number of done jobs (a job's report is its one write to
+   that store);
 7. SIGTERM the survivor and the frontend.
 
 Both share one envelope: the children import the package from
@@ -461,6 +463,11 @@ def cluster(tmp: str, env: dict, procs: list) -> None:
           "the frontend keeps a second store under cluster/")
     print(f"ok: all {len(finals)} results read back from the frontend's "
           "one result cache")
+    # each done job's report is its one write: agents never PUT
+    puts = metrics["counters"].get("cluster", {}).get("cache_puts", 0)
+    check(puts == len(finals),
+          f"{puts} frontend cache writes for {len(finals)} done jobs")
+    print(f"ok: {puts} frontend cache writes, one per done job")
 
     drain(workers["smoke-w2"], "surviving worker")
     drain(frontend, "frontend")
