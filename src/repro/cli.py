@@ -101,8 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "functions (simulator performance debugging)")
     run_p.add_argument("--replacement", default="lru",
                        choices=available_replacements(),
-                       help="LLC replacement policy (default: lru; 'opt' "
-                            "is the Belady oracle)")
+                       help="LLC replacement policy (default: lru)")
 
     cmp_p = sub.add_parser("compare", help="compare prefetchers on a workload")
     cmp_p.add_argument("--workload", "-w", required=True)

@@ -54,7 +54,6 @@ class MemoryHierarchy:
         train_at: str = "llc",
         sink: TraceSink = NULL_SINK,
         replacement: str = "lru",
-        replacement_oracle=None,
     ) -> None:
         """``train_at`` selects where prefetchers observe traffic.
 
@@ -72,9 +71,6 @@ class MemoryHierarchy:
         to the pre-zoo engine).  L1 replacement stays native LRU: the
         engine's fast loop mirrors the L1s as stamp lists, so L1
         pluggability would fork the loops (docs/replacement.md).
-        ``replacement_oracle`` supplies next-use knowledge for "opt";
-        the engine builds it from the compiled workload and it is bound
-        to the live translator here.
         """
         if train_at not in ("llc", "l1"):
             raise ValueError(f"train_at must be 'llc' or 'l1', got {train_at!r}")
@@ -107,7 +103,6 @@ class MemoryHierarchy:
         self.translator = RandomFirstTouchTranslator(
             amap, config.physical_pages, config.translation_seed
         )
-        self.replacement = replacement
         # "lru" stays on the cache model's built-in OrderedDict order —
         # zero per-access overhead and byte-identical to the pre-zoo
         # engine; anything else goes through the policy interface.
@@ -115,17 +110,8 @@ class MemoryHierarchy:
             llc_policy = None
         else:
             llc_policy = make_replacement(
-                replacement,
-                config.llc.sets,
-                config.llc.ways,
-                oracle=replacement_oracle,
+                replacement, config.llc.sets, config.llc.ways
             )
-        if replacement_oracle is not None:
-            replacement_oracle.attach(self.translator)
-        # prebound observe hook: one attribute test on the demand path
-        self._oracle_observe = (
-            replacement_oracle.observe if replacement_oracle is not None else None
-        )
         self.l1ds = [
             Cache(config.l1d, name=f"l1d{i}", stats=self.stats.child(f"l1d{i}"))
             for i in range(config.num_cores)
@@ -264,11 +250,6 @@ class MemoryHierarchy:
         self._c_demand_accesses.value += 1
         if issue > self._now:
             self._now = issue
-        if self._oracle_observe is not None:
-            # Belady bookkeeping: consume this block's occurrence so
-            # next_use() looks strictly into the future.  Demand accesses
-            # only — prefetch fills are not program references.
-            self._oracle_observe(block)
         if is_write:
             self._c_demand_writes.value += 1
 

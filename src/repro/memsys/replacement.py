@@ -7,8 +7,7 @@ metadata lives in the cache it prefetches into: region residencies are
 closed by LLC evictions and the prefetch-bit feedback depends on *which*
 block gets victimised, so replacement must be a first-class axis to
 stress.  This module extracts the policy decision into an explicit
-interface and provides a zoo of implementations plus an OPT (Belady)
-oracle as the upper-bound baseline.
+interface and provides a zoo of implementations.
 
 The interface is *block-keyed*: the cache model stores residency in
 per-set dicts, so policies track recency/frequency state against block
@@ -36,20 +35,16 @@ Determinism matters doubly here: results must be bit-reproducible for
 the executor's digest-addressed result cache, and the differential
 suite replays runs event-for-event.
 
-See ``docs/replacement.md`` for the design discussion, including how
-the Belady oracle pre-scans packed trace arenas and why it is an
-upper-bound *approximation* inside the full L1-filtered hierarchy (the
-exact oracle of the standalone replay harness lives with the tests, in
+See ``docs/replacement.md`` for the design discussion, including why
+the simulator has no OPT policy (the exact Belady of the standalone
+replay harness lives with the tests, in
 ``tests/memsys/replay_harness.py``).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
-
-#: "never referenced again" — sorts after every real next-use key
-NEVER = float("inf")
+from typing import Callable, Dict, List
 
 
 class ReplacementError(RuntimeError):
@@ -168,8 +163,7 @@ class LfuReplacement(ReplacementPolicy):
     minimises references, oldest arrival first on ties — the classic
     deterministic LFU.  Frequency state dies with the block (no
     LFU-with-aging), which makes LFU maximally sticky: a block hot long
-    ago survives long after it went cold.  That pathology is deliberate;
-    the phase-change workloads exist to expose it.
+    ago survives long after it went cold.
     """
 
     name = "lfu"
@@ -343,144 +337,6 @@ class TwoQReplacement(ReplacementPolicy):
 
 
 # ---------------------------------------------------------------------------
-# OPT (Belady) and its oracles
-# ---------------------------------------------------------------------------
-
-
-class TraceOracle:
-    """Next-use oracle pre-scanned from a compiled workload's packed arenas.
-
-    The full simulator cannot know its exact future LLC reference stream
-    (L1 filtering and MSHR merges depend on timing), but it *can* know
-    the program's: one pass over the packed per-core address arrays
-    yields every future reference to every virtual block.  Per-core
-    record indices are interleaved into a single global key
-    (``record_index * num_cores + core_id`` — cores dispatch at equal
-    intervals, so index order is the scalar heap's order to first
-    approximation), and physical blocks are resolved back to
-    ``(core, virtual block)`` through the translator's frame-owner
-    inverse, which random first-touch allocation keeps injective.
-
-    ``observe`` is called for every LLC demand access; it advances a
-    monotone clock to the consumed occurrence's key, lazily skipping
-    occurrences that never reached the LLC (L1 hits, MSHR merges).
-    ``next_use`` is the first occurrence strictly after the clock —
-    i.e. Belady over the *program* stream, an upper-bound heuristic for
-    the filtered stream (see docs/replacement.md for why the distinction
-    is immaterial in the standalone optimality proof and minor here).
-    """
-
-    def __init__(self, workload, system) -> None:
-        amap = system.address_map
-        self._block_bits = amap.block_bits
-        self._page_block_bits = amap.page_bits - amap.block_bits
-        self._offset_mask = (1 << self._page_block_bits) - 1
-        self._translator = None  # bound by the hierarchy via attach()
-        num_cores = workload.num_cores
-        occ: Dict[Tuple[int, int], List[int]] = {}
-        block_bits = self._block_bits
-        for core_id in range(num_cores):
-            arena = workload.packed(core_id)
-            addresses = arena.addresses
-            flags = arena.flags
-            for index in range(arena.records):
-                if flags[index]:
-                    vblock = addresses[index] >> block_bits
-                    occ.setdefault((core_id, vblock), []).append(
-                        index * num_cores + core_id
-                    )
-        self._occ = occ
-        self._cursor: Dict[Tuple[int, int], int] = {}
-        self._clock = -1
-
-    def attach(self, translator) -> None:
-        """Bind the live translator (supplies the frame-owner inverse)."""
-        self._translator = translator
-
-    def _resolve(self, block: int) -> Optional[Tuple[int, int]]:
-        frame = block >> self._page_block_bits
-        owner = self._translator.frame_owner(frame)
-        if owner is None:
-            return None
-        core_id, vpage = owner
-        return core_id, (vpage << self._page_block_bits) | (
-            block & self._offset_mask
-        )
-
-    def _advance(self, key: Optional[Tuple[int, int]]) -> Tuple[list, int]:
-        positions = self._occ.get(key, ())
-        cursor = self._cursor.get(key, 0)
-        clock = self._clock
-        while cursor < len(positions) and positions[cursor] <= clock:
-            cursor += 1
-        if key is not None:
-            self._cursor[key] = cursor
-        return positions, cursor
-
-    def observe(self, block: int) -> None:
-        """One LLC demand access to ``block``: consume its occurrence."""
-        key = self._resolve(block)
-        if key is None:
-            return
-        positions, cursor = self._advance(key)
-        if cursor < len(positions):
-            self._clock = positions[cursor]
-            self._cursor[key] = cursor + 1
-
-    def next_use(self, block: int) -> float:
-        key = self._resolve(block)
-        if key is None:
-            return NEVER
-        positions, cursor = self._advance(key)
-        return positions[cursor] if cursor < len(positions) else NEVER
-
-
-class BeladyReplacement(ReplacementPolicy):
-    """OPT: evict the resident block referenced farthest in the future.
-
-    Needs an oracle for ``next_use`` (:class:`TraceOracle`, or any object
-    with ``next_use``); without one every block reads as never-used-again
-    and the policy degrades to FIFO order — still a valid (if pointless)
-    policy, which keeps the conformance suite able to instantiate it
-    uniformly.  Ties (including multiple never-again blocks) break
-    toward the oldest insertion, deterministically.
-    """
-
-    name = "opt"
-
-    def __init__(self, num_sets: int, ways: int, oracle=None) -> None:
-        super().__init__(num_sets, ways)
-        self.oracle = oracle
-        self._order: List["OrderedDict[int, None]"] = [
-            OrderedDict() for _ in range(num_sets)
-        ]
-
-    def touch(self, set_index: int, block: int) -> None:
-        pass  # the oracle, not recency, carries all the information
-
-    def insert(self, set_index: int, block: int) -> None:
-        self._order[set_index][block] = None
-
-    def remove(self, set_index: int, block: int) -> None:
-        self._order[set_index].pop(block, None)
-
-    def victim(self, set_index: int, incoming: int) -> int:
-        oracle = self.oracle
-        best = None
-        best_key = -1.0
-        for block in self._order[set_index]:
-            key = oracle.next_use(block) if oracle is not None else NEVER
-            if key > best_key:  # strict: first-inserted wins ties
-                best = block
-                best_key = key
-                if key == NEVER:
-                    break  # nothing sorts after "never again"
-        if best is None:  # pragma: no cover - empty set is a cache bug
-            raise ReplacementError(f"victim() on empty set {set_index}")
-        return best
-
-
-# ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
@@ -493,7 +349,6 @@ _REGISTRY: Dict[str, Callable[..., ReplacementPolicy]] = {
     "lfu": LfuReplacement,
     "arc": ArcReplacement,
     "2q": TwoQReplacement,
-    "opt": BeladyReplacement,
 }
 
 
@@ -512,15 +367,8 @@ def register_replacement(
     _REGISTRY[key] = factory
 
 
-def make_replacement(
-    name: str, num_sets: int, ways: int, oracle=None
-) -> ReplacementPolicy:
-    """Construct a replacement policy by registry name.
-
-    ``oracle`` is consumed by ``opt`` (and ignored by heuristics): the
-    engine builds a :class:`TraceOracle` from the compiled workload and
-    threads it through here.
-    """
+def make_replacement(name: str, num_sets: int, ways: int) -> ReplacementPolicy:
+    """Construct a replacement policy by registry name."""
     try:
         factory = _REGISTRY[name.lower()]
     except KeyError:
@@ -528,21 +376,16 @@ def make_replacement(
             f"unknown replacement policy {name!r}; "
             f"available: {available_replacements()}"
         ) from None
-    if factory is BeladyReplacement:
-        return BeladyReplacement(num_sets, ways, oracle=oracle)
     return factory(num_sets, ways)
 
 
 __all__ = [
-    "NEVER",
     "ArcReplacement",
-    "BeladyReplacement",
     "FifoReplacement",
     "LfuReplacement",
     "LruReplacement",
     "ReplacementError",
     "ReplacementPolicy",
-    "TraceOracle",
     "TwoQReplacement",
     "available_replacements",
     "make_replacement",

@@ -11,7 +11,7 @@ distributions rather than the generator's neat virtual layout.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.common.addresses import AddressMap
 
@@ -41,10 +41,6 @@ class RandomFirstTouchTranslator:
         self.physical_pages = physical_pages
         self._rng = random.Random(seed)
         self._mapping: Dict[Tuple[int, int], int] = {}
-        # inverse of _mapping — frames are drawn without replacement, so
-        # frame -> (core, vpage) is a function; the Belady oracle uses it
-        # to resolve physical blocks back to trace-visible virtual blocks
-        self._frame_owner: Dict[int, Tuple[int, int]] = {}
         self._used_frames: set = set()
 
     def translate(self, core_id: int, vaddr: int) -> int:
@@ -56,12 +52,7 @@ class RandomFirstTouchTranslator:
         if frame is None:
             frame = self._allocate_frame()
             self._mapping[key] = frame
-            self._frame_owner[frame] = key
         return (frame << amap.page_bits) | amap.page_offset(vaddr)
-
-    def frame_owner(self, frame: int) -> Optional[Tuple[int, int]]:
-        """Invert the mapping: ``(core_id, vpage)`` that owns ``frame``."""
-        return self._frame_owner.get(frame)
 
     def _allocate_frame(self) -> int:
         if len(self._used_frames) >= self.physical_pages:

@@ -23,7 +23,7 @@ from repro.common.config import SystemConfig
 from repro.common.stats import StatGroup
 from repro.cpu.core import CoreTimingModel
 from repro.memsys.hierarchy import MemoryHierarchy
-from repro.memsys.replacement import TraceOracle, available_replacements
+from repro.memsys.replacement import available_replacements
 from repro.obs.config import ObservabilityConfig
 from repro.obs.sinks import NULL_SINK, TraceSink, build_sink
 from repro.obs.timeline import TimelineRecorder
@@ -45,9 +45,9 @@ VECTOR_VERSION = 3
 #: Process-local counts of which engine loop each ``run()`` selected:
 #: ``vectorized`` (the fast loop) or ``general``.  ``demoted`` and
 #: ``demoted_ineligible_policy`` count the fast-loop runs that have an
-#: LLC replacement-policy interface or Belady oracle attached.  Such
-#: runs take the same miss tail as every other; the names are
-#: historical and kept because benchmark tooling reads them.
+#: LLC replacement-policy interface attached.  Such runs take the same
+#: miss tail as every other; the names are historical and kept because
+#: benchmark tooling reads them.
 #: Diagnostics only — deliberately *not* routed into ``SimResult`` or
 #: ``raw_stats``, which must stay byte-identical across loops.
 _TIER_RUNS = {
@@ -127,9 +127,7 @@ class SimulationEngine:
         permits the fast loop when the run qualifies (see
         :meth:`_fast_path_eligible`); ``False`` runs the general loop.
         Results are identical either way.  ``replacement`` selects the
-        LLC policy from :mod:`repro.memsys.replacement`; ``"opt"`` needs
-        next-use knowledge and therefore a compiled workload to
-        pre-scan."""
+        LLC policy from :mod:`repro.memsys.replacement`."""
         self.workload = workload
         self.vectorized = vectorized
         if replacement not in available_replacements():
@@ -163,16 +161,6 @@ class SimulationEngine:
                 for _ in range(self.system.num_cores)
             ]
 
-        oracle = None
-        if replacement == "opt":
-            if not isinstance(workload, CompiledWorkload):
-                raise ValueError(
-                    "replacement='opt' needs the packed trace arenas to "
-                    "pre-scan next-use distances; run with a compiled "
-                    "workload (repro.sim.compile.compile_workload)"
-                )
-            oracle = TraceOracle(workload, self.system)
-
         self.stats = StatGroup("run")
         self.hierarchy = MemoryHierarchy(
             self.system,
@@ -181,7 +169,6 @@ class SimulationEngine:
             train_at=train_at,
             sink=self.sink,
             replacement=replacement,
-            replacement_oracle=oracle,
         )
         self.cores = [
             CoreTimingModel(self.system.core, stats=self.stats.child(f"core{i}"))

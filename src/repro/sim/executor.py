@@ -60,7 +60,7 @@ from repro.sim.results import SimResult
 #: vector-tier version, so entries produced by an older batch-replay
 #: kernel are never served once the kernel changes
 #: schema 5: jobs carry the LLC replacement-policy name, so a zoo run
-#: ("fifo", "arc", "opt", ...) can never collide with the LRU entry of
+#: ("fifo", "arc", ...) can never collide with the LRU entry of
 #: the same point — and every pre-zoo entry invalidates at once
 #: schema 6: the vector tier's batched miss path (VECTOR_VERSION 2)
 #: rebuilt the barrier execution sequence; entries produced by the

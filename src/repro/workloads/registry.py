@@ -8,7 +8,7 @@ from repro.workloads.base import Workload
 from repro.workloads.mixes import MIX_COMPOSITIONS, make_mix
 from repro.workloads.scientific import em3d
 from repro.workloads.server import data_serving, sat_solver, streaming, zeus
-from repro.workloads.stress import oscillate, phase_shift, zipf
+from repro.workloads.stress import oscillate, zipf
 
 #: Version of the workload generators' *output*.  Bump whenever any
 #: registered generator's record stream changes for a given (name, seed,
@@ -23,7 +23,6 @@ _FACTORIES: Dict[str, Callable[[float], Workload]] = {
     "zeus": zeus,
     "em3d": em3d,
     "zipf": zipf,
-    "phase_shift": phase_shift,
     "oscillate": oscillate,
 }
 for _mix_name in MIX_COMPOSITIONS:
@@ -47,8 +46,8 @@ WORKLOAD_NAMES = (
 )
 
 #: off-matrix stress generators (:mod:`repro.workloads.stress`), built
-#: to separate replacement policies and stress prefetcher adaptivity
-STRESS_WORKLOAD_NAMES = ("zipf", "phase_shift", "oscillate")
+#: to separate replacement policies
+STRESS_WORKLOAD_NAMES = ("zipf", "oscillate")
 
 #: the server + scientific subset (used by a few analyses)
 SERVER_WORKLOADS = ("data_serving", "sat_solver", "streaming", "zeus")

@@ -1,4 +1,4 @@
-"""Stress workloads: Zipf skew, phase changes, and oscillating patterns.
+"""Stress workloads: Zipf skew and oscillating patterns.
 
 Table II evaluates Bingo where the paper says it shines; these
 generators probe where policies *disagree*.  They exist for the
@@ -9,20 +9,16 @@ ranking prefetchers outside the paper's matrix:
   population where rank ``r`` is drawn with probability ``∝ r^-alpha``.
   The classic web/KV-store distribution; frequency-aware policies (LFU,
   ARC's T2) hold the head while recency-only policies churn it.
-* ``phase_shift`` — the working set *relocates* to a fresh arena every
-  phase.  Frequency state earned in one phase is pure dead weight in
-  the next, which is exactly the pathology LFU-without-aging exhibits
-  and adaptive policies (ARC) are built to escape.
 * ``oscillate`` — a square wave between a reusable hot set and a big
   one-touch scan.  The scan floods an LRU stack and evicts the hot set
   every period; scan-resistant policies (2Q, ARC) hold it.
 
 Like every other workload, streams are infinite, deterministic in
 ``(seed, core_id)``, and structure-preserving under ``scale`` (sizes
-scale, shapes don't).  Phase boundaries are positional — a fixed count
-of *memory* references per phase, independent of any random draw — so
-two runs with different seeds flip phases at identical stream offsets
-(the phase-determinism test in ``tests/workloads`` pins this).
+scale, shapes don't).  The oscillator's half-periods are positional —
+a fixed count of *memory* references each, independent of any random
+draw — so two runs with different seeds switch between hot set and
+scan at identical stream offsets.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from itertools import accumulate
-from typing import Iterator, List, Sequence
+from typing import Iterator, List
 
 from repro.cpu.trace import TraceRecord
 from repro.workloads import primitives as prim
@@ -42,7 +38,6 @@ BLOCK = prim.BLOCK
 # Disjoint virtual arenas, mirroring the layout convention in server.py.
 _HEAP = 0x1000_0000
 _ARENA2 = 0x4000_0000
-_PHASE_STRIDE = 0x0800_0000  # 128 MB of virtual space per phase arena
 
 
 def zipf_weights(population: int, alpha: float) -> List[float]:
@@ -84,35 +79,6 @@ def zipf_stream(
         rank = bisect_left(cumulative, rng.random() * total)
         yield TraceRecord.load(pc, base + placement[rank] * BLOCK)
         yield from prim.compute_gap(pc + 1, gap)
-
-
-def phase_stream(
-    rng: random.Random,
-    phases: Sequence,
-    phase_refs: int,
-) -> Iterator[TraceRecord]:
-    """Cycle through ``phases``, each for exactly ``phase_refs`` memory refs.
-
-    ``phases`` holds zero-argument generator *factories* (so each visit
-    restarts the pattern — a program re-entering a phase re-enters its
-    loop, it does not resume mid-iteration).  Boundaries count memory
-    references, not raw records, so the compute-gap padding of the
-    inner patterns cannot drift them; and they count *positionally*, so
-    the flip offsets are seed-independent.
-    """
-    if phase_refs <= 0:
-        raise ValueError(f"phase_refs must be positive, got {phase_refs}")
-    if not phases:
-        raise ValueError("need at least one phase")
-    while True:
-        for factory in phases:
-            pattern = factory()
-            seen = 0
-            while seen < phase_refs:
-                record = next(pattern)
-                yield record
-                if record.is_mem:
-                    seen += 1
 
 
 def oscillating_stream(
@@ -185,43 +151,6 @@ def zipf(scale: float = 1.0) -> Workload:
         "zipf",
         stream,
         description="Zipf(1.1) hot/cold skew over a KV-store block pool",
-    )
-
-
-def phase_shift(scale: float = 1.0) -> Workload:
-    """Four phases, each relocating the working set to a fresh arena.
-
-    Each phase is a Zipf-skewed region in its own arena with its own
-    access site, so history (cache contents, LFU counts, prefetcher
-    footprints) earned in one phase is worthless in the next.  The
-    phase length is scale-independent *in references* so the boundary
-    offsets stay put as footprints scale.
-    """
-    footprint = _scaled(2 * MB, scale, minimum=128 * 1024)
-    phase_refs = 4096
-
-    def stream(rng: random.Random, core_id: int) -> Iterator[TraceRecord]:
-        phases = [
-            # bind per-phase arena/pc via defaults; each phase restarts
-            # its pattern with a phase-specific child PRNG so re-entry
-            # is deterministic regardless of how much the *other*
-            # phases consumed from their generators
-            lambda p=p: zipf_stream(
-                random.Random(rng.randrange(1 << 30) ^ p),
-                pc=0x420000 + p * 0x100,
-                base=_HEAP + p * _PHASE_STRIDE,
-                footprint_bytes=footprint,
-                alpha=1.2,
-                gap=3,
-            )
-            for p in range(4)
-        ]
-        return phase_stream(rng, phases, phase_refs)
-
-    return homogeneous(
-        "phase_shift",
-        stream,
-        description="working set relocates to a fresh arena every phase",
     )
 
 

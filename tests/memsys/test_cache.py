@@ -106,9 +106,9 @@ class TestBlockState:
 
 class TestNonTouchProbes:
     """Read-only probes (``touch=False``) must not perturb replacement
-    state.  The differential checker and oracle observe paths rely on
-    this: a probe that silently refreshed LRU would make the harnessed
-    run diverge from the bare one.  Pins the guard in ``Cache.lookup``
+    state.  The differential checker relies on this: a probe that
+    silently refreshed LRU would make the harnessed run diverge from the
+    bare one.  Pins the guard in ``Cache.lookup``
     for both the native OrderedDict order and the policy interface."""
 
     def test_probe_does_not_refresh_native_lru_order(self):

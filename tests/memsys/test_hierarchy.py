@@ -220,7 +220,7 @@ class TestConfigValidation:
 @pytest.mark.parametrize(
     "prefetcher, replacement",
     [(name, "lru") for name in available_prefetchers()]
-    + [("bingo", "arc"), ("bingo", "opt")],
+    + [("bingo", "arc")],
 )
 def test_unused_at_end_matches_a_scan(prefetcher, replacement):
     """``finalize`` derives the resident unused prefetches from the

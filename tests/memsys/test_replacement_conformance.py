@@ -1,7 +1,8 @@
 """Conformance suite: invariants every replacement policy must satisfy.
 
-Parametrised over the whole registry — a policy added to
-``repro.memsys.replacement`` is automatically held to the same contract:
+Parametrised over the whole registry, plus the replay harness's exact
+Belady (``opt``) — a policy added to ``repro.memsys.replacement`` is
+automatically held to the same contract:
 
 * the victim is always a *resident* block of the indexed set;
 * set occupancy is conserved (never exceeds ways; one eviction per
@@ -23,10 +24,11 @@ from repro.memsys.replacement import (
     make_replacement,
 )
 from repro.obs.sinks import RecordingSink
-from tests.memsys.replay_harness import replay_trace
+from tests.memsys.replay_harness import make_policy, replay_trace
 
-# every registered policy, plus native LRU forced through the interface
-ALL = sorted([*available_replacements(), "lru-interface"])
+# every registered policy, native LRU forced through the interface, and
+# the harness's Belady
+ALL = sorted([*available_replacements(), "lru-interface", "opt"])
 
 pytestmark = pytest.mark.usefixtures("lru_interface")
 
@@ -39,7 +41,7 @@ def stream(seed: int, length: int = 3000, universe: int = 256):
 
 
 def fresh_policy(name: str):
-    return make_replacement(name, SETS, WAYS)
+    return make_policy(name, SETS, WAYS)
 
 
 def config() -> CacheConfig:
@@ -131,13 +133,12 @@ class TestContract:
 
     def test_geometry_mismatch_rejected(self, name):
         with pytest.raises(ValueError, match="geometry"):
-            Cache(config(), policy=make_replacement(name, SETS * 2, WAYS))
+            Cache(config(), policy=make_policy(name, SETS * 2, WAYS))
 
 
 class TestRegistry:
     def test_zoo_is_complete(self):
-        assert {"lru", "fifo", "lfu", "arc", "2q", "opt"} \
-            <= set(available_replacements())
+        assert {"lru", "fifo", "lfu", "arc", "2q"} <= set(available_replacements())
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown replacement"):

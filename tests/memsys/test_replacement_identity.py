@@ -1,4 +1,4 @@
-"""Replacement wiring: loop identity, digests, wire format, OPT plumbing.
+"""Replacement wiring: loop identity, digests, wire format, refusals.
 
 The refactor's non-negotiable: routing LRU through the policy interface
 (``lru-interface``) must change *nothing* — field-for-field ``SimResult``
@@ -21,8 +21,8 @@ from repro.workloads.registry import make_workload
 
 SCALE = 0.05
 
-# every registered heuristic, plus native LRU forced through the interface
-NON_ORACLE = sorted({*available_replacements(), "lru-interface"} - {"opt"})
+# every registered policy, plus native LRU forced through the interface
+POLICIES = sorted([*available_replacements(), "lru-interface"])
 
 pytestmark = pytest.mark.usefixtures("lru_interface")
 
@@ -73,7 +73,7 @@ class TestLruInterfaceByteIdentity:
         assert tiers["vectorized"] == tiers["compiled"] == tiers["generator"]
 
 
-@pytest.mark.parametrize("replacement", NON_ORACLE)
+@pytest.mark.parametrize("replacement", POLICIES)
 class TestTierTransparency:
     def test_policy_identical_across_tiers(self, replacement):
         """LLC policy choice must be invisible to the loop choice."""
@@ -82,47 +82,20 @@ class TestTierTransparency:
 
 
 class TestOptPlumbing:
-    def test_opt_requires_compiled_workload(self):
-        system = small_system(num_cores=4)
-        params = SimulationParams(800, 100)
-        source = make_workload("streaming", seed=7, scale=SCALE)
-        with pytest.raises(ValueError, match="packed trace"):
-            SimulationEngine(
-                source, "bingo", system, params, replacement="opt"
-            )
-
-    def test_opt_runs_and_diverges_sanely(self):
-        """OPT end-to-end on the fast loop: it runs, and its LLC
-        demand-miss count does not exceed native LRU's by more than the
-        approximation slack (program-stream oracle vs filtered stream)."""
-        system = small_system(num_cores=4)
-        params = SimulationParams(4000, 500)
-        compiled = compile_workload(
-            make_workload("streaming", seed=7, scale=SCALE),
-            records_per_core=4000,
-        )
-        lru = SimulationEngine(
-            compiled, "none", system, params, replacement="lru"
-        ).run()
-        opt = SimulationEngine(
-            compiled, "none", system, params, replacement="opt"
-        ).run()
-        llc = lambda r: r.raw_stats["memsys"]["llc"]  # noqa: E731
-        assert llc(opt)["demand_accesses"] == llc(lru)["demand_accesses"]
-        # in-simulator OPT is an upper-bound *approximation*; hold it to
-        # "no worse than LRU plus 5%" rather than strict dominance
-        assert llc(opt)["demand_misses"] <= llc(lru)["demand_misses"] * 1.05
+    """The simulator has no OPT: ``opt`` is refused like any unknown
+    name (the exact Belady lives in ``tests/memsys/replay_harness.py``)."""
 
     def test_unknown_replacement_rejected_by_engine(self):
         system = small_system(num_cores=4)
-        with pytest.raises(ValueError, match="unknown replacement"):
-            SimulationEngine(
-                make_workload("streaming", scale=SCALE),
-                "none",
-                system,
-                SimulationParams(800, 100),
-                replacement="mru",
-            )
+        for name in ("mru", "opt"):
+            with pytest.raises(ValueError, match="unknown replacement"):
+                SimulationEngine(
+                    make_workload("streaming", scale=SCALE),
+                    "none",
+                    system,
+                    SimulationParams(800, 100),
+                    replacement=name,
+                )
 
 
 class TestJobSurface:
@@ -140,8 +113,8 @@ class TestJobSurface:
 
     def test_replacement_changes_the_digest(self):
         """Cached results must never cross a policy boundary."""
-        digests = {self.job(name).digest() for name in NON_ORACLE + ["opt"]}
-        assert len(digests) == len(NON_ORACLE) + 1
+        digests = {self.job(name).digest() for name in POLICIES}
+        assert len(digests) == len(POLICIES)
 
     def test_replacement_in_spec(self):
         assert self.job("arc").spec()["replacement"] == "arc"

@@ -220,6 +220,7 @@ class TestBadRequests:
         "field, value",
         [
             ("workload", "nope"),
+            ("workload", "phase_shift"),
             ("prefetcher", "nope"),
             ("replacement", "nope"),
             ("train_at", "l2"),
@@ -239,15 +240,17 @@ class TestBadRequests:
         assert client.jobs() == []
 
     def test_lru_interface_is_no_wire_choice_400(self, api):
-        """``lru-interface`` is a test-only registration, not a policy:
-        version 3 refuses it like any unknown name."""
+        """``lru-interface`` is a test-only registration, not a policy,
+        and the simulator has no ``opt``: version 3 refuses both like any
+        unknown name, so an older peer's ``opt`` is never misread."""
         from repro.serve.jobs import WIRE_VERSION
 
         _, client, _, _ = api
-        with pytest.raises(ServiceError) as excinfo:
-            client.submit(wire_spec(replacement="lru-interface"))
-        assert excinfo.value.status == 400
-        assert "unknown replacement policy 'lru-interface'" in str(excinfo.value)
+        for name in ("lru-interface", "opt"):
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(wire_spec(replacement=name))
+            assert excinfo.value.status == 400
+            assert f"unknown replacement policy '{name}'" in str(excinfo.value)
         assert client.jobs() == []
         assert WIRE_VERSION == 3
 

@@ -41,7 +41,6 @@ DIGESTS = {
         "mix4": "cd6c5f2ee2b05d207cf005780e6e246232a3f859ae48d0f91a6eaed08c3c10e4",
         "mix5": "f39c723797ffb17956af75d647849563c8594e85c091418a9f7a2d2baa52aca8",
         "zipf": "14357c4463cb97045af77a3a176f1d175ee970390f3e9e3ee2ef848acfb291c0",
-        "phase_shift": "220306540cc94c9f2b884ed9c140faf4256bc9fc411ecf42b5cc5acf0ee95312",
         "oscillate": "6829a8021e01c4abb5294e439e937af865fcebe6e4ebc95442e9a24b6f6c7763",
     },
     (1234, 1.0, 2000): {
@@ -56,7 +55,6 @@ DIGESTS = {
         "mix4": "dc155ae3764fb2abb47c454261bc39038145098c49d1ba365831ac3b59cf7dbf",
         "mix5": "535c9c79ebf194f31dd0d5e0087177cc43f8c7b8d5b09988be293c270d5f76d2",
         "zipf": "1a877b44ed41d0aaf9088c27a5e432f7d94c3ae958c15d9447794427219a30e2",
-        "phase_shift": "2c143f92c37def1ce69b61a21dc8d444e1b725ada4e224b3f134c5efa0bf8cc2",
         "oscillate": "552bedfbd5f094fcfa60e721bf75cddebc1b3ea942297db6f3a97c04fede08c0",
     },
 }

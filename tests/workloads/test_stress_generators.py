@@ -1,10 +1,9 @@
-"""The stress suite's generators: skew, phase boundaries, oscillation.
+"""The stress suite's generators: skew and oscillation.
 
 These workloads exist to make replacement policies disagree, so their
 tests pin the *shapes* that do the disagreeing: Zipf's head really is
-hot, phase boundaries really are positional (seed-independent offsets),
-and the oscillator really alternates hot-set reuse with a scan.  One
-end-to-end test drives each through the real engine and the trace
+hot, and the oscillator really alternates hot-set reuse with a scan.
+One end-to-end test drives each through the real engine and the trace
 conformance machinery.
 """
 
@@ -20,14 +19,7 @@ from repro.workloads.registry import (
     STRESS_WORKLOAD_NAMES,
     make_workload,
 )
-from repro.workloads.stress import (
-    _HEAP,
-    _PHASE_STRIDE,
-    oscillating_stream,
-    phase_stream,
-    zipf_stream,
-    zipf_weights,
-)
+from repro.workloads.stress import oscillating_stream, zipf_stream, zipf_weights
 
 BLOCK = 64
 
@@ -92,73 +84,6 @@ class TestZipf:
             zipf_stream(random.Random(9), 0x1000, 0, 64 * 1024), 500
         )
         assert a == b
-
-
-class TestPhaseStream:
-    def phases(self, rng):
-        # four trivially distinguishable phases: constant block per phase
-        def phase(p):
-            def factory():
-                def gen():
-                    from repro.cpu.trace import TraceRecord
-
-                    while True:
-                        yield TraceRecord.load(0x10, p * 0x1000)
-
-                return gen()
-
-            return factory
-
-        return [phase(p) for p in range(4)]
-
-    def test_boundaries_are_exactly_positional(self):
-        rng = random.Random(0)
-        stream = phase_stream(rng, self.phases(rng), phase_refs=10)
-        addrs = mem_addresses(stream, 45)
-        for i, addr in enumerate(addrs):
-            assert addr == ((i // 10) % 4) * 0x1000, i
-
-    def test_validation(self):
-        rng = random.Random(0)
-        with pytest.raises(ValueError, match="phase_refs"):
-            next(phase_stream(rng, self.phases(rng), phase_refs=0))
-        with pytest.raises(ValueError, match="at least one phase"):
-            next(phase_stream(rng, [], phase_refs=10))
-
-
-class TestPhaseShiftWorkload:
-    PHASE_REFS = 4096  # pinned in repro.workloads.stress.phase_shift
-
-    def arena_of(self, address):
-        return (address - _HEAP) // _PHASE_STRIDE
-
-    def test_each_phase_lives_in_its_own_arena(self):
-        workload = make_workload("phase_shift", seed=5, scale=0.05)
-        addrs = mem_addresses(
-            workload.core_stream(0), self.PHASE_REFS * 4 + 100
-        )
-        for p in range(4):
-            window = addrs[p * self.PHASE_REFS:(p + 1) * self.PHASE_REFS]
-            assert {self.arena_of(a) for a in window} == {p}
-        # wrap-around: phase 0 again
-        assert {self.arena_of(a) for a in addrs[self.PHASE_REFS * 4:]} == {0}
-
-    def test_flip_offsets_are_seed_independent(self):
-        """Two seeds draw different addresses but flip phases at the
-        same memory-reference offsets — boundaries are positional."""
-        for seed in (5, 6):
-            workload = make_workload("phase_shift", seed=seed, scale=0.05)
-            addrs = mem_addresses(workload.core_stream(0), self.PHASE_REFS + 1)
-            assert self.arena_of(addrs[self.PHASE_REFS - 1]) == 0
-            assert self.arena_of(addrs[self.PHASE_REFS]) == 1
-
-    def test_reentry_is_deterministic(self):
-        a = make_workload("phase_shift", seed=5, scale=0.05)
-        b = make_workload("phase_shift", seed=5, scale=0.05)
-        n = self.PHASE_REFS * 4 + 200  # includes a phase-0 re-entry
-        assert mem_addresses(a.core_stream(0), n) == mem_addresses(
-            b.core_stream(0), n
-        )
 
 
 class TestOscillate:

@@ -33,7 +33,7 @@ class TestRegistry:
         assert available_workloads() == (
             list(WORKLOAD_NAMES) + list(STRESS_WORKLOAD_NAMES)
         )
-        assert set(STRESS_WORKLOAD_NAMES) == {"zipf", "phase_shift", "oscillate"}
+        assert set(STRESS_WORKLOAD_NAMES) == {"zipf", "oscillate"}
 
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
     def test_every_workload_builds_and_streams(self, name):
